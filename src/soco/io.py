@@ -105,9 +105,12 @@ def _check_header(cur: _Cursor, expect_kind: int) -> tuple[int, ...]:
     return cur.unpack("I" * ndim)
 
 
-def _looks_binary(path: _PathLike) -> bool:
-    with open(path, "rb") as handle:
-        return handle.read(4) == MAGIC
+def _read_file(path: _PathLike) -> bytes:
+    """The file's bytes; a file that cannot be read is a data error."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 # -- datasets ----------------------------------------------------------------
@@ -157,9 +160,10 @@ def _dataset_from_arrays(
 
 
 def read_dataset(path: _PathLike) -> Dataset:
-    if not _looks_binary(path):
+    blob = _read_file(path)
+    if not blob.startswith(MAGIC):
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = json.loads(blob.decode())
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise DataError("bad magic") from None
         if payload.get("kind") != "dataset":
@@ -170,7 +174,7 @@ def read_dataset(path: _PathLike) -> Dataset:
             payload.get("sample_ids", range(feats.shape[0])), dtype=np.int64
         )
         return _dataset_from_arrays(feats, labels, ids, int(payload["n_classes"]))
-    cur = _Cursor(Path(path).read_bytes())
+    cur = _Cursor(blob)
     dims = _check_header(cur, KIND_DATASET)
     n = dims[0]
     (n_classes,) = cur.unpack("H")
@@ -213,9 +217,10 @@ def write_maps(
 
 def read_maps(path: _PathLike, dataset: Optional[Dataset] = None) -> list[AttributionMap]:
     """Load maps, checking alignment against ``dataset`` when one is given."""
-    if not _looks_binary(path):
+    blob = _read_file(path)
+    if not blob.startswith(MAGIC):
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = json.loads(blob.decode())
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise DataError("bad magic") from None
         if payload.get("kind") != "maps":
@@ -223,7 +228,7 @@ def read_maps(path: _PathLike, dataset: Optional[Dataset] = None) -> list[Attrib
         values = np.asarray(payload["values"], dtype=np.float64)
         digest = payload.get("dataset_digest") or ""
     else:
-        cur = _Cursor(Path(path).read_bytes())
+        cur = _Cursor(blob)
         dims = _check_header(cur, KIND_MAPS)
         (digest_len,) = cur.unpack("B")
         digest = cur.take(digest_len).decode()
@@ -264,7 +269,7 @@ def write_curve(curve: EvalCurve, path: _PathLike) -> None:
 
 def read_curve(path: _PathLike) -> EvalCurve:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(_read_file(path).decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise DataError(f"not a curve file: {path}") from None
     try:

@@ -251,10 +251,15 @@ class ExternalModel:
         try:
             self._proc.stdin.write(msg + "\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            self._handle_death()
-            self._proc.stdin.write(msg + "\n")
-            self._proc.stdin.flush()
+        except OSError:
+            self._handle_death()  # restarts once, raises after that
+            try:
+                self._proc.stdin.write(msg + "\n")
+                self._proc.stdin.flush()
+            except OSError as exc:
+                raise BridgeProcessFailed(
+                    f"model server died again (exit code {self._proc.poll()}); giving up"
+                ) from exc
 
     def _parse(self, line: str) -> tuple[int, list]:
         try:

@@ -10,6 +10,7 @@ plus Gaussian noise on the imputed entries only.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -108,32 +109,38 @@ def impute_tabular(
     return _add_noise(filled, mask, noise_std, rng)
 
 
+# 8-neighborhood offsets in the order their entries appear in each row of W
+_OFFSETS = tuple(
+    (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
+)
+# distinct grid shapes whose neighbor system stays built
+_NEIGHBOR_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_NEIGHBOR_CACHE_SIZE)
 def _neighbor_system(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pixel neighbor indices and border-renormalized weights.
 
     Returns (rows, cols, weights) of the dense-in-concept weight matrix W
     where row p holds the averaging weights of pixel p's neighbors; each row
-    sums to one.
+    sums to one.  Entries run row-major by pixel, then through ``_OFFSETS``;
+    that order fixes how ``impute_grid`` accumulates its right-hand side.
+    The arrays are cached per shape and read-only.
     """
-    rows, cols, weights = [], [], []
-    for r in range(h):
-        for c in range(w):
-            p = r * w + c
-            entries = []
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w:
-                        wgt = _DIRECT_W if (dr == 0 or dc == 0) else _DIAGONAL_W
-                        entries.append((rr * w + cc, wgt))
-            total = sum(wgt for _, wgt in entries)
-            for q, wgt in entries:
-                rows.append(p)
-                cols.append(q)
-                weights.append(wgt / total)
-    return np.array(rows), np.array(cols), np.array(weights)
+    r, c = np.divmod(np.arange(h * w), w)
+    dr, dc = np.array(_OFFSETS).T
+    rr, cc = r[:, None] + dr, c[:, None] + dc
+    inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+    wgt = np.array([_DIRECT_W if 0 in off else _DIAGONAL_W for off in _OFFSETS])
+    # cumsum adds each row's weights one by one in entry order, which fixes
+    # the totals' rounding; a pairwise sum could differ in the last bit
+    total = np.cumsum(np.where(inside, wgt, 0.0), axis=1)[:, -1]
+    rows, k = np.nonzero(inside)  # row-major: by pixel, then by offset
+    cols = rr[rows, k] * w + cc[rows, k]
+    weights = wgt[k] / total[rows]
+    for arr in (rows, cols, weights):
+        arr.flags.writeable = False
+    return rows, cols, weights
 
 
 def impute_grid(
@@ -145,7 +152,8 @@ def impute_grid(
     """Noisy linear imputation on an (h, w) or (h, w, c) grid.
 
     Masked pixels satisfy x_p = sum_q W[p, q] * x_q with unmasked pixels as
-    boundary values; each channel is solved independently.  When everything
+    boundary values; each channel is solved independently.  The neighbor
+    system W is built once per grid shape and reused.  When everything
     is masked the system is homogeneous and the mean-zero solution (all
     zeros) is used, with a warning.  Noise is added to imputed pixels only,
     after the solve.

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -229,6 +231,44 @@ def test_bad_data_file_is_exit_4(tmp_path):
         ["attribute", "--dataset", str(bad), "--out", str(tmp_path / "maps.soco")]
     )
     assert rc == 4
+
+
+def test_missing_dataset_is_exit_4_without_traceback(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "soco.cli",
+            "eval",
+            "--metric", "soundness",
+            "--dataset", str(tmp_path / "nonexistent.soco"),
+            "--out", str(tmp_path / "c.json"),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert "data error" in proc.stderr
+
+
+def test_missing_maps_is_exit_4(workdir, capsys):
+    rc = main(
+        [
+            "eval",
+            "--metric", "soundness",
+            "--dataset", str(workdir / "data.soco"),
+            "--maps", str(workdir / "nonexistent.soco"),
+            "--out", str(workdir / "c.json"),
+        ]
+    )
+    assert rc == 4
+    assert "nonexistent.soco" in capsys.readouterr().err
 
 
 def test_emit_plot(workdir):

@@ -93,6 +93,14 @@ def test_bad_magic(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("reader", [read_dataset, read_maps, read_curve])
+def test_missing_file_is_data_error(tmp_path, reader):
+    with pytest.raises(DataError, match="cannot read"):
+        reader(tmp_path / "nonexistent.soco")
+    with pytest.raises(DataError, match="cannot read"):
+        reader(tmp_path)  # a directory
+
+
 def test_unsupported_version(tmp_path, disk_dataset):
     path = tmp_path / "data.soco"
     write_dataset(disk_dataset, path)

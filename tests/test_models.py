@@ -202,6 +202,14 @@ def test_bridge_gives_up_after_second_crash():
             model.predict_probs(np.ones((2, 2)))
 
 
+def test_bridge_fails_when_server_dies_before_reading():
+    # the request outgrows the pipe buffer, so both writes hit a dead server
+    spec = ExternalModelSpec(command=("python3", "-c", "import sys; sys.exit(1)"))
+    with ExternalModel(spec) as model:
+        with pytest.raises(BridgeProcessFailed):
+            model.predict_probs(np.ones((200, 500)))
+
+
 def test_bridge_times_out_on_silence():
     with ExternalModel(server_spec("silent", timeout_s=0.5)) as model:
         with pytest.raises(BridgeTimeout):

@@ -16,7 +16,12 @@ from soco import (
     mask_by_threshold,
     rank_features,
 )
-from soco.perturb import apply_imputer, default_noise_std, round_half_away
+from soco.perturb import (
+    _neighbor_system,
+    apply_imputer,
+    default_noise_std,
+    round_half_away,
+)
 
 # -- reference implementations (kept deliberately naive) ----------------------
 
@@ -45,6 +50,28 @@ def dense_neighbor_solve(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     b = W[np.ix_(idx, known)] @ v[known]
     v[idx] = np.linalg.solve(A, b)
     return v.reshape(h, w)
+
+
+def neighbor_system_loops(h: int, w: int):
+    """W's entries pixel by pixel, neighbors in (dr, dc) loop order."""
+    rows, cols, weights = [], [], []
+    for r in range(h):
+        for c in range(w):
+            entries = []
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    if dr == 0 and dc == 0:
+                        continue
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < h and 0 <= cc < w:
+                        wgt = 1 / 6 if (dr == 0 or dc == 0) else 1 / 12
+                        entries.append((rr * w + cc, wgt))
+            total = sum(wgt for _, wgt in entries)
+            for q, wgt in entries:
+                rows.append(r * w + c)
+                cols.append(q)
+                weights.append(wgt / total)
+    return np.array(rows), np.array(cols), np.array(weights)
 
 
 def neighbor_average(values: np.ndarray, r: int, c: int) -> float:
@@ -148,6 +175,19 @@ def test_impute_tabular_examples():
 def test_impute_tabular_shape_mismatch():
     with pytest.raises(DataError):
         impute_tabular(np.zeros(3), np.zeros(2, bool), np.zeros(3))
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (28, 28)])
+def test_neighbor_system_matches_loops_in_order(h, w):
+    got = _neighbor_system(h, w)
+    for have, want in zip(got, neighbor_system_loops(h, w)):
+        assert np.array_equal(have, want)
+    again = _neighbor_system(h, w)
+    assert all(a is b for a, b in zip(again, got))
+    for arr in got:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 def test_impute_grid_constant_field_fixed_point(rng):
