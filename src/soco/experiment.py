@@ -214,6 +214,8 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(raw, base_dir=path.parent)
@@ -463,8 +465,10 @@ def run_validation(
 
     One fixed dataset; each trial redraws the removal and introduction
     modifications (and the soundness imputation noise) from trial-keyed
-    streams.  Completeness runs noiseless.  Returns aggregate orderings;
-    optionally writes per-method summaries under ``out_dir``.
+    streams.  Completeness runs noiseless, so the unmodified maps'
+    completeness curve is the same in every trial and is computed once.
+    Returns aggregate orderings; optionally writes per-method summaries
+    under ``out_dir``.
     """
     dataset = generate_synthetic(settings.n_samples, settings.n_features, settings.seed)
     model = LinearStepModel()
@@ -480,6 +484,7 @@ def run_validation(
         thresholds=settings.thresholds, imputer=Imputer(kind="mean")
     )
 
+    original_completeness = completeness_curve(model, dataset, gt, c_cfg)
     aligned: dict = {m: {lvl: [] for lvl in settings.aligned_levels} for m in VALIDATION_METHODS}
     completeness_curves: dict = {m: [] for m in VALIDATION_METHODS}
     clean_accuracy = None
@@ -508,7 +513,10 @@ def run_validation(
             )
             for level, value in align_soundness(s_curve, settings.aligned_levels):
                 aligned[method][level].append(value)
-            c_curve = completeness_curve(model, dataset, maps, c_cfg)
+            if maps is gt:
+                c_curve = original_completeness
+            else:
+                c_curve = completeness_curve(model, dataset, maps, c_cfg)
             completeness_curves[method].append(c_curve)
             if clean_accuracy is None:
                 clean_accuracy = float(c_curve.meta["clean_accuracy"])

@@ -118,6 +118,11 @@ def _predrawn_noise(
     return full[keep]
 
 
+def _constant_fill(imputer: Imputer, dataset: Dataset):
+    """The value a zero or mean imputer puts in place of a masked feature."""
+    return 0.0 if imputer.kind == "zero" else dataset.feature_means
+
+
 def _fill(
     features: np.ndarray,
     masks: np.ndarray,
@@ -125,41 +130,90 @@ def _fill(
     dataset: Dataset,
     noise: Optional[np.ndarray],
 ) -> np.ndarray:
-    if imputer.kind == "zero":
-        filled = np.where(masks, 0.0, features)
-    elif imputer.kind == "mean":
-        filled = np.where(masks, dataset.feature_means, features)
-    else:
+    """Features with every masked entry replaced by its fill plus noise."""
+    if imputer.kind == "noisy_linear":
         if not dataset.is_grid:
             raise ConfigError("noisy_linear requires grid-shaped samples")
-        filled = np.stack(
+        fill = np.stack(
             [impute_grid(features[i], masks[i]) for i in range(features.shape[0])]
         )
+    else:
+        fill = _constant_fill(imputer, dataset)
     if noise is not None:
-        filled = filled + noise * masks
-    return filled
+        fill = fill + noise
+    return np.where(masks, fill, features)
 
 
-def _masked_accuracy(
+def _sweep(
     model: Model,
+    dataset: Dataset,
     features: np.ndarray,
     labels: np.ndarray,
-    masks: np.ndarray,
+    order: np.ndarray,
+    ks: Sequence[int],
     imputer: Imputer,
-    dataset: Dataset,
     noise: Optional[np.ndarray],
-) -> float:
-    filled = _fill(features, masks, imputer, dataset, noise)
-    return accuracy_from_probs(model.predict_probs(filled), labels)
+    mask_prefix: bool,
+) -> list[float]:
+    """Model accuracy at each cut-off k of a monotone sweep.
 
+    ``features`` and ``order`` are ``(n, d)``; row i's features are ranked
+    by ``order[i]``.  At cut-off k the first k ranked features are masked
+    when ``mask_prefix`` is set (soundness, deletion) and the other d - k
+    otherwise (insertion).  A k equal to the previous step's repeats that
+    step's mask and noise, so its accuracy is reused without a model call.
 
-def _rank_matrix(flat_values: np.ndarray, descending: bool = False) -> np.ndarray:
-    """ranks[i, j] = position of feature j in sample i's sort order."""
-    keys = -flat_values if descending else flat_values
-    order = np.argsort(keys, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(flat_values.shape[1]), axis=1)
-    return ranks
+    Zero and mean fills keep one ``(n, d)`` buffer and rewrite only the
+    features ranked between the previous and the current cut-off: newly
+    masked ones get fill plus noise, newly unmasked ones their own value.
+    The noisy-linear solve depends on the whole mask, so that fill is
+    rebuilt at every distinct step.  The model always gets a read-only array.
+    """
+    n, d = features.shape
+    shape = (n,) + dataset.feature_shape
+    if imputer.kind == "noisy_linear":
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(d), axis=1)
+
+        def filled(k: int) -> np.ndarray:
+            prefix = ranks < k
+            masks = prefix if mask_prefix else ~prefix
+            out = _fill(features.reshape(shape), masks.reshape(shape), imputer, dataset, noise)
+            out.flags.writeable = False
+            return out
+
+    else:
+        replacement = np.broadcast_to(_constant_fill(imputer, dataset), shape)
+        if noise is not None:
+            replacement = replacement + noise
+        masked_src = np.ascontiguousarray(replacement).reshape(-1)
+        open_src = features.reshape(-1)
+        row_start = (np.arange(n) * d)[:, None]
+        # start from whichever end state, all or none of the features in the
+        # prefix, lies nearer the first cut-off
+        k_prev = d if 2 * ks[0] > d else 0
+        start = masked_src if (k_prev == d) == mask_prefix else open_src
+        buf = start.copy()
+        view = buf.reshape(shape)
+        view.flags.writeable = False
+
+        def filled(k: int) -> np.ndarray:
+            nonlocal k_prev
+            lo, hi = sorted((k, k_prev))
+            idx = (order[:, lo:hi] + row_start).reshape(-1)
+            src = masked_src if (k > k_prev) == mask_prefix else open_src
+            buf[idx] = src[idx]
+            k_prev = k
+            return view
+
+    accs: list[float] = []
+    last_k = None
+    for k in ks:
+        if k != last_k:
+            acc = accuracy_from_probs(model.predict_probs(filled(k)), labels)
+            last_k = k
+        accs.append(acc)
+    return accs
 
 
 def soundness_curve(
@@ -178,6 +232,12 @@ def soundness_curve(
     ``meta["sweep"]`` as (mask_ratio, accuracy, mean_soundness) triples.
     All-zero maps carry no attribution mass to score, so those samples are
     skipped and counted in ``meta["skipped"]``.
+
+    With zero and mean fills the sweep keeps one filled copy of the inputs:
+    each step rewrites only the features whose rank lies between the
+    previous and the current cut-off.  Ratios whose mask count round(m * d)
+    equals the previous one's (common when d < 99) repeat that step's
+    accuracy without a model call.
     """
     cfg = cfg or SoundnessConfig()
     values = _flat_maps(dataset, maps)
@@ -189,13 +249,13 @@ def soundness_curve(
         raise DataError("empty evaluation set")
 
     values = values[keep]
-    features = dataset.feature_matrix()[keep]
-    labels = dataset.labels()[keep]
     n, d = values.shape
+    features = dataset.feature_matrix()[keep].reshape(n, d)
+    labels = dataset.labels()[keep]
     noise = _predrawn_noise(dataset, cfg.imputer, seed, keep)
 
-    ranks = _rank_matrix(values)
-    sorted_vals = np.take_along_axis(values, np.argsort(values, axis=1, kind="stable"), axis=1)
+    order = np.argsort(values, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(values, order, axis=1)
     prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(sorted_vals, axis=1)], axis=1)
     total = prefix[:, -1]
 
@@ -206,14 +266,15 @@ def soundness_curve(
             f"feature of a {d}-feature map"
         )
 
+    accs = _sweep(
+        model, dataset, features, labels, order, ks, cfg.imputer, noise, mask_prefix=True
+    )
     sweep: list[tuple[float, float, float]] = []
     false_mass = np.zeros(n)
     false_card = 0
     s_prev = 0.0
     k_prev = d
-    for m, k in zip(cfg.mask_ratios, ks):
-        masks = (ranks < k).reshape((n,) + dataset.feature_shape)
-        s_m = _masked_accuracy(model, features, labels, masks, cfg.imputer, dataset, noise)
+    for m, k, s_m in zip(cfg.mask_ratios, ks, accs):
         if s_m - s_prev < cfg.epsilon:
             false_mass += prefix[:, k_prev] - prefix[:, k]
             false_card += k_prev - k
@@ -283,7 +344,8 @@ def completeness_curve(
     pts = []
     for t in cfg.thresholds:
         masks = (values > t).reshape((n,) + dataset.feature_shape)
-        s_t = _masked_accuracy(model, features, labels, masks, cfg.imputer, dataset, noise)
+        filled = _fill(features, masks, cfg.imputer, dataset, noise)
+        s_t = accuracy_from_probs(model.predict_probs(filled), labels)
         pts.append((float(t), s_0 - s_t))
     pts.sort(key=lambda p: p[0])
     return EvalCurve(
@@ -314,6 +376,12 @@ def order_based_curve(
     order; insertion starts fully masked and restores that prefix.  Only
     the ranking of each map matters; two maps with equal orderings produce
     bit-identical curves no matter how their values differ.
+
+    Zero and mean fills keep one filled copy of the inputs and rewrite only
+    the features ranked between the previous and the current cut-off; the
+    noisy-linear solve is redone at every step.  Fractions whose count
+    round(fraction * d) equals the previous one's repeat that step's
+    accuracy without a model call.
     """
     if mode not in ORDER_MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -325,31 +393,22 @@ def order_based_curve(
     imputer = imputer or Imputer(kind="zero")
 
     values = _flat_maps(dataset, maps)
-    features = dataset.feature_matrix()
-    labels = dataset.labels()
     n, d = values.shape
+    features = dataset.feature_matrix().reshape(n, d)
+    labels = dataset.labels()
     noise = _predrawn_noise(dataset, imputer, seed, np.ones(n, dtype=bool))
-    ranks = _rank_matrix(values, descending=(order == "MoRF"))
+    keys = -values if order == "MoRF" else values
+    ranking = np.argsort(keys, axis=1, kind="stable")
+    ks = [round_half_away(float(f) * d) for f in fr]
 
-    pts = []
-    for f in fr:
-        k = round_half_away(float(f) * d)
-        prefix = ranks < k
-        masked = prefix if mode == "deletion" else ~prefix
-        s = _masked_accuracy(
-            model,
-            features,
-            labels,
-            masked.reshape((n,) + dataset.feature_shape),
-            imputer,
-            dataset,
-            noise,
-        )
-        pts.append((float(f), s))
+    accs = _sweep(
+        model, dataset, features, labels, ranking, ks, imputer, noise,
+        mask_prefix=(mode == "deletion"),
+    )
     return EvalCurve(
         metric_kind=mode,
         x_axis="masked_fraction",
-        points=tuple(pts),
+        points=tuple((float(f), s) for f, s in zip(fr, accs)),
         meta={"order": order, "imputer": imputer.kind, "noise_std": imputer.noise_std},
     )
 

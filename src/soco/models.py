@@ -189,6 +189,7 @@ class ExternalModel:
         self.spec = spec
         self._lock = threading.Lock()
         self._proc: Optional[subprocess.Popen] = None
+        self._reader: Optional[_Reader] = None
         self._queue: "queue.Queue" = queue.Queue()
         self._next_id = 0
         self._restarted = False
@@ -207,7 +208,26 @@ class ExternalModel:
         except OSError as exc:
             raise BridgeProcessFailed(f"could not launch model server: {exc}") from exc
         self._queue = queue.Queue()
-        _Reader(self._proc.stdout, self._queue).start()
+        self._reader = _Reader(self._proc.stdout, self._queue)
+        self._reader.start()
+
+    def _stop(self) -> None:
+        """Close the child's pipes and reap it, killing it if it lingers."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=2.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        self._reader.join(timeout=2.0)
+        if not self._reader.is_alive():  # a grandchild may still hold the pipe
+            proc.stdout.close()
 
     def _ensure_running(self) -> None:
         if self._proc is None:
@@ -223,20 +243,12 @@ class ExternalModel:
                 f"model server died again (exit code {code}); giving up"
             )
         self._restarted = True
+        self._stop()
         self._launch()
 
     def close(self) -> None:
         with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                try:
-                    self._proc.stdin.close()
-                except OSError:
-                    pass
-                try:
-                    self._proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    self._proc.kill()
-            self._proc = None
+            self._stop()
 
     def __enter__(self) -> "ExternalModel":
         return self

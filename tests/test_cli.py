@@ -233,28 +233,40 @@ def test_bad_data_file_is_exit_4(tmp_path):
     assert rc == 4
 
 
-def test_missing_dataset_is_exit_4_without_traceback(tmp_path):
+def run_cli_process(*args):
+    """``python -m soco.cli ARGS`` in a fresh interpreter, soco from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).parent.parent / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "soco.cli",
-            "eval",
-            "--metric", "soundness",
-            "--dataset", str(tmp_path / "nonexistent.soco"),
-            "--out", str(tmp_path / "c.json"),
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "soco.cli", *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_missing_dataset_is_exit_4_without_traceback(tmp_path):
+    proc = run_cli_process(
+        "eval",
+        "--metric", "soundness",
+        "--dataset", str(tmp_path / "nonexistent.soco"),
+        "--out", str(tmp_path / "c.json"),
+    )
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert "data error" in proc.stderr
+
+
+def test_missing_config_is_exit_2_without_traceback(tmp_path):
+    proc = run_cli_process("run", "--config", str(tmp_path / "nonexistent.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "config error" in proc.stderr
+    assert "nonexistent.json" in proc.stderr
 
 
 def test_missing_maps_is_exit_4(workdir, capsys):

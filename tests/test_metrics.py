@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soco import (
     AttributionMap,
@@ -23,8 +27,16 @@ from soco import (
     soundness_curve,
     substream,
 )
-from soco.core import accuracy_from_probs
+from soco.core import Sample, accuracy_from_probs
+from soco.metrics import (
+    DEFAULT_FRACTIONS,
+    DEFAULT_MASK_RATIOS,
+    ORDER_MODES,
+    RANK_ORDERS,
+    WEIGHTINGS,
+)
 from soco.models import Layer
+from soco.perturb import impute_grid, round_half_away
 
 COARSE_RATIOS = tuple(round(0.95 - 0.1 * i, 2) for i in range(10))  # 0.95 .. 0.05
 
@@ -350,3 +362,198 @@ def test_auc_needs_two_points():
     single = EvalCurve("deletion", "masked_fraction", ((0.5, 1.0),))
     with pytest.raises(DataError):
         auc(single)
+
+
+# -- the incremental sweep against the literal per-step computation ----------------
+
+
+def three_pass_fill(features, masks, imputer, dataset, noise):
+    """The fill as written before the sweep engine: where, noise * masks, add."""
+    if imputer.kind == "zero":
+        filled = np.where(masks, 0.0, features)
+    elif imputer.kind == "mean":
+        filled = np.where(masks, dataset.feature_means, features)
+    else:
+        filled = np.stack(
+            [impute_grid(features[i], masks[i]) for i in range(features.shape[0])]
+        )
+    if noise is not None:
+        filled = filled + noise * masks
+    return filled
+
+
+def literal_accuracy(model, dataset, features, labels, masks, imputer, noise):
+    masks = masks.reshape(features.shape)
+    filled = three_pass_fill(features, masks, imputer, dataset, noise)
+    return accuracy_from_probs(model.predict_probs(filled), labels)
+
+
+def literal_noise(dataset, imputer, seed):
+    if imputer.noise_std == 0.0:
+        return None
+    shape = (len(dataset.samples),) + dataset.feature_shape
+    return imputer.noise_std * substream(seed, "noise").standard_normal(shape)
+
+
+def literal_ranks(values, descending=False):
+    """ranks[i, j] = position of feature j in sample i's stable sort order."""
+    order = np.argsort(-values if descending else values, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(values.shape[1]), axis=1)
+    return ranks
+
+
+def literal_soundness(model, dataset, maps, cfg, seed):
+    """(points, sweep) with the mask ranks < k and a full refill at every ratio."""
+    values = np.stack([m.flat() for m in maps])
+    keep = values.sum(axis=1) > 0
+    values = values[keep]
+    features = dataset.feature_matrix()[keep]
+    labels = dataset.labels()[keep]
+    noise = literal_noise(dataset, cfg.imputer, seed)
+    noise = None if noise is None else noise[keep]
+    n, d = values.shape
+    ranks = literal_ranks(values)
+    prefix = np.concatenate(
+        [np.zeros((n, 1)), np.cumsum(np.sort(values, axis=1, kind="stable"), axis=1)], axis=1
+    )
+    sweep, false_mass, false_card, s_prev, k_prev = [], np.zeros(n), 0, 0.0, d
+    for m in cfg.mask_ratios:
+        k = round_half_away(m * d)
+        s_m = literal_accuracy(model, dataset, features, labels, ranks < k, cfg.imputer, noise)
+        if s_m - s_prev < cfg.epsilon:
+            false_mass += prefix[:, k_prev] - prefix[:, k]
+            false_card += k_prev - k
+        if cfg.weighting == "attribution":
+            included = prefix[:, -1] - prefix[:, k]
+            q = float(np.mean((included - false_mass) / included))
+        else:
+            q = ((d - k) - false_card) / (d - k)
+        sweep.append([float(m), s_m, q])
+        s_prev, k_prev = s_m, k
+    first = {}
+    for _, s, q in sweep:
+        first.setdefault(s, q)
+    return tuple(sorted(first.items())), sweep
+
+
+def literal_completeness(model, dataset, maps, cfg, seed):
+    values = np.stack([m.flat() for m in maps])
+    features, labels = dataset.feature_matrix(), dataset.labels()
+    noise = literal_noise(dataset, cfg.imputer, seed)
+    s_0 = accuracy_from_probs(model.predict_probs(features), labels)
+    return tuple(
+        (t, s_0 - literal_accuracy(model, dataset, features, labels, values > t, cfg.imputer, noise))
+        for t in sorted(cfg.thresholds)
+    )
+
+
+def literal_order_curve(model, dataset, maps, mode, order, imputer, fractions, seed):
+    values = np.stack([m.flat() for m in maps])
+    features, labels = dataset.feature_matrix(), dataset.labels()
+    noise = literal_noise(dataset, imputer, seed)
+    ranks = literal_ranks(values, descending=(order == "MoRF"))
+    points = []
+    for f in fractions:
+        prefix = ranks < round_half_away(f * values.shape[1])
+        masks = prefix if mode == "deletion" else ~prefix
+        points.append(
+            (f, literal_accuracy(model, dataset, features, labels, masks, imputer, noise))
+        )
+    return tuple(points)
+
+
+class CountingModel:
+    """Forwards to a model and records each call's batch and writeability."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+        self.writeable = []
+
+    def predict_probs(self, batch):
+        self.batches.append(np.array(batch))
+        self.writeable.append(batch.flags.writeable)
+        return self.inner.predict_probs(batch)
+
+
+@st.composite
+def sweep_problems(draw):
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 120)),)
+        kinds = ("zero", "mean")
+    else:
+        shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 2)))
+        kinds = ("zero", "mean", "noisy_linear")
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = int(np.prod(shape))
+    feats = rng.standard_normal((n,) + shape)
+    # few distinct levels, so maps carry ties and exact zeros
+    raw = rng.integers(0, 4, size=(n,) + shape) * (rng.random((n,) + shape) < 0.8)
+    raw.reshape(n, d)[0, 0] = 4  # at least one map with mass
+    if n > 1 and draw(st.booleans()):
+        raw[1] = 0  # an all-zero map, which soundness skips
+    maps = [normalize_attribution(r.astype(np.float64)) for r in raw]
+    n_classes = 3
+    labels = rng.integers(0, n_classes, n)
+    ds = Dataset(
+        samples=tuple(Sample(feats[i], int(labels[i]), i) for i in range(n)),
+        n_classes=n_classes,
+        feature_means=feats.mean(axis=0),
+    )
+    layer = Layer(weight=rng.standard_normal((n_classes, d)), bias=rng.standard_normal(n_classes))
+    model = MlpModel(MlpWeights(layers=(layer,), n_classes=n_classes))
+    noise_std = draw(st.sampled_from((0.0, 0.5)))
+    imputer = Imputer(kind=draw(st.sampled_from(kinds)), noise_std=noise_std)
+    return ds, maps, model, imputer, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_problems())
+def test_sweep_engine_matches_literal_per_step_fill(problem):
+    ds, maps, inner, imputer, seed = problem
+    d = ds.n_features
+    # every default ratio that leaves a feature unmasked: for d < 99 many collide
+    ratios = tuple(m for m in DEFAULT_MASK_RATIOS if round_half_away(m * d) < d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for weighting in WEIGHTINGS:
+            cfg = SoundnessConfig(mask_ratios=ratios, imputer=imputer, weighting=weighting)
+            model = CountingModel(inner)
+            curve = soundness_curve(model, ds, maps, cfg, seed=seed)
+            points, sweep = literal_soundness(inner, ds, maps, cfg, seed)
+            assert curve.points == points
+            assert curve.meta["sweep"] == sweep
+            ks = [round_half_away(m * d) for m in ratios]
+            assert len(model.batches) == len(set(ks))
+            assert not any(model.writeable)
+
+        cfg = CompletenessConfig(imputer=imputer)
+        curve = completeness_curve(inner, ds, maps, cfg, seed=seed)
+        assert curve.points == literal_completeness(inner, ds, maps, cfg, seed)
+
+        for mode in ORDER_MODES:
+            for order in RANK_ORDERS:
+                for fractions in (DEFAULT_FRACTIONS, (0.0, 0.04, 0.05, 0.5, 0.52, 1.0)):
+                    model = CountingModel(inner)
+                    curve = order_based_curve(
+                        model, ds, maps, mode, order, imputer, fractions, seed=seed
+                    )
+                    want = literal_order_curve(
+                        inner, ds, maps, mode, order, imputer, fractions, seed
+                    )
+                    assert curve.points == want
+                    ks = [round_half_away(f * d) for f in fractions]
+                    assert len(model.batches) == len(set(ks))
+                    assert not any(model.writeable)
+
+
+def test_sweep_buffer_is_not_shared_between_steps(step_model, small_dataset, gt_maps):
+    # each batch the model saw must be the fill of its own step, not a later one
+    model = CountingModel(step_model)
+    order_based_curve(model, small_dataset, gt_maps, "deletion", fractions=(0.0, 0.5, 1.0))
+    first, middle, last = model.batches
+    assert np.array_equal(first, small_dataset.feature_matrix())
+    assert np.count_nonzero(middle == 0.0) == 60 * 50
+    assert np.all(last == 0.0)

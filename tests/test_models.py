@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -208,6 +210,46 @@ def test_bridge_fails_when_server_dies_before_reading():
     with ExternalModel(spec) as model:
         with pytest.raises(BridgeProcessFailed):
             model.predict_probs(np.ones((200, 500)))
+
+
+RESTART_SCENARIOS = f"""
+import sys
+import numpy as np
+from soco.models import BridgeProcessFailed, ExternalModel, ExternalModelSpec
+
+server = (sys.executable, {SERVER!r})
+with ExternalModel(ExternalModelSpec(command=server + ("crash-once", sys.argv[1]))) as model:
+    model.predict_probs(np.ones((3, 2)))
+    assert model._restarted
+for command in (server + ("always-crash",), (sys.executable, "-c", "import sys; sys.exit(1)")):
+    with ExternalModel(ExternalModelSpec(command=command, timeout_s=5.0)) as model:
+        try:
+            model.predict_probs(np.ones((200, 500)))
+        except BridgeProcessFailed:
+            pass
+import gc
+gc.collect()
+print("done")
+"""
+
+
+def test_bridge_restarts_leave_no_unclosed_pipes(tmp_path):
+    # -X dev turns on ResourceWarning, which names any pipe or child left behind
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", RESTART_SCENARIOS, str(tmp_path / "crashed")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "done"
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
 def test_bridge_times_out_on_silence():

@@ -76,6 +76,17 @@ class TestGroundTruth:
         with pytest.raises(DataError, match="inconsistent label for sample 0"):
             ground_truth_attribution(bad)
 
+    def test_first_inconsistent_label_is_reported(self):
+        feats = np.array([[1.0], [-1.0], [2.0], [3.0], [-2.0]])
+        bad = Dataset.from_arrays(feats, [1, 0, 0, 1, 1], n_classes=2)
+        with pytest.raises(DataError, match="inconsistent label for sample 2$"):
+            ground_truth_attribution(bad)
+
+    def test_grid_dataset_rejected(self):
+        grid = Dataset.from_arrays(np.ones((2, 2, 2, 1)), [1, 1], n_classes=2)
+        with pytest.raises(DataError, match="tabular model"):
+            ground_truth_attribution(grid)
+
 
 class TestOracle:
     def test_informative_set_is_positive_contributions(self):
