@@ -9,7 +9,7 @@ declared x axis so downstream comparison code never has to guess units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, Union
+from typing import Iterable, Iterator, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -180,11 +180,29 @@ class Model(Protocol):
 
     ``predict_probs`` accepts either a sequence of Samples or an already
     stacked feature array and returns an ``(n, n_classes)`` probability
-    matrix with rows on the simplex.
+    matrix with rows on the simplex.  A model may also offer
+    ``predict_probs_many(batches)``, which takes a lazy iterable of such
+    batches and returns one matrix per batch; see ``predict_many``.
     """
 
     def predict_probs(self, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
         ...
+
+
+def predict_many(
+    model: Model, batches: Iterable[Union[Sequence[Sample], np.ndarray]]
+) -> Iterator[np.ndarray]:
+    """Probabilities for each batch drawn from ``batches``, in order.
+
+    A model with ``predict_probs_many`` gets the whole lazy iterable, so it
+    can overlap the work of consecutive batches; any other model gets one
+    ``predict_probs`` call per batch.  Either way a batch is used up before
+    the next one is drawn, so the caller may rewrite one buffer for all.
+    """
+    many = getattr(model, "predict_probs_many", None)
+    if many is not None:
+        return iter(many(batches))
+    return (model.predict_probs(batch) for batch in batches)
 
 
 def batch_features(batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -43,7 +42,7 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import aggregate_trials
-from .core import ConfigError, Dataset, EvalCurve, Model, batch_features
+from .core import ConfigError, Dataset, EvalCurve, Model
 from .io import (
     atomic_write,
     canonical_json,
@@ -111,9 +110,11 @@ class ExperimentConfig:
     def digest(self) -> str:
         """Hash of the scientific content only.
 
-        Worker count and output location change where and how fast results
-        appear, never what they are, so two configs differing only there
-        share a digest (and produce byte-identical curve files).
+        Output location changes where results appear, never what they are,
+        so two configs differing only there share a digest (and produce
+        byte-identical curve files).  The same holds for ``workers``: runs
+        are serial today, and the key is reserved for job-level parallelism,
+        which must not change a result either.
         """
         content = {k: v for k, v in self.raw.items() if k not in ("workers", "output_dir")}
         return config_digest(content)
@@ -219,31 +220,6 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(raw, base_dir=path.parent)
-
-
-class _ChunkedModel:
-    """Splits each batch into contiguous blocks handled by a thread pool.
-
-    Per-sample outputs do not depend on the split, and downstream accuracy
-    is an exact integer count, so worker count never changes results.
-    """
-
-    def __init__(self, inner: Model, workers: int) -> None:
-        self.inner = inner
-        self.workers = workers
-
-    def predict_probs(self, batch) -> np.ndarray:
-        feats = batch_features(batch)
-        n = feats.shape[0]
-        if self.workers <= 1 or n < self.workers:
-            return self.inner.predict_probs(feats)
-        bounds = np.linspace(0, n, self.workers + 1).astype(int)
-        blocks = [(bounds[i], bounds[i + 1]) for i in range(self.workers)]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            parts = list(
-                pool.map(lambda ab: self.inner.predict_probs(feats[ab[0] : ab[1]]), blocks)
-            )
-        return np.concatenate(parts, axis=0)
 
 
 def _build_model(cfg: ExperimentConfig):
@@ -363,8 +339,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
 
     dataset = _build_dataset(cfg)
     model, closer = _build_model(cfg)
-    if cfg.workers > 1:
-        model = _ChunkedModel(model, cfg.workers)
     try:
         if cfg.map_source == "ground_truth":
             base_maps = ground_truth_attribution(dataset)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .core import (
     EvalCurve,
     Model,
     accuracy_from_probs,
+    predict_many,
 )
 from .perturb import Imputer, impute_grid, round_half_away
 from .rng import substream
@@ -162,6 +164,8 @@ def _sweep(
     when ``mask_prefix`` is set (soundness, deletion) and the other d - k
     otherwise (insertion).  A k equal to the previous step's repeats that
     step's mask and noise, so its accuracy is reused without a model call.
+    The distinct steps reach the model as one lazy iterable (``predict_many``),
+    so a pipelining model can overlap them.
 
     Zero and mean fills keep one ``(n, d)`` buffer and rewrite only the
     features ranked between the previous and the current cut-off: newly
@@ -206,14 +210,10 @@ def _sweep(
             k_prev = k
             return view
 
-    accs: list[float] = []
-    last_k = None
-    for k in ks:
-        if k != last_k:
-            acc = accuracy_from_probs(model.predict_probs(filled(k)), labels)
-            last_k = k
-        accs.append(acc)
-    return accs
+    runs = [(k, len(list(repeats))) for k, repeats in groupby(ks)]
+    probs = predict_many(model, (filled(k) for k, _ in runs))
+    accs = (accuracy_from_probs(p, labels) for p in probs)
+    return [acc for acc, (_, n_repeats) in zip(accs, runs) for _ in range(n_repeats)]
 
 
 def soundness_curve(
@@ -340,14 +340,14 @@ def completeness_curve(
     n = values.shape[0]
     noise = _predrawn_noise(dataset, cfg.imputer, seed, np.ones(n, dtype=bool))
 
-    s_0 = accuracy_from_probs(model.predict_probs(features), labels)
-    pts = []
-    for t in cfg.thresholds:
-        masks = (values > t).reshape((n,) + dataset.feature_shape)
-        filled = _fill(features, masks, cfg.imputer, dataset, noise)
-        s_t = accuracy_from_probs(model.predict_probs(filled), labels)
-        pts.append((float(t), s_0 - s_t))
-    pts.sort(key=lambda p: p[0])
+    def steps():
+        yield features
+        for t in cfg.thresholds:
+            masks = (values > t).reshape((n,) + dataset.feature_shape)
+            yield _fill(features, masks, cfg.imputer, dataset, noise)
+
+    s_0, *s_ts = (accuracy_from_probs(p, labels) for p in predict_many(model, steps()))
+    pts = sorted((float(t), s_0 - s_t) for t, s_t in zip(cfg.thresholds, s_ts))
     return EvalCurve(
         metric_kind="completeness",
         x_axis="attribution_threshold",

@@ -11,6 +11,10 @@ Server protocol, one JSON object per line:
 
 Grid samples are flattened row-major (channel last) before sending.  The
 child may answer requests in any order but must answer each exactly once.
+Requests are pipelined: a batch larger than ``batch_limit`` rows is split
+into several requests, and a sweep's consecutive steps are sent without
+waiting for earlier answers, up to ``MAX_IN_FLIGHT`` unanswered requests.
+A server must therefore keep reading while its answers are outstanding.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import json
 import queue
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +33,8 @@ from .core import ConfigError, DataError, ModelBridgeError, Sample, batch_featur
 
 ACTIVATIONS = ("relu", "identity")
 PROB_SUM_TOL = 1e-6
+MAX_IN_FLIGHT = 8  # unanswered requests per bridge; only these are re-sent after a restart
+ENCODE_CACHE_SIZE = 1 << 16  # float texts kept per bridge, about 9 MiB when full
 
 
 class BridgeTimeout(ModelBridgeError):
@@ -176,8 +182,50 @@ class _Reader(threading.Thread):
         self._out.put(_EOF)
 
 
+class _RequestEncoder:
+    """Renders request lines, formatting each distinct float64 once.
+
+    ``encode(i, rows)`` returns exactly ``json.dumps({"id": i, "inputs":
+    rows.tolist()}) + "\\n"``.  Sweep traffic repeats the same values step
+    after step (every entry is a feature value or that feature's fill), so
+    the text of each bit pattern is kept; the values not yet seen go through
+    one ``json.dumps`` call.  The cache stops growing at ``max_entries``.
+    """
+
+    def __init__(self, max_entries: int = ENCODE_CACHE_SIZE) -> None:
+        self.max_entries = max_entries
+        self.texts: dict[int, str] = {}
+
+    def encode(self, req_id: int, rows: np.ndarray) -> str:
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        n, d = rows.shape
+        if rows.size == 0:
+            return json.dumps({"id": req_id, "inputs": [[]] * n}) + "\n"
+        bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
+        keys = bits.tolist()
+        texts = [self.texts.get(key) for key in keys]
+        missing = [i for i, text in enumerate(texts) if text is None]
+        if missing:
+            # a float's JSON text never contains ", ", so one call splits cleanly
+            fresh = json.dumps(bits[missing].view(np.float64).tolist())[1:-1].split(", ")
+            for i, text in zip(missing, fresh):
+                texts[i] = text
+            room = max(self.max_entries - len(self.texts), 0)
+            self.texts.update((keys[i], text) for i, text in zip(missing[:room], fresh))
+        cells = np.array(texts, dtype=object)[inverse.reshape(n, d)].tolist()
+        body = "], [".join([", ".join(row) for row in cells])
+        return f'{{"id": {req_id}, "inputs": [[{body}]]}}\n'
+
+
+class _Request(NamedTuple):
+    batch: int  # index of the batch within one predict_probs_many call
+    start: int
+    stop: int
+    line: str  # the encoded request, kept for re-issue after a restart
+
+
 class ExternalModel:
-    """Serial bridge to a model server child process.
+    """Pipelined bridge to a model server child process.
 
     All calls funnel through one lock; request ids are unique per bridge
     instance so out-of-order responses can be matched back.  A crashed
@@ -191,7 +239,9 @@ class ExternalModel:
         self._proc: Optional[subprocess.Popen] = None
         self._reader: Optional[_Reader] = None
         self._queue: "queue.Queue" = queue.Queue()
+        self._encoder = _RequestEncoder()
         self._next_id = 0
+        self._abandoned: set[int] = set()  # ids left unanswered by a failed call
         self._restarted = False
 
     # -- process management -------------------------------------------------
@@ -208,6 +258,7 @@ class ExternalModel:
         except OSError as exc:
             raise BridgeProcessFailed(f"could not launch model server: {exc}") from exc
         self._queue = queue.Queue()
+        self._abandoned.clear()  # a new child never answers the old one's requests
         self._reader = _Reader(self._proc.stdout, self._queue)
         self._reader.start()
 
@@ -258,20 +309,23 @@ class ExternalModel:
 
     # -- protocol -----------------------------------------------------------
 
-    def _send(self, req_id: int, rows: np.ndarray) -> None:
-        msg = json.dumps({"id": req_id, "inputs": rows.tolist()})
+    def _write(self, line: str) -> bool:
+        """Send one request line; False when the child is gone."""
         try:
-            self._proc.stdin.write(msg + "\n")
+            self._proc.stdin.write(line)
             self._proc.stdin.flush()
         except OSError:
-            self._handle_death()  # restarts once, raises after that
-            try:
-                self._proc.stdin.write(msg + "\n")
-                self._proc.stdin.flush()
-            except OSError as exc:
+            return False
+        return True
+
+    def _restart(self, pending: dict[int, _Request]) -> None:
+        """Restart a dead child (once) and re-send every unanswered request."""
+        self._handle_death()  # raises when the restart is already spent
+        for req_id in sorted(pending):
+            if not self._write(pending[req_id].line):
                 raise BridgeProcessFailed(
                     f"model server died again (exit code {self._proc.poll()}); giving up"
-                ) from exc
+                )
 
     def _parse(self, line: str) -> tuple[int, list]:
         try:
@@ -285,7 +339,10 @@ class ExternalModel:
         return req_id, probs
 
     def _validate_probs(self, probs: list, n_rows: int) -> np.ndarray:
-        arr = np.asarray(probs, dtype=np.float64)
+        try:
+            arr = np.asarray(probs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
+            raise BridgeBadProbs(f"probabilities are not a numeric matrix: {exc}") from None
         if arr.ndim != 2 or arr.shape[0] != n_rows:
             raise BridgeBadProbs(
                 f"expected {n_rows} probability vectors, got shape {arr.shape}"
@@ -298,50 +355,70 @@ class ExternalModel:
             raise BridgeBadProbs(f"probabilities do not sum to 1 (off by {worst:.3g})")
         return arr
 
-    def predict_probs(self, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
-        feats = batch_features(batch)
-        rows = feats.reshape(feats.shape[0], -1)
+    def _receive(self, pending: dict[int, _Request], outs: list) -> None:
+        """Wait for one response and store it in its batch's output."""
+        try:
+            item = self._queue.get(timeout=self.spec.timeout_s)
+        except queue.Empty:
+            raise BridgeTimeout(
+                f"no response within {self.spec.timeout_s}s "
+                f"({len(pending)} request(s) outstanding)"
+            ) from None
+        if item is _EOF:
+            self._restart(pending)
+            return
+        req_id, probs = self._parse(item)
+        if req_id in self._abandoned:
+            self._abandoned.remove(req_id)
+            return
+        if req_id not in pending:
+            raise BridgeUnknownId(f"response for unknown request id {req_id}")
+        req = pending.pop(req_id)
+        arr = self._validate_probs(probs, req.stop - req.start)
+        out = outs[req.batch]
+        if out.size == 0:
+            out = outs[req.batch] = np.empty((out.shape[0], arr.shape[1]), dtype=np.float64)
+        elif arr.shape[1] != out.shape[1]:
+            raise BridgeBadProbs("responses disagree on the number of classes")
+        out[req.start : req.stop] = arr
+
+    def predict_probs_many(
+        self, batches: Iterable[Union[Sequence[Sample], np.ndarray]]
+    ) -> list[np.ndarray]:
+        """Probabilities for each batch, with consecutive batches in flight together.
+
+        Each batch is split into requests of at most ``batch_limit`` rows,
+        and they are encoded and written as soon as the batch is drawn,
+        before the iterator advances; a caller may rewrite one buffer for
+        every batch.  At most ``MAX_IN_FLIGHT`` requests wait for an answer
+        at a time, and only those are kept for re-issue after a restart.
+        """
         with self._lock:
             self._ensure_running()
-            pending: dict[int, tuple[int, int]] = {}
-            chunks: dict[int, np.ndarray] = {}
-            for start in range(0, rows.shape[0], self.spec.batch_limit):
-                stop = min(start + self.spec.batch_limit, rows.shape[0])
-                req_id = self._next_id
-                self._next_id += 1
-                pending[req_id] = (start, stop)
-                chunks[req_id] = rows[start:stop]
-                self._send(req_id, rows[start:stop])
-            out = np.empty(0)
-            while pending:
-                try:
-                    item = self._queue.get(timeout=self.spec.timeout_s)
-                except queue.Empty:
-                    raise BridgeTimeout(
-                        f"no response within {self.spec.timeout_s}s "
-                        f"({len(pending)} request(s) outstanding)"
-                    ) from None
-                if item is _EOF:
-                    self._handle_death()
-                    for req_id in sorted(pending):  # re-issue what was lost
-                        self._send(req_id, chunks[req_id])
-                    continue
-                req_id, probs = self._parse(item)
-                if req_id not in pending:
-                    raise BridgeUnknownId(f"response for unknown request id {req_id}")
-                start, stop = pending.pop(req_id)
-                arr = self._validate_probs(probs, stop - start)
-                if out.size == 0:
-                    out = np.empty((rows.shape[0], arr.shape[1]), dtype=np.float64)
-                elif arr.shape[1] != out.shape[1]:
-                    raise BridgeBadProbs("responses disagree on the number of classes")
-                out[start:stop] = arr
-            return out
+            pending: dict[int, _Request] = {}
+            outs: list[np.ndarray] = []
+            try:
+                for batch in batches:
+                    feats = batch_features(batch)
+                    rows = feats.reshape(feats.shape[0], -1)
+                    # rows but no classes yet: _receive sizes it on the first answer
+                    outs.append(np.empty((rows.shape[0], 0)))
+                    for start in range(0, rows.shape[0], self.spec.batch_limit):
+                        while len(pending) >= MAX_IN_FLIGHT:
+                            self._receive(pending, outs)
+                        stop = min(start + self.spec.batch_limit, rows.shape[0])
+                        req_id = self._next_id
+                        self._next_id += 1
+                        line = self._encoder.encode(req_id, rows[start:stop])
+                        pending[req_id] = _Request(len(outs) - 1, start, stop, line)
+                        if not self._write(line):
+                            self._restart(pending)
+                while pending:
+                    self._receive(pending, outs)
+            except BaseException:
+                self._abandoned.update(pending)
+                raise
+        return [out if out.size else np.empty(0) for out in outs]
 
-
-def external_model_call(
-    spec: ExternalModelSpec, batch: Sequence[Sample]
-) -> np.ndarray:
-    """One-shot convenience wrapper owning a short-lived bridge."""
-    with ExternalModel(spec) as model:
-        return model.predict_probs(batch)
+    def predict_probs(self, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
+        return self.predict_probs_many([batch])[0]

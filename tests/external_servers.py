@@ -8,6 +8,8 @@ Modes:
                    probabilities derived from each row's first value
     malformed      answer the first request with a non-JSON line
     badprobs       answer with probabilities summing to 1.5
+    ragged         answer with probability rows of unequal length
+    nonnumeric     answer with an object where a probability belongs
     crash-once ARG exit(1) on the first request unless the sentinel file ARG
                    exists (it is created before crashing), then act uniform
     always-crash   exit(1) immediately
@@ -74,6 +76,14 @@ def main() -> None:
         while True:
             req = _read()
             _reply(req["id"], [[1.0, 0.5] for _ in req["inputs"]])
+    elif mode == "ragged":
+        while True:
+            req = _read()
+            _reply(req["id"], [[0.5, 0.5]] + [[1.0] for _ in req["inputs"][1:]])
+    elif mode == "nonnumeric":
+        while True:
+            req = _read()
+            _reply(req["id"], [[{"p": 0.5}, 0.5] for _ in req["inputs"]])
     elif mode == "silent":
         while True:
             _read()

@@ -314,3 +314,21 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("mode", ["ragged", "nonnumeric"])
+def test_run_bad_probability_matrix_is_exit_3_without_traceback(tmp_path, mode):
+    cfg = {
+        "seed": 0,
+        "output_dir": "out",
+        "dataset": {"synthetic": {"n_samples": 4, "n_features": 10}},
+        "model": {"external": {"command": [sys.executable, SERVER, mode], "timeout_s": 5.0}},
+        "maps": {"source": "ground_truth", "variants": {"original": []}},
+        "metrics": {"deletion": {"fractions": [0.0, 1.0]}},
+    }
+    cfg_path = tmp_path / "ext.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli_process("run", "--config", str(cfg_path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "not a numeric matrix" in proc.stderr

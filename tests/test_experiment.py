@@ -5,7 +5,6 @@ import pytest
 
 from soco import (
     ConfigError,
-    LinearStepModel,
     ValidationSettings,
     generate_synthetic,
     load_config,
@@ -13,7 +12,7 @@ from soco import (
     run_experiment,
     run_validation,
 )
-from soco.experiment import _ChunkedModel, evaluate_metric
+from soco.experiment import evaluate_metric
 from soco.io import dataset_digest
 
 
@@ -183,15 +182,6 @@ def test_worker_count_never_changes_results(tmp_path):
     a = (tmp_path / "w1" / "original.deletion.curve.json").read_bytes()
     b = (tmp_path / "w3" / "original.deletion.curve.json").read_bytes()
     assert a == b
-
-
-def test_chunked_model_matches_inner(rng):
-    feats = rng.standard_normal((17, 6))
-    inner = LinearStepModel()
-    chunked = _ChunkedModel(inner, workers=4)
-    np.testing.assert_array_equal(
-        chunked.predict_probs(feats), inner.predict_probs(feats)
-    )
 
 
 def test_evaluate_metric_rejects_unknown(small_dataset, gt_maps, step_model):

@@ -477,6 +477,41 @@ class CountingModel:
         return self.inner.predict_probs(batch)
 
 
+class PipelinedModel:
+    """Offers predict_probs_many and copies each batch before drawing the next."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+        self.writeable = []
+
+    def predict_probs(self, batch):
+        raise AssertionError("the sweep must use predict_probs_many")
+
+    def predict_probs_many(self, batches):
+        for batch in batches:
+            self.batches.append(np.array(batch))
+            self.writeable.append(batch.flags.writeable)
+        return [self.inner.predict_probs(b) for b in self.batches]
+
+
+def literal_step_inputs(dataset, features, ranks, ks, mask_prefix, imputer, noise):
+    """The literal filled input of each distinct cut-off, in sweep order."""
+    distinct = [k for i, k in enumerate(ks) if i == 0 or k != ks[i - 1]]
+    shape = features.shape
+    out = []
+    for k in distinct:
+        masks = (ranks < k) if mask_prefix else ~(ranks < k)
+        out.append(three_pass_fill(features, masks.reshape(shape), imputer, dataset, noise))
+    return out
+
+
+def assert_same_inputs(seen, want):
+    assert len(seen) == len(want)
+    for a, b in zip(seen, want):
+        assert np.array_equal(a, b)
+
+
 @st.composite
 def sweep_problems(draw):
     if draw(st.booleans()):
@@ -518,23 +553,41 @@ def test_sweep_engine_matches_literal_per_step_fill(problem):
     ratios = tuple(m for m in DEFAULT_MASK_RATIOS if round_half_away(m * d) < d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        values = np.stack([m.flat() for m in maps])
+        keep = values.sum(axis=1) > 0
+        features = ds.feature_matrix()
+        noise = literal_noise(ds, imputer, seed)
         for weighting in WEIGHTINGS:
             cfg = SoundnessConfig(mask_ratios=ratios, imputer=imputer, weighting=weighting)
             model = CountingModel(inner)
             curve = soundness_curve(model, ds, maps, cfg, seed=seed)
+            pipelined = PipelinedModel(inner)
+            assert soundness_curve(pipelined, ds, maps, cfg, seed=seed) == curve
             points, sweep = literal_soundness(inner, ds, maps, cfg, seed)
             assert curve.points == points
             assert curve.meta["sweep"] == sweep
             ks = [round_half_away(m * d) for m in ratios]
             assert len(model.batches) == len(set(ks))
-            assert not any(model.writeable)
+            assert not any(model.writeable) and not any(pipelined.writeable)
+            assert_same_inputs(pipelined.batches, model.batches)
+            assert_same_inputs(
+                pipelined.batches,
+                literal_step_inputs(
+                    ds, features[keep], literal_ranks(values[keep]), ks, True, imputer,
+                    None if noise is None else noise[keep],
+                ),
+            )
 
         cfg = CompletenessConfig(imputer=imputer)
         curve = completeness_curve(inner, ds, maps, cfg, seed=seed)
         assert curve.points == literal_completeness(inner, ds, maps, cfg, seed)
+        pipelined = PipelinedModel(inner)
+        assert completeness_curve(pipelined, ds, maps, cfg, seed=seed) == curve
+        assert len(pipelined.batches) == 1 + len(cfg.thresholds)
 
         for mode in ORDER_MODES:
             for order in RANK_ORDERS:
+                ranks = literal_ranks(values, descending=(order == "MoRF"))
                 for fractions in (DEFAULT_FRACTIONS, (0.0, 0.04, 0.05, 0.5, 0.52, 1.0)):
                     model = CountingModel(inner)
                     curve = order_based_curve(
@@ -544,9 +597,19 @@ def test_sweep_engine_matches_literal_per_step_fill(problem):
                         inner, ds, maps, mode, order, imputer, fractions, seed
                     )
                     assert curve.points == want
+                    pipelined = PipelinedModel(inner)
+                    assert order_based_curve(
+                        pipelined, ds, maps, mode, order, imputer, fractions, seed=seed
+                    ) == curve
                     ks = [round_half_away(f * d) for f in fractions]
                     assert len(model.batches) == len(set(ks))
-                    assert not any(model.writeable)
+                    assert not any(model.writeable) and not any(pipelined.writeable)
+                    assert_same_inputs(
+                        pipelined.batches,
+                        literal_step_inputs(
+                            ds, features, ranks, ks, mode == "deletion", imputer, noise
+                        ),
+                    )
 
 
 def test_sweep_buffer_is_not_shared_between_steps(step_model, small_dataset, gt_maps):

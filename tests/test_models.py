@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from soco import (
     ConfigError,
@@ -14,15 +19,16 @@ from soco import (
     LinearStepModel,
     MlpModel,
     MlpWeights,
-    external_model_call,
     mlp_predict,
 )
 from soco.models import (
+    MAX_IN_FLIGHT,
     BridgeBadProbs,
     BridgeMalformed,
     BridgeProcessFailed,
     BridgeTimeout,
     Layer,
+    _RequestEncoder,
 )
 
 SERVER = str(Path(__file__).parent / "external_servers.py")
@@ -189,6 +195,13 @@ def test_bridge_rejects_bad_probabilities():
             model.predict_probs(np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("mode", ["ragged", "nonnumeric"])
+def test_bridge_rejects_probabilities_that_are_not_a_matrix(mode):
+    with ExternalModel(server_spec(mode)) as model:
+        with pytest.raises(BridgeBadProbs, match="not a numeric matrix"):
+            model.predict_probs(np.ones((3, 2)))
+
+
 def test_bridge_restarts_crashed_server_once(tmp_path):
     sentinel = str(tmp_path / "crashed")
     with ExternalModel(server_spec("crash-once", sentinel)) as model:
@@ -256,11 +269,90 @@ def test_bridge_times_out_on_silence():
     with ExternalModel(server_spec("silent", timeout_s=0.5)) as model:
         with pytest.raises(BridgeTimeout):
             model.predict_probs(np.ones((2, 2)))
+        # with a full window of requests the wait happens inside the send loop
+        with pytest.raises(BridgeTimeout):
+            model.predict_probs_many(np.ones((2, 2)) for _ in range(2 * MAX_IN_FLIGHT))
 
 
-def test_one_shot_call_helper():
-    probs = external_model_call(server_spec("uniform"), np.ones((2, 3)))
-    np.testing.assert_allclose(probs, 0.5)
+def test_bridge_pipelines_consecutive_batches():
+    # shuffle answers only after reading two requests, so a bridge that waited
+    # for each one-chunk batch's answer before sending the next would time
+    # out; the caller rewrites one buffer in place, as the metric sweep does
+    buf = np.zeros((1, 2))
+
+    def steps():
+        for i in range(2 * MAX_IN_FLIGHT + 2):
+            buf[0, 0] = float(i % 3 == 0)
+            yield buf
+
+    with ExternalModel(server_spec("shuffle", timeout_s=5.0)) as model:
+        probs = model.predict_probs_many(steps())
+    assert len(probs) == 2 * MAX_IN_FLIGHT + 2
+    for i, p in enumerate(probs):
+        np.testing.assert_array_equal(p, [[0.8, 0.2] if i % 3 == 0 else [0.2, 0.8]])
+
+
+def test_bridge_reissues_every_outstanding_request_after_a_crash(tmp_path):
+    sentinel = str(tmp_path / "crashed")
+    batches = [np.full((3, 2), float(i)) for i in range(MAX_IN_FLIGHT)]
+    with ExternalModel(server_spec("crash-once", sentinel, batch_limit=2)) as model:
+        probs = model.predict_probs_many(batches)
+        assert model._restarted
+    assert Path(sentinel).exists()
+    assert len(probs) == len(batches)
+    for p in probs:
+        np.testing.assert_array_equal(p, np.full((3, 2), 0.5))
+
+
+def test_bridge_skips_answers_to_an_abandoned_call():
+    def failing():
+        yield np.ones((2, 2))
+        raise RuntimeError("caller gave up")
+
+    with ExternalModel(server_spec("uniform")) as model:
+        with pytest.raises(RuntimeError):
+            model.predict_probs_many(failing())
+        # the first call's answer is still on its way and must not be taken
+        # for this call's
+        np.testing.assert_array_equal(model.predict_probs(np.ones((3, 2))), 0.5)
+
+
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300, 1e16, 1e22,
+    0.1, 1.0, -3.0, 2.0**53, 123456789.0, math.nan, math.inf, -math.inf,
+)
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(width=32).map(float),
+)
+
+
+@st.composite
+def float_matrices(draw):
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8))
+    if draw(st.booleans()):
+        rows = draw(arrays(np.float32, shape, elements=st.floats(width=32)))
+        return rows if draw(st.booleans()) else rows.astype(np.float64)
+    rows = draw(arrays(np.float64, shape, elements=FLOATS))
+    return rows.T if draw(st.booleans()) else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=float_matrices(),
+    second=float_matrices(),
+    max_entries=st.integers(0, 12),
+    req_id=st.integers(0, 2**40),
+)
+def test_request_encoder_matches_json_dumps(first, second, max_entries, req_id):
+    encoder = _RequestEncoder(max_entries=max_entries)
+    for rows in (first, second, first):  # the last pass meets an already full cache
+        want = json.dumps({"id": req_id, "inputs": rows.tolist()}) + "\n"
+        assert encoder.encode(req_id, rows) == want
+        assert len(encoder.texts) <= max_entries
 
 
 def test_spec_validation():
