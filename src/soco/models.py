@@ -189,7 +189,9 @@ class _RequestEncoder:
     rows.tolist()}) + "\\n"``.  Sweep traffic repeats the same values step
     after step (every entry is a feature value or that feature's fill), so
     the text of each bit pattern is kept; the values not yet seen go through
-    one ``json.dumps`` call.  The cache stops growing at ``max_entries``.
+    one ``json.dumps`` call.  The cache stops growing at ``max_entries``;
+    once it is full, a request with more uncached values than two thirds of
+    its cells is rendered by ``json.dumps`` alone, which is then faster.
     """
 
     def __init__(self, max_entries: int = ENCODE_CACHE_SIZE) -> None:
@@ -203,9 +205,12 @@ class _RequestEncoder:
             return json.dumps({"id": req_id, "inputs": [[]] * n}) + "\n"
         bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
         keys = bits.tolist()
-        texts = [self.texts.get(key) for key in keys]
-        missing = [i for i, text in enumerate(texts) if text is None]
-        if missing:
+        texts = list(map(self.texts.get, keys))
+        n_missing = texts.count(None)
+        if 3 * n_missing > 2 * rows.size and len(self.texts) >= self.max_entries:
+            return json.dumps({"id": req_id, "inputs": rows.tolist()}) + "\n"
+        if n_missing:
+            missing = [i for i, text in enumerate(texts) if text is None]
             # a float's JSON text never contains ", ", so one call splits cleanly
             fresh = json.dumps(bits[missing].view(np.float64).tolist())[1:-1].split(", ")
             for i, text in zip(missing, fresh):
@@ -241,7 +246,6 @@ class ExternalModel:
         self._queue: "queue.Queue" = queue.Queue()
         self._encoder = _RequestEncoder()
         self._next_id = 0
-        self._abandoned: set[int] = set()  # ids left unanswered by a failed call
         self._restarted = False
 
     # -- process management -------------------------------------------------
@@ -258,7 +262,6 @@ class ExternalModel:
         except OSError as exc:
             raise BridgeProcessFailed(f"could not launch model server: {exc}") from exc
         self._queue = queue.Queue()
-        self._abandoned.clear()  # a new child never answers the old one's requests
         self._reader = _Reader(self._proc.stdout, self._queue)
         self._reader.start()
 
@@ -368,9 +371,6 @@ class ExternalModel:
             self._restart(pending)
             return
         req_id, probs = self._parse(item)
-        if req_id in self._abandoned:
-            self._abandoned.remove(req_id)
-            return
         if req_id not in pending:
             raise BridgeUnknownId(f"response for unknown request id {req_id}")
         req = pending.pop(req_id)
@@ -392,6 +392,8 @@ class ExternalModel:
         before the iterator advances; a caller may rewrite one buffer for
         every batch.  At most ``MAX_IN_FLIGHT`` requests wait for an answer
         at a time, and only those are kept for re-issue after a restart.
+        A call that raises stops a child that is still running, so no late
+        answer of that call can reach the next one.
         """
         with self._lock:
             self._ensure_running()
@@ -416,7 +418,10 @@ class ExternalModel:
                 while pending:
                     self._receive(pending, outs)
             except BaseException:
-                self._abandoned.update(pending)
+                if self._proc is not None and self._proc.poll() is None:
+                    # a live child still owes this call answers; the next call
+                    # launches a fresh one instead, which spends no restart
+                    self._stop()
                 raise
         return [out if out.size else np.empty(0) for out in outs]
 

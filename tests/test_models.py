@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from soco import models as soco_models
 from soco import (
     ConfigError,
     DataError,
@@ -215,6 +217,9 @@ def test_bridge_gives_up_after_second_crash():
     with ExternalModel(server_spec("always-crash", timeout_s=5.0)) as model:
         with pytest.raises(BridgeProcessFailed):
             model.predict_probs(np.ones((2, 2)))
+        # the restart is spent for the bridge's lifetime, not per call
+        with pytest.raises(BridgeProcessFailed):
+            model.predict_probs(np.ones((2, 2)))
 
 
 def test_bridge_fails_when_server_dies_before_reading():
@@ -353,6 +358,32 @@ def test_request_encoder_matches_json_dumps(first, second, max_entries, req_id):
         want = json.dumps({"id": req_id, "inputs": rows.tolist()}) + "\n"
         assert encoder.encode(req_id, rows) == want
         assert len(encoder.texts) <= max_entries
+
+
+def test_request_encoder_renders_mostly_fresh_values_whole_once_the_cache_is_full(
+    monkeypatch,
+):
+    calls = []
+
+    def dumps(obj):
+        calls.append(type(obj).__name__)
+        return json.dumps(obj)
+
+    monkeypatch.setattr(soco_models, "json", types.SimpleNamespace(dumps=dumps))
+    encoder = _RequestEncoder(max_entries=4)
+    cases = (
+        ([[1.0, 2.0], [3.0, 4.0]], "list"),  # fills the cache
+        ([[5.0, 6.0], [7.0, 1.0]], "dict"),  # 3 of 4 cells miss a full cache
+        ([[1.0, 2.0], [3.0, 9.0]], "list"),  # 1 of 4 cells misses
+        ([[5.0, 6.0, 7.0], [7.0, 1.0, 1.0]], "list"),  # 3 fresh values in 6 cells
+        ([[5.0, 6.0, 1.0, 1.0], [1.0] * 4], "list"),  # most distinct values, few cells
+    )
+    for rows, rendered_as in cases:
+        calls.clear()
+        want = json.dumps({"id": 3, "inputs": rows}) + "\n"
+        assert encoder.encode(3, np.array(rows)) == want
+        assert calls == [rendered_as]
+    assert sorted(encoder.texts.values()) == ["1.0", "2.0", "3.0", "4.0"]
 
 
 def test_spec_validation():
