@@ -143,6 +143,61 @@ def _neighbor_system(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rows, cols, weights
 
 
+@functools.lru_cache(maxsize=_NEIGHBOR_CACHE_SIZE)
+def _system_pattern(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I - W over the whole grid as (rows, cols, values) in canonical CSR order.
+
+    Each pixel's row holds its neighbors in ascending flat index (the order
+    ``_OFFSETS`` visits them) with the unit diagonal placed between those
+    before and after the pixel itself.  Keeping the entries whose row and
+    column are both masked, in this order, therefore yields the reduced
+    system's CSR arrays with sorted column indices and no duplicates.  The
+    off-diagonal values are the exact negations of W's weights.  The arrays
+    are cached per shape and read-only.
+    """
+    rows, cols, weights = _neighbor_system(h, w)
+    n = h * w
+    pixels = np.arange(n)
+    at = np.searchsorted(rows * n + cols, pixels * (n + 1))
+    pattern = (
+        np.insert(rows, at, pixels),
+        np.insert(cols, at, pixels),
+        np.insert(-weights, at, 1.0),
+    )
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
+def _plane_system(
+    mflat: np.ndarray, values: np.ndarray, h: int, w: int
+) -> tuple[csr_matrix, np.ndarray]:
+    """A x = b for the masked pixels of one flat (h * w) plane.
+
+    A = I - W[unknown, unknown] and b = W[unknown, known] v, unknowns in
+    ascending flat index.  A is cut from ``_system_pattern`` straight into
+    canonical CSR arrays; b is summed entry by entry in W's row-major order.
+    """
+    rows, cols, vals = _system_pattern(h, w)
+    unknown = np.flatnonzero(mflat)
+    pos = np.cumsum(mflat) - 1  # index among the unknowns, for masked pixels
+    row_in = mflat[rows]
+    col_in = mflat[cols]
+    in_a = row_in & col_in
+    a_rows = rows[in_a]
+    indptr = np.append(np.searchsorted(a_rows, unknown), a_rows.size)
+    A = csr_matrix(
+        (vals[in_a], pos[cols[in_a]], indptr), shape=(unknown.size, unknown.size)
+    )
+    in_b = row_in & ~col_in
+    b = np.bincount(
+        pos[rows[in_b]],
+        weights=-vals[in_b] * values[cols[in_b]],
+        minlength=unknown.size,
+    )
+    return A, b
+
+
 def impute_grid(
     features: np.ndarray,
     mask: Mask,
@@ -153,10 +208,15 @@ def impute_grid(
 
     Masked pixels satisfy x_p = sum_q W[p, q] * x_q with unmasked pixels as
     boundary values; each channel is solved independently.  The neighbor
-    system W is built once per grid shape and reused.  When everything
+    system W is built once per grid shape and reused, and each channel's
+    reduced system is cut from it straight into CSR form.  When everything
     is masked the system is homogeneous and the mean-zero solution (all
     zeros) is used, with a warning.  Noise is added to imputed pixels only,
     after the solve.
+
+    Calls share no mutable state, so independent ones may run on separate
+    threads: the metrics' noisy-linear fill solves its samples that way, up
+    to the CPUs the process may use, with byte-identical results.
     """
     squeeze = features.ndim == 2
     feats = features[..., None] if squeeze else features
@@ -169,37 +229,22 @@ def impute_grid(
         else:
             raise DataError("mask shape does not match grid features")
     h, w, c = feats.shape
-    out = feats.astype(np.float64).copy()
+    out = np.array(feats, dtype=np.float64)
+    out_planes = out.reshape(h * w, c)
+    feat_planes = feats.reshape(h * w, c)
+    mask_planes = msk.reshape(h * w, c)
 
-    rows, cols, wgts = _neighbor_system(h, w)
     for ch in range(c):
-        mflat = msk[:, :, ch].reshape(-1)
-        vflat = feats[:, :, ch].reshape(-1)
-        unknown = np.flatnonzero(mflat)
-        if unknown.size == 0:
+        mflat = mask_planes[:, ch]
+        n_unknown = np.count_nonzero(mflat)
+        if n_unknown == 0:
             continue
-        if unknown.size == h * w:
+        if n_unknown == h * w:
             warnings.warn("fully masked grid; using the mean-zero solution")
-            out[:, :, ch] = 0.0
+            out_planes[:, ch] = 0.0
             continue
-        pos = np.full(h * w, -1, dtype=np.int64)
-        pos[unknown] = np.arange(unknown.size)
-        take = mflat[rows]  # entries whose row is an unknown pixel
-        r_u = pos[rows[take]]
-        q = cols[take]
-        wq = wgts[take]
-        inner = mflat[q]
-        # A x = b with A = I - W[unknown, unknown], b = W[unknown, known] v
-        a_rows = np.concatenate([np.arange(unknown.size), r_u[inner]])
-        a_cols = np.concatenate([np.arange(unknown.size), pos[q[inner]]])
-        a_vals = np.concatenate([np.ones(unknown.size), -wq[inner]])
-        A = csr_matrix((a_vals, (a_rows, a_cols)), shape=(unknown.size, unknown.size))
-        b = np.zeros(unknown.size)
-        np.add.at(b, r_u[~inner], wq[~inner] * vflat[q[~inner]])
-        solved = spsolve(A, b)
-        plane = out[:, :, ch].reshape(-1)
-        plane[unknown] = solved
-        out[:, :, ch] = plane.reshape(h, w)
+        A, b = _plane_system(mflat, feat_planes[:, ch], h, w)
+        out_planes[mflat, ch] = spsolve(A, b)
 
     out = _add_noise(out, msk, noise_std, rng)
     return out[..., 0] if squeeze else out

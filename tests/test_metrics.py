@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from soco import (
     soundness_curve,
     substream,
 )
+from soco import metrics
 from soco.core import Sample, accuracy_from_probs
 from soco.metrics import (
     DEFAULT_FRACTIONS,
@@ -620,3 +622,91 @@ def test_sweep_buffer_is_not_shared_between_steps(step_model, small_dataset, gt_
     assert np.array_equal(first, small_dataset.feature_matrix())
     assert np.count_nonzero(middle == 0.0) == 60 * 50
     assert np.all(last == 0.0)
+
+
+# -- the noisy-linear fill on a thread pool against the serial loop ----------------
+
+POOL_THREADS = 3
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    """Solve grids on POOL_THREADS threads, whatever CPUs this machine has."""
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: POOL_THREADS)
+
+
+def pool_problem(rng, n=2 * POOL_THREADS + 1, shape=(6, 5, 3)):
+    """More samples than threads, a different random mask in each channel,
+    and empty and fully masked planes and samples among them."""
+    feats = rng.standard_normal((n,) + shape)
+    masks = rng.random((n,) + shape) < rng.random((n, 1, 1, shape[2]))
+    masks[0, ..., 0] = False
+    masks[0, ..., 1] = True
+    masks[1] = True
+    masks[2] = False
+    labels = (feats.sum(axis=(1, 2, 3)) > 0).astype(int)
+    ds = Dataset.from_arrays(feats, labels, n_classes=2)
+    maps = [normalize_attribution(np.abs(f) * (rng.random(shape) < 0.7)) for f in feats]
+    layer = Layer(weight=rng.standard_normal((2, feats[0].size)), bias=np.zeros(2))
+    return ds, masks, maps, MlpModel(MlpWeights(layers=(layer,), n_classes=2))
+
+
+@pytest.mark.filterwarnings("ignore:fully masked grid")
+@pytest.mark.parametrize("noise_std", [0.0, 0.5])
+def test_pooled_grid_fill_matches_serial_loop(pooled, rng, noise_std):
+    ds, masks, maps, model = pool_problem(rng)
+    feats = ds.feature_matrix()
+    imputer = Imputer(kind="noisy_linear", noise_std=noise_std)
+    noise = literal_noise(ds, imputer, seed=5)
+    threads = threading.active_count()
+
+    got = metrics._fill(feats, masks, imputer, ds, noise)
+    serial = np.stack([impute_grid(f, m) for f, m in zip(feats, masks)])
+    if noise is not None:
+        serial = serial + noise
+    assert np.array_equal(got, np.where(masks, serial, feats))
+
+    for order in RANK_ORDERS:
+        curve = road_curve(model, ds, maps, order=order, noise_std=noise_std, seed=5)
+        assert curve.points == literal_order_curve(
+            model, ds, maps, "deletion", order, imputer, DEFAULT_FRACTIONS, 5
+        )
+    cfg = CompletenessConfig(imputer=imputer)
+    curve = completeness_curve(model, ds, maps, cfg, seed=5)
+    assert curve.points == literal_completeness(model, ds, maps, cfg, 5)
+    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS, imputer=imputer)
+    curve = soundness_curve(model, ds, maps, cfg, seed=5)
+    assert curve.points == literal_soundness(model, ds, maps, cfg, 5)[0]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.filterwarnings("ignore:fully masked grid")
+def test_pooled_grid_fill_raises_a_worker_error_unchanged(pooled, rng, monkeypatch):
+    ds, masks, _, _ = pool_problem(rng)
+    feats = ds.feature_matrix()
+    error = DataError("sample 4 cannot be filled")
+
+    def impute(features, mask):
+        if np.array_equal(features, feats[4]):
+            raise error
+        return impute_grid(features, mask)
+
+    monkeypatch.setattr(metrics, "impute_grid", impute)
+    threads = threading.active_count()
+    with pytest.raises(DataError) as info:
+        metrics._fill(feats, masks, Imputer(kind="noisy_linear"), ds, None)
+    assert info.value is error
+    assert threading.active_count() == threads
+
+
+def test_pooled_grid_fill_warnings_obey_caller_filters(pooled, rng):
+    ds, _, maps, model = pool_problem(rng)
+    n, planes = len(maps), ds.feature_shape[2]
+    with pytest.warns(UserWarning, match="fully masked") as record:
+        road_curve(model, ds, maps, fractions=(0.0, 1.0))
+    assert len(record) == n * planes
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", message="fully masked grid")
+        road_curve(model, ds, maps, fractions=(0.0, 1.0))
+    assert seen == []

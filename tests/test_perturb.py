@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,12 @@ from soco import (
     mask_by_threshold,
     rank_features,
 )
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
+
 from soco.perturb import (
     _neighbor_system,
+    _plane_system,
     apply_imputer,
     default_noise_std,
     round_half_away,
@@ -72,6 +78,28 @@ def neighbor_system_loops(h: int, w: int):
                 cols.append(q)
                 weights.append(wgt / total)
     return np.array(rows), np.array(cols), np.array(weights)
+
+
+def plane_system_coo(mflat: np.ndarray, values: np.ndarray, h: int, w: int):
+    """One plane's (A, b) assembled through COO and np.add.at, as impute_grid
+    did before it built CSR arrays directly."""
+    rows, cols, wgts = _neighbor_system(h, w)
+    unknown = np.flatnonzero(mflat)
+    pos = np.full(h * w, -1, dtype=np.int64)
+    pos[unknown] = np.arange(unknown.size)
+    take = mflat[rows]  # entries whose row is an unknown pixel
+    r_u = pos[rows[take]]
+    q = cols[take]
+    wq = wgts[take]
+    inner = mflat[q]
+    # A x = b with A = I - W[unknown, unknown], b = W[unknown, known] v
+    a_rows = np.concatenate([np.arange(unknown.size), r_u[inner]])
+    a_cols = np.concatenate([np.arange(unknown.size), pos[q[inner]]])
+    a_vals = np.concatenate([np.ones(unknown.size), -wq[inner]])
+    A = csr_matrix((a_vals, (a_rows, a_cols)), shape=(unknown.size, unknown.size))
+    b = np.zeros(unknown.size)
+    np.add.at(b, r_u[~inner], wq[~inner] * values[q[~inner]])
+    return A, b
 
 
 def neighbor_average(values: np.ndarray, r: int, c: int) -> float:
@@ -188,6 +216,36 @@ def test_neighbor_system_matches_loops_in_order(h, w):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (1, 5, 1), (5, 1, 1), (7, 13, 2), (28, 28, 1), (32, 32, 3)]
+)
+def test_plane_system_matches_coo_assembly(shape, rng):
+    h, w, c = shape
+    single = np.zeros(shape, bool)
+    single[h // 2, w // 2] = True
+    masks = [np.zeros(shape, bool), single, np.ones(shape, bool)]
+    masks += [rng.random(shape) < p for p in (0.1, 0.5, 0.9)]
+    for mask in masks:
+        grid = rng.standard_normal(shape)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="fully masked grid")
+            out = impute_grid(grid, mask)
+        for ch in range(c):
+            mflat, values = mask[..., ch].reshape(-1), grid[..., ch].reshape(-1)
+            A, b = _plane_system(mflat, values, h, w)
+            A_coo, b_coo = plane_system_coo(mflat, values, h, w)
+            assert A.shape == A_coo.shape
+            for have, want in zip((A.indptr, A.indices, A.data, b),
+                                  (A_coo.indptr, A_coo.indices, A_coo.data, b_coo)):
+                assert np.array_equal(have, want)
+            want_plane = values.copy()
+            if mflat.all():
+                want_plane[:] = 0.0
+            elif mflat.any():
+                want_plane[mflat] = spsolve(A_coo, b_coo)
+            assert np.array_equal(out[..., ch].reshape(-1), want_plane)
 
 
 def test_impute_grid_constant_field_fixed_point(rng):
