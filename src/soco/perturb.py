@@ -124,7 +124,8 @@ def _neighbor_system(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Returns (rows, cols, weights) of the dense-in-concept weight matrix W
     where row p holds the averaging weights of pixel p's neighbors; each row
     sums to one.  Entries run row-major by pixel, then through ``_OFFSETS``;
-    that order fixes how ``impute_grid`` accumulates its right-hand side.
+    ``_system_pattern`` relies on that order for its sorted CSR columns, and
+    ``_plane_system`` for the order in which it sums the right-hand side.
     The arrays are cached per shape and read-only.
     """
     r, c = np.divmod(np.arange(h * w), w)
@@ -229,7 +230,8 @@ def impute_grid(
         else:
             raise DataError("mask shape does not match grid features")
     h, w, c = feats.shape
-    out = np.array(feats, dtype=np.float64)
+    # C order makes the reshape below a view, so the solves land in ``out``
+    out = np.array(feats, dtype=np.float64, order="C")
     out_planes = out.reshape(h * w, c)
     feat_planes = feats.reshape(h * w, c)
     mask_planes = msk.reshape(h * w, c)

@@ -248,6 +248,37 @@ def test_plane_system_matches_coo_assembly(shape, rng):
             assert np.array_equal(out[..., ch].reshape(-1), want_plane)
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (7, 5, 3)])
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_impute_grid_ignores_memory_layout(shape, layout, noise_std, rng):
+    # the solved planes are written through a view of the output; an input
+    # that is not C-ordered must not turn that view into a discarded copy
+    if layout == "fortran":
+        grid = np.asfortranarray(rng.standard_normal(shape))
+        mask = np.asfortranarray(rng.random(shape) < 0.4)
+    elif layout == "transposed":
+        axes = (1, 0) + tuple(range(2, len(shape)))
+        grid = rng.standard_normal(shape).transpose(axes)
+        mask = (rng.random(shape) < 0.4).transpose(axes)
+    else:
+        grid = rng.standard_normal((2 * shape[0],) + shape[1:])[::2]
+        mask = (rng.random((2 * shape[0],) + shape[1:]) < 0.4)[::2]
+    mask.flat[0] = True  # one fully known plane would hide nothing
+    if len(shape) == 3:
+        mask[..., -1] = True  # a fully masked plane as well
+    assert not grid.flags.c_contiguous and not mask.flags.c_contiguous
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="fully masked grid")
+        got = impute_grid(grid, mask, noise_std, np.random.default_rng(3))
+        want = impute_grid(
+            np.ascontiguousarray(grid), np.ascontiguousarray(mask),
+            noise_std, np.random.default_rng(3),
+        )
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got[mask], grid[mask])
+
+
 def test_impute_grid_constant_field_fixed_point(rng):
     grid = np.full((5, 5), 2.5)
     mask = rng.random((5, 5)) < 0.5
