@@ -21,11 +21,10 @@ from .core import (
     DataError,
     Dataset,
     EvalCurve,
+    MapSet,
     Model,
     ModelBridgeError,
-    Sample,
     SocoError,
-    accuracy,
     normalize_attribution,
 )
 from .experiment import (
@@ -64,33 +63,14 @@ from .models import (
     MlpWeights,
     mlp_predict,
 )
-from .modify import (
-    ModScheme,
-    apply_scheme,
-    craft_pooling,
-    craft_rect,
-    modify_constant,
-    modify_partial,
-    modify_random,
-    synth_introduce,
-    synth_remove,
-)
-from .perturb import (
-    Imputer,
-    apply_imputer,
-    impute_grid,
-    impute_tabular,
-    mask_by_ratio,
-    mask_by_threshold,
-    rank_features,
-)
+from .modify import ModScheme, apply_scheme
+from .perturb import Imputer, impute_grid
 from .rng import substream
 from .synthetic import (
     LinearStepModel,
     OracleInfo,
     generate_synthetic,
     ground_truth_attribution,
-    linear_step_predict,
     oracle_info,
 )
 
@@ -103,6 +83,7 @@ __all__ = [
     "DataError",
     "Dataset",
     "EvalCurve",
+    "MapSet",
     "ExperimentConfig",
     "ExternalModel",
     "ExternalModelSpec",
@@ -115,42 +96,29 @@ __all__ = [
     "ModelBridgeError",
     "OracleInfo",
     "RunManifest",
-    "Sample",
     "SocoError",
     "SoundnessConfig",
     "TrialSummary",
     "ValidationResult",
     "ValidationSettings",
-    "accuracy",
     "aggregate_trials",
     "align_soundness",
-    "apply_imputer",
     "apply_scheme",
     "auc",
     "completeness_curve",
-    "craft_pooling",
-    "craft_rect",
     "emit_plot_data",
     "generate_synthetic",
     "ground_truth_attribution",
     "hausdorff_distance",
     "impute_grid",
-    "impute_tabular",
-    "linear_step_predict",
     "load_config",
-    "mask_by_ratio",
-    "mask_by_threshold",
     "min_pairwise_hausdorff",
     "mlp_predict",
-    "modify_constant",
-    "modify_partial",
-    "modify_random",
     "normalize_attribution",
     "oracle_info",
     "order_based_curve",
     "pairwise_hausdorff",
     "parse_config",
-    "rank_features",
     "read_curve",
     "read_dataset",
     "read_maps",
@@ -159,8 +127,6 @@ __all__ = [
     "run_validation",
     "soundness_curve",
     "substream",
-    "synth_introduce",
-    "synth_remove",
     "write_curve",
     "write_dataset",
     "write_maps",

@@ -33,7 +33,7 @@ from .synthetic import LinearStepModel, generate_synthetic, ground_truth_attribu
 def _cmd_gen_synthetic(args) -> int:
     dataset = generate_synthetic(args.n_samples, args.n_features, args.seed)
     write_dataset(dataset, args.out, format=args.format)
-    print(f"wrote {len(dataset.samples)} samples to {args.out}")
+    print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
 

@@ -1,15 +1,17 @@
 """Core data types shared by every other module.
 
-Samples and datasets are either tabular (feature vectors of shape ``(d,)``)
-or grid shaped (``(h, w, c)``).  Attribution maps mirror the feature shape
-of the sample they explain.  Evaluation results are point curves with a
-declared x axis so downstream comparison code never has to guess units.
+A dataset is one array of samples, each either tabular (a feature vector of
+shape ``(d,)``) or grid shaped (``(h, w, c)``), plus a label array.  A map
+set is one array of attribution maps, each mirroring the feature shape of
+the sample it explains.  Both are checked once, when built, and read-only
+afterwards.  Evaluation results are point curves with a declared x axis so
+downstream comparison code never has to guess units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, Sequence, Union
+from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -34,95 +36,103 @@ TABULAR_NDIM = 1
 GRID_NDIM = 3
 
 
-def _check_feature_shape(features: np.ndarray) -> None:
-    if features.ndim not in (TABULAR_NDIM, GRID_NDIM):
-        raise DataError(
-            f"features must be (d,) tabular or (h, w, c) grid, got shape {features.shape}"
-        )
-    if features.size == 0:
+def _check_shape(shape: tuple[int, ...]) -> None:
+    """One sample's or one map's shape: ``(d,)`` tabular or ``(h, w, c)`` grid."""
+    if len(shape) not in (TABULAR_NDIM, GRID_NDIM):
+        raise DataError(f"features must be (d,) tabular or (h, w, c) grid, got shape {shape}")
+    if 0 in shape:
         raise DataError("empty feature array")
-    if not np.all(np.isfinite(features)):
-        raise DataError("non-finite feature value")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One model input with its class label and a stable identifier."""
-
-    features: np.ndarray
-    label: int
-    sample_id: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        _check_feature_shape(self.features)
-        if self.label < 0:
-            raise DataError(f"negative label {self.label}")
-
-    @property
-    def is_grid(self) -> bool:
-        return self.features.ndim == GRID_NDIM
+def _check_attribution(values: np.ndarray, normalized: bool) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError("non-finite attribution")
+    if np.any(values < 0):
+        raise DataError("negative attribution value")
+    if normalized and values.max(initial=0.0) > 1.0 + 1e-12:
+        raise DataError("normalized map has values above 1")
 
 
-@dataclass(frozen=True)
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy, so no caller can change what was checked."""
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 class Dataset:
-    """A fixed collection of samples with per-feature means cached for imputation."""
+    """A fixed evaluation set held as arrays.
 
-    samples: tuple[Sample, ...]
-    n_classes: int
-    feature_means: np.ndarray
+    ``features`` is ``(n, d)`` or ``(n, h, w, c)``; ``labels`` holds one class
+    index per sample, and ``sample_ids`` one stable identifier per sample
+    (``0 .. n-1`` when not given).  Everything is checked once, here, and
+    stored read-only; the per-feature means used by mean imputation are
+    computed once from the stored features.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.samples:
+    def __init__(
+        self,
+        features,
+        labels: Sequence[int],
+        n_classes: int,
+        sample_ids: Optional[Sequence[int]] = None,
+    ) -> None:
+        feats = _frozen(features)
+        _check_shape(feats.shape[1:])
+        n = feats.shape[0]
+        if n == 0:
             raise DataError("empty evaluation set")
-        if self.n_classes < 2:
-            raise DataError(f"need at least two classes, got {self.n_classes}")
-        shape = self.samples[0].features.shape
-        for s in self.samples:
-            if s.features.shape != shape:
-                raise DataError("inconsistent feature shapes within dataset")
-            if s.label >= self.n_classes:
-                raise DataError(f"label {s.label} out of range for {self.n_classes} classes")
-        means = np.asarray(self.feature_means, dtype=np.float64)
-        object.__setattr__(self, "feature_means", means)
-        if means.shape != shape:
-            raise DataError("feature_means shape does not match samples")
-        recomputed = self.feature_matrix().mean(axis=0)
-        if not np.allclose(means, recomputed, atol=1e-6):
-            raise DataError("feature_means does not match the sample mean")
+        if not np.all(np.isfinite(feats)):
+            raise DataError("non-finite feature value")
+        if n_classes < 2:
+            raise DataError(f"need at least two classes, got {n_classes}")
+        labs = np.array(labels, dtype=np.int64)
+        ids = np.arange(n) if sample_ids is None else np.array(sample_ids, dtype=np.int64)
+        if labs.shape != (n,):
+            raise DataError(f"need one label per sample ({labs.size} labels, {n} samples)")
+        if ids.shape != (n,):
+            raise DataError(f"need one sample id per sample ({ids.size} ids, {n} samples)")
+        if labs.min() < 0:
+            raise DataError(f"negative label {labs.min()}")
+        if labs.max() >= n_classes:
+            raise DataError(f"label {labs.max()} out of range for {n_classes} classes")
+        means = feats.mean(axis=0)
+        for arr in (labs, ids, means):
+            arr.flags.writeable = False
+        self._features = feats
+        self._labels = labs
+        self.n_classes = int(n_classes)
+        self.sample_ids = ids
+        self.feature_means = means
 
-    @classmethod
-    def from_arrays(cls, features: np.ndarray, labels: Sequence[int], n_classes: int) -> "Dataset":
-        features = np.asarray(features, dtype=np.float64)
-        samples = tuple(
-            Sample(features=features[i], label=int(labels[i]), sample_id=i)
-            for i in range(features.shape[0])
-        )
-        return cls(samples=samples, n_classes=n_classes, feature_means=features.mean(axis=0))
+    def __len__(self) -> int:
+        return self._features.shape[0]
 
     @property
     def is_grid(self) -> bool:
-        return self.samples[0].is_grid
+        return self._features.ndim == GRID_NDIM + 1
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
-        return self.samples[0].features.shape
+        return self._features.shape[1:]
 
     @property
     def n_features(self) -> int:
         return int(np.prod(self.feature_shape))
 
     def feature_matrix(self) -> np.ndarray:
-        """All sample features stacked along a new leading axis."""
-        return np.stack([s.features for s in self.samples])
+        """All sample features, ``(n, *feature_shape)``; read-only, not a copy."""
+        return self._features
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        """One int64 class index per sample; read-only, not a copy."""
+        return self._labels
 
 
 @dataclass(frozen=True)
 class AttributionMap:
-    """Non-negative per-feature attribution, optionally max-normalized to [0, 1]."""
+    """One sample's non-negative per-feature attribution, optionally
+    max-normalized to [0, 1]; a row of a ``MapSet``."""
 
     values: np.ndarray
     normalized: bool = False
@@ -130,13 +140,8 @@ class AttributionMap:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        _check_feature_shape(values)
-        if not np.all(np.isfinite(values)):
-            raise DataError("non-finite attribution")
-        if np.any(values < 0):
-            raise DataError("negative attribution value")
-        if self.normalized and values.max(initial=0.0) > 1.0 + 1e-12:
-            raise DataError("normalized map has values above 1")
+        _check_shape(values.shape)
+        _check_attribution(values, self.normalized)
 
     @property
     def size(self) -> int:
@@ -146,30 +151,56 @@ class AttributionMap:
         """Row-major flattened values; the canonical feature ordering."""
         return self.values.reshape(-1)
 
-    def support_mask(self) -> np.ndarray:
-        """Boolean mask of features with strictly positive attribution."""
-        return self.values > 0
 
+class MapSet:
+    """The attribution maps of a whole dataset, one per sample.
 
-def normalize_attribution(values: Union[AttributionMap, np.ndarray]) -> AttributionMap:
-    """Clip negatives to zero and divide by the maximum when it is positive.
-
-    Raw attribution arrays may contain negative entries; those are clipped
-    before scaling.  An all-zero map is returned unchanged apart from the
-    ``normalized`` flag.  Idempotent, and order-preserving on the strictly
-    positive entries.
+    ``values`` is one read-only float64 ``(n, *feature_shape)`` array, checked
+    once: finite, non-negative, and at most 1 when ``normalized``.  ``len``
+    and integer indexing give the per-map ``AttributionMap`` rows.
     """
-    if isinstance(values, AttributionMap):
-        arr = values.values
-    else:
-        arr = np.asarray(values, dtype=np.float64)
+
+    def __init__(self, values, normalized: bool = False) -> None:
+        arr = _frozen(values)
+        _check_shape(arr.shape[1:])
+        if arr.shape[0] == 0:
+            raise DataError("no maps")
+        _check_attribution(arr, normalized)
+        self.values = arr
+        self.normalized = normalized
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i: int) -> AttributionMap:
+        return AttributionMap(self.values[i], normalized=self.normalized)
+
+    def __iter__(self) -> Iterator[AttributionMap]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def feature_shape(self) -> tuple[int, ...]:
+        return self.values.shape[1:]
+
+
+def normalize_attribution(values: Union[MapSet, np.ndarray]) -> MapSet:
+    """Clip negatives to zero and divide each map by its maximum when positive.
+
+    ``values`` is a stack of raw maps, ``(n, *feature_shape)``, whose entries
+    may be negative; those are clipped before scaling.  An all-zero map is
+    returned unchanged.  Idempotent, and order-preserving on the strictly
+    positive entries of each map.
+    """
+    arr = values.values if isinstance(values, MapSet) else np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DataError("non-finite attribution")
+    if arr.ndim < 2:
+        raise DataError(f"need a stack of maps, got shape {arr.shape}")
     arr = np.maximum(arr, 0.0)
-    peak = arr.max(initial=0.0)
-    if peak > 0:
-        arr = arr / peak
-    return AttributionMap(values=arr, normalized=True)
+    peak = arr.reshape(arr.shape[0], -1).max(axis=1, initial=0.0)
+    # dividing by one leaves an all-zero map exactly as it was
+    peak = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (arr.ndim - 1))
+    return MapSet(arr / peak, normalized=True)
 
 
 Mask = np.ndarray  # boolean array matching the feature shape; True = masked
@@ -178,20 +209,18 @@ Mask = np.ndarray  # boolean array matching the feature shape; True = masked
 class Model(Protocol):
     """Classifier interface used by all metrics.
 
-    ``predict_probs`` accepts either a sequence of Samples or an already
-    stacked feature array and returns an ``(n, n_classes)`` probability
-    matrix with rows on the simplex.  A model may also offer
-    ``predict_probs_many(batches)``, which takes a lazy iterable of such
-    batches and returns one matrix per batch; see ``predict_many``.
+    ``predict_probs`` takes a stacked ``(n, *feature_shape)`` feature array
+    and returns an ``(n, n_classes)`` probability matrix with rows on the
+    simplex.  A model may also offer ``predict_probs_many(batches)``, which
+    takes a lazy iterable of such arrays and returns one matrix per batch;
+    see ``predict_many``.
     """
 
-    def predict_probs(self, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
+    def predict_probs(self, batch: np.ndarray) -> np.ndarray:
         ...
 
 
-def predict_many(
-    model: Model, batches: Iterable[Union[Sequence[Sample], np.ndarray]]
-) -> Iterator[np.ndarray]:
+def predict_many(model: Model, batches: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Probabilities for each batch drawn from ``batches``, in order.
 
     A model with ``predict_probs_many`` gets the whole lazy iterable, so it
@@ -205,13 +234,9 @@ def predict_many(
     return (model.predict_probs(batch) for batch in batches)
 
 
-def batch_features(batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
-    """Stack a model input batch into one float64 array."""
-    if isinstance(batch, np.ndarray):
-        return np.asarray(batch, dtype=np.float64)
-    if len(batch) == 0:
-        raise DataError("empty evaluation set")
-    return np.stack([np.asarray(s.features, dtype=np.float64) for s in batch])
+def batch_features(batch) -> np.ndarray:
+    """A model input batch as one float64 array."""
+    return np.asarray(batch, dtype=np.float64)
 
 
 def predicted_classes(probs: np.ndarray) -> np.ndarray:
@@ -220,23 +245,12 @@ def predicted_classes(probs: np.ndarray) -> np.ndarray:
 
 
 def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy as an integer hit count over the batch, so the result
+    does not depend on evaluation order."""
     if probs.shape[0] == 0:
         raise DataError("empty evaluation set")
     hits = int(np.count_nonzero(predicted_classes(probs) == labels))
     return hits / probs.shape[0]
-
-
-def accuracy(model: Model, samples: Sequence[Sample]) -> float:
-    """Top-1 accuracy of ``model`` on ``samples``.
-
-    Exact by construction: computed as an integer hit count over the batch,
-    so the result does not depend on evaluation order.
-    """
-    if len(samples) == 0:
-        raise DataError("empty evaluation set")
-    probs = model.predict_probs(samples)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return accuracy_from_probs(probs, labels)
 
 
 X_AXES = ("accuracy_level", "attribution_threshold", "masked_fraction")

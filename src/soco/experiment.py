@@ -36,18 +36,19 @@ import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ._version import __version__
 from .analysis import aggregate_trials
-from .core import ConfigError, Dataset, EvalCurve, Model
+from .core import ConfigError, Dataset, EvalCurve, MapSet, Model
 from .io import (
     atomic_write,
     canonical_json,
     config_digest,
     dataset_digest,
+    make_dir,
     read_dataset,
     read_maps,
     write_curve,
@@ -263,7 +264,7 @@ def evaluate_metric(
     options: dict,
     model: Model,
     dataset: Dataset,
-    maps: Sequence,
+    maps: MapSet,
     seed: int,
 ) -> EvalCurve:
     """Run one named metric with its option dict (already key-checked)."""
@@ -334,7 +335,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     written last so its presence marks a completed run.
     """
     out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     digest = cfg.digest()
 
     dataset = _build_dataset(cfg)
@@ -526,7 +527,7 @@ def run_validation(
 def _write_validation(result: ValidationResult, out_dir: Path) -> None:
     from .io import emit_plot_data  # deferred: io does not depend on experiment
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     payload = {
         "settings": {
             k: (list(v) if isinstance(v, tuple) else v)

@@ -26,11 +26,11 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .core import AttributionMap, DataError, Dataset, EvalCurve, Sample
+from .core import DataError, Dataset, EvalCurve, MapSet
 
 MAGIC = b"SOCO"
 VERSION = 1
@@ -40,19 +40,36 @@ KIND_MAPS = 2
 _PathLike = Union[str, Path]
 
 
+def _write_error(path: _PathLike, exc: OSError) -> DataError:
+    return DataError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def atomic_write(path: _PathLike, data: Union[bytes, str]) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+    """Write via a sibling temp file and rename, so readers never see halves.
+
+    A file that cannot be written is a data error and leaves no temp file.
+    """
     path = Path(path)
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, mode) as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise _write_error(path, exc) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def make_dir(path: _PathLike) -> None:
+    """Create a directory and its parents; one that cannot be made is a data error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _write_error(path, exc) from None
 
 
 def canonical_json(obj) -> str:
@@ -67,7 +84,7 @@ def config_digest(config: dict) -> str:
 def dataset_digest(dataset: Dataset) -> str:
     """Content hash of a dataset at container (float32) precision."""
     h = hashlib.sha256()
-    h.update(struct.pack("<IH", len(dataset.samples), dataset.n_classes))
+    h.update(struct.pack("<IH", len(dataset), dataset.n_classes))
     h.update(dataset.feature_matrix().astype(np.float32).tobytes())
     h.update(dataset.labels().astype(np.uint32).tobytes())
     return h.hexdigest()
@@ -113,13 +130,36 @@ def _read_file(path: _PathLike) -> bytes:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _json_container(blob: bytes, kind: str) -> dict:
+    """The top-level object of a JSON container holding ``kind``."""
+    try:
+        payload = json.loads(blob.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise DataError("bad magic") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"JSON {kind} file must hold an object")
+    if payload.get("kind") != kind:
+        raise DataError(f"file holds kind {payload.get('kind')!r}, expected {kind}")
+    return payload
+
+
+def _json_field(payload: dict, key: str, dtype) -> np.ndarray:
+    """One field of a JSON container as a rectangular numeric array."""
+    if key not in payload:
+        raise DataError(f"JSON {payload['kind']} file missing field {key!r}")
+    try:
+        return np.asarray(payload[key], dtype=dtype)
+    except (TypeError, ValueError):
+        raise DataError(f"field {key!r} is not a rectangular numeric array") from None
+
+
 # -- datasets ----------------------------------------------------------------
 
 
 def write_dataset(dataset: Dataset, path: _PathLike, format: str = "binary") -> None:
     feats = dataset.feature_matrix().astype(np.float32)
     labels = dataset.labels()
-    ids = np.array([s.sample_id for s in dataset.samples], dtype=np.uint32)
+    ids = dataset.sample_ids.astype(np.uint32)
     if format == "json":
         payload = {
             "kind": "dataset",
@@ -132,7 +172,7 @@ def write_dataset(dataset: Dataset, path: _PathLike, format: str = "binary") -> 
         return
     if format != "binary":
         raise DataError(f"unknown format {format!r}")
-    dims = (len(dataset.samples),) + dataset.feature_shape
+    dims = (len(dataset),) + dataset.feature_shape
     head = MAGIC + struct.pack("<HBB", VERSION, KIND_DATASET, len(dims))
     head += struct.pack("<" + "I" * len(dims), *dims)
     head += struct.pack("<H", dataset.n_classes)
@@ -141,39 +181,20 @@ def write_dataset(dataset: Dataset, path: _PathLike, format: str = "binary") -> 
     atomic_write(path, head + feats.tobytes())
 
 
-def _dataset_from_arrays(
-    features: np.ndarray, labels: np.ndarray, ids: np.ndarray, n_classes: int
-) -> Dataset:
-    samples = tuple(
-        Sample(
-            features=features[i].astype(np.float64),
-            label=int(labels[i]),
-            sample_id=int(ids[i]),
-        )
-        for i in range(features.shape[0])
-    )
-    return Dataset(
-        samples=samples,
-        n_classes=n_classes,
-        feature_means=features.astype(np.float64).mean(axis=0),
-    )
-
-
 def read_dataset(path: _PathLike) -> Dataset:
     blob = _read_file(path)
     if not blob.startswith(MAGIC):
-        try:
-            payload = json.loads(blob.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise DataError("bad magic") from None
-        if payload.get("kind") != "dataset":
-            raise DataError(f"file holds kind {payload.get('kind')!r}, expected dataset")
-        feats = np.asarray(payload["features"], dtype=np.float32)
-        labels = np.asarray(payload["labels"], dtype=np.int64)
-        ids = np.asarray(
-            payload.get("sample_ids", range(feats.shape[0])), dtype=np.int64
+        payload = _json_container(blob, "dataset")
+        n_classes = _json_field(payload, "n_classes", np.int64)
+        if n_classes.ndim:
+            raise DataError("field 'n_classes' is not a number")
+        ids = _json_field(payload, "sample_ids", np.int64) if "sample_ids" in payload else None
+        return Dataset(
+            _json_field(payload, "features", np.float32),
+            _json_field(payload, "labels", np.int64),
+            int(n_classes),
+            ids,
         )
-        return _dataset_from_arrays(feats, labels, ids, int(payload["n_classes"]))
     cur = _Cursor(blob)
     dims = _check_header(cur, KIND_DATASET)
     n = dims[0]
@@ -182,21 +203,19 @@ def read_dataset(path: _PathLike) -> Dataset:
     ids = np.frombuffer(cur.take(4 * n), dtype="<u4").astype(np.int64)
     count = int(np.prod(dims))
     feats = np.frombuffer(cur.take(4 * count), dtype="<f4").reshape(dims)
-    return _dataset_from_arrays(feats, labels, ids, n_classes)
+    return Dataset(feats, labels, n_classes, ids)
 
 
 # -- attribution maps --------------------------------------------------------
 
 
 def write_maps(
-    maps: Sequence[AttributionMap],
+    maps: MapSet,
     path: _PathLike,
     dataset: Optional[Dataset] = None,
     format: str = "binary",
 ) -> None:
-    if not maps:
-        raise DataError("no maps to write")
-    values = np.stack([m.values for m in maps]).astype(np.float32)
+    values = maps.values.astype(np.float32)
     digest = dataset_digest(dataset) if dataset is not None else ""
     if format == "json":
         payload = {
@@ -215,17 +234,12 @@ def write_maps(
     atomic_write(path, head + values.tobytes())
 
 
-def read_maps(path: _PathLike, dataset: Optional[Dataset] = None) -> list[AttributionMap]:
+def read_maps(path: _PathLike, dataset: Optional[Dataset] = None) -> MapSet:
     """Load maps, checking alignment against ``dataset`` when one is given."""
     blob = _read_file(path)
     if not blob.startswith(MAGIC):
-        try:
-            payload = json.loads(blob.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise DataError("bad magic") from None
-        if payload.get("kind") != "maps":
-            raise DataError(f"file holds kind {payload.get('kind')!r}, expected maps")
-        values = np.asarray(payload["values"], dtype=np.float64)
+        payload = _json_container(blob, "maps")
+        values = _json_field(payload, "values", np.float64)
         digest = payload.get("dataset_digest") or ""
     else:
         cur = _Cursor(blob)
@@ -233,21 +247,16 @@ def read_maps(path: _PathLike, dataset: Optional[Dataset] = None) -> list[Attrib
         (digest_len,) = cur.unpack("B")
         digest = cur.take(digest_len).decode()
         count = int(np.prod(dims))
-        values = (
-            np.frombuffer(cur.take(4 * count), dtype="<f4")
-            .reshape(dims)
-            .astype(np.float64)
-        )
+        values = np.frombuffer(cur.take(4 * count), dtype="<f4").reshape(dims)
+    maps = MapSet(values)
     if dataset is not None:
-        if values.shape[0] != len(dataset.samples):
-            raise DataError(
-                f"{values.shape[0]} maps for {len(dataset.samples)} samples"
-            )
-        if values.shape[1:] != dataset.feature_shape:
+        if len(maps) != len(dataset):
+            raise DataError(f"{len(maps)} maps for {len(dataset)} samples")
+        if maps.feature_shape != dataset.feature_shape:
             raise DataError("map shape does not match the dataset")
         if digest and digest != dataset_digest(dataset):
             raise DataError("maps were written for a different dataset")
-    return [AttributionMap(values=values[i]) for i in range(values.shape[0])]
+    return maps
 
 
 # -- curves ------------------------------------------------------------------

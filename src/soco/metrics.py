@@ -28,11 +28,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
-    AttributionMap,
     ConfigError,
     DataError,
     Dataset,
     EvalCurve,
+    MapSet,
     Model,
     accuracy_from_probs,
     predict_many,
@@ -88,20 +88,41 @@ class CompletenessConfig:
         _check_descending(self.thresholds, "thresholds")
 
 
-def _flat_maps(dataset: Dataset, maps: Sequence[AttributionMap]) -> np.ndarray:
-    if len(maps) != len(dataset.samples):
+def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
+    """The maps as an ``(n, d)`` view, after checking they fit ``dataset``."""
+    if len(maps) != len(dataset):
         raise DataError(
             f"need one attribution map per sample "
-            f"({len(maps)} maps, {len(dataset.samples)} samples)"
+            f"({len(maps)} maps, {len(dataset)} samples)"
         )
-    rows = []
-    for m in maps:
-        if m.values.shape != dataset.feature_shape:
-            raise DataError("attribution map shape does not match the dataset")
-        if m.flat().max(initial=0.0) > 1.0 + 1e-12:
-            raise DataError("maps must be normalized to [0, 1]")
-        rows.append(m.flat())
-    return np.stack(rows)
+    if maps.feature_shape != dataset.feature_shape:
+        raise DataError("attribution map shape does not match the dataset")
+    if not maps.normalized and maps.values.max() > 1.0 + 1e-12:
+        raise DataError("maps must be normalized to [0, 1]")
+    return maps.values.reshape(len(maps), -1)
+
+
+def _order(keys: np.ndarray) -> np.ndarray:
+    """Each row's feature indices by ascending key, ties by ascending index."""
+    return np.argsort(keys, axis=1, kind="stable")
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """Each feature's position in its row of ``order`` (the inverse permutation)."""
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
+    return ranks
+
+
+def _masks(keys: np.ndarray, cut, shape: tuple) -> np.ndarray:
+    """One step's masks, in ``shape``: True where a feature's key is below ``cut``.
+
+    Ratio steps key the features by rank (``_ranks``) and cut at a count k,
+    masking the k first-ranked features of each row; threshold steps key
+    them by negated attribution and cut at -t, masking the features
+    attributed above t (negation is exact, so this is ``values > t``).
+    """
+    return (keys < cut).reshape(shape)
 
 
 def _predrawn_noise(
@@ -117,7 +138,7 @@ def _predrawn_noise(
         return None
     rng = substream(seed, "noise")
     full = imputer.noise_std * rng.standard_normal(
-        (len(dataset.samples),) + dataset.feature_shape
+        (len(dataset),) + dataset.feature_shape
     )
     return full[keep]
 
@@ -208,13 +229,12 @@ def _sweep(
     n, d = features.shape
     shape = (n,) + dataset.feature_shape
     if imputer.kind == "noisy_linear":
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(d), axis=1)
+        ranks = _ranks(order)
 
         def filled(k: int) -> np.ndarray:
-            prefix = ranks < k
+            prefix = _masks(ranks, k, shape)
             masks = prefix if mask_prefix else ~prefix
-            out = _fill(features.reshape(shape), masks.reshape(shape), imputer, dataset, noise)
+            out = _fill(features.reshape(shape), masks, imputer, dataset, noise)
             out.flags.writeable = False
             return out
 
@@ -251,7 +271,7 @@ def _sweep(
 def soundness_curve(
     model: Model,
     dataset: Dataset,
-    maps: Sequence[AttributionMap],
+    maps: MapSet,
     cfg: Optional[SoundnessConfig] = None,
     seed: int = 0,
 ) -> EvalCurve:
@@ -286,7 +306,7 @@ def soundness_curve(
     labels = dataset.labels()[keep]
     noise = _predrawn_noise(dataset, cfg.imputer, seed, keep)
 
-    order = np.argsort(values, axis=1, kind="stable")
+    order = _order(values)
     sorted_vals = np.take_along_axis(values, order, axis=1)
     prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(sorted_vals, axis=1)], axis=1)
     total = prefix[:, -1]
@@ -360,7 +380,7 @@ def align_soundness(
 def completeness_curve(
     model: Model,
     dataset: Dataset,
-    maps: Sequence[AttributionMap],
+    maps: MapSet,
     cfg: Optional[CompletenessConfig] = None,
     seed: int = 0,
 ) -> EvalCurve:
@@ -371,12 +391,13 @@ def completeness_curve(
     labels = dataset.labels()
     n = values.shape[0]
     noise = _predrawn_noise(dataset, cfg.imputer, seed, np.ones(n, dtype=bool))
+    keys = -values
+    shape = (n,) + dataset.feature_shape
 
     def steps():
         yield features
         for t in cfg.thresholds:
-            masks = (values > t).reshape((n,) + dataset.feature_shape)
-            yield _fill(features, masks, cfg.imputer, dataset, noise)
+            yield _fill(features, _masks(keys, -t, shape), cfg.imputer, dataset, noise)
 
     s_0, *s_ts = (accuracy_from_probs(p, labels) for p in predict_many(model, steps()))
     pts = sorted((float(t), s_0 - s_t) for t, s_t in zip(cfg.thresholds, s_ts))
@@ -395,7 +416,7 @@ def completeness_curve(
 def order_based_curve(
     model: Model,
     dataset: Dataset,
-    maps: Sequence[AttributionMap],
+    maps: MapSet,
     mode: str,
     order: str = "MoRF",
     imputer: Optional[Imputer] = None,
@@ -429,8 +450,7 @@ def order_based_curve(
     features = dataset.feature_matrix().reshape(n, d)
     labels = dataset.labels()
     noise = _predrawn_noise(dataset, imputer, seed, np.ones(n, dtype=bool))
-    keys = -values if order == "MoRF" else values
-    ranking = np.argsort(keys, axis=1, kind="stable")
+    ranking = _order(-values if order == "MoRF" else values)
     ks = [round_half_away(float(f) * d) for f in fr]
 
     accs = _sweep(
@@ -448,7 +468,7 @@ def order_based_curve(
 def road_curve(
     model: Model,
     dataset: Dataset,
-    maps: Sequence[AttributionMap],
+    maps: MapSet,
     order: str = "MoRF",
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     noise_std: float = 0.0,

@@ -25,11 +25,11 @@ import subprocess
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import ConfigError, DataError, ModelBridgeError, Sample, batch_features
+from .core import ConfigError, DataError, ModelBridgeError, batch_features
 
 ACTIVATIONS = ("relu", "identity")
 PROB_SUM_TOL = 1e-6
@@ -94,16 +94,28 @@ class MlpWeights:
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "MlpWeights":
-        raw = json.loads(Path(path).read_text())
-        layers = tuple(
-            Layer(
-                weight=np.array(entry["weight"], dtype=np.float64),
-                bias=np.array(entry["bias"], dtype=np.float64),
-                activation=entry.get("activation", "identity"),
+        """Load a weights file; one that cannot be read or parsed is a config error."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read weights {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # invalid JSON or text
+            raise ConfigError(f"weights file {path} is not valid JSON: {exc}") from None
+        try:
+            layers = tuple(
+                Layer(
+                    weight=np.array(entry["weight"], dtype=np.float64),
+                    bias=np.array(entry["bias"], dtype=np.float64),
+                    activation=entry.get("activation", "identity"),
+                )
+                for entry in raw["layers"]
             )
-            for entry in raw["layers"]
-        )
-        return cls(layers=layers, n_classes=int(raw["n_classes"]))
+            n_classes = int(raw["n_classes"])
+        except KeyError as exc:
+            raise ConfigError(f"weights file {path} has no field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed weights file {path}: {exc}") from None
+        return cls(layers=layers, n_classes=n_classes)
 
     def to_json(self, path: Union[str, Path]) -> None:
         payload = {
@@ -126,7 +138,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def mlp_predict(weights: MlpWeights, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
+def mlp_predict(weights: MlpWeights, batch: np.ndarray) -> np.ndarray:
     """Forward pass with softmax output; float64 throughout."""
     feats = batch_features(batch).reshape(len(batch), -1)
     if feats.shape[1] != weights.input_dim:
@@ -146,7 +158,7 @@ def mlp_predict(weights: MlpWeights, batch: Union[Sequence[Sample], np.ndarray])
 class MlpModel:
     weights: MlpWeights
 
-    def predict_probs(self, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
+    def predict_probs(self, batch: np.ndarray) -> np.ndarray:
         return mlp_predict(self.weights, batch)
 
 
@@ -382,9 +394,7 @@ class ExternalModel:
             raise BridgeBadProbs("responses disagree on the number of classes")
         out[req.start : req.stop] = arr
 
-    def predict_probs_many(
-        self, batches: Iterable[Union[Sequence[Sample], np.ndarray]]
-    ) -> list[np.ndarray]:
+    def predict_probs_many(self, batches: Iterable[np.ndarray]) -> list[np.ndarray]:
         """Probabilities for each batch, with consecutive batches in flight together.
 
         Each batch is split into requests of at most ``batch_limit`` rows,
@@ -425,5 +435,5 @@ class ExternalModel:
                 raise
         return [out if out.size else np.empty(0) for out in outs]
 
-    def predict_probs(self, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
+    def predict_probs(self, batch: np.ndarray) -> np.ndarray:
         return self.predict_probs_many([batch])[0]

@@ -7,17 +7,21 @@ only read rankings.  The synthetic schemes (synth_remove, synth_introduce)
 corrupt ground-truth maps in controlled ways for the validation harness:
 removal zeroes true attribution, introduction plants attribution on
 features known to carry no signal.
+
+Every scheme works on a whole map set at once.  A map that needs random
+numbers draws them from its own stream, keyed by its index, so its result
+does not depend on the other maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import AttributionMap, ConfigError, DataError
-from .perturb import rank_features, round_half_away
+from .core import ConfigError, DataError, MapSet
+from .perturb import round_half_away
 from .rng import substream
 from .synthetic import OracleInfo
 
@@ -38,7 +42,7 @@ PARTIAL_MIN_FEATURES = 5
 
 @dataclass(frozen=True)
 class ModScheme:
-    """One modification recipe, applied per map via apply_scheme."""
+    """One modification recipe, applied to a map set via apply_scheme."""
 
     kind: str
     direction: str = "remove"
@@ -67,206 +71,121 @@ class ModScheme:
         return DEFAULT_CONSTANT_DELTA
 
 
-def _as_map(values: np.ndarray) -> AttributionMap:
-    return AttributionMap(values=np.clip(values, 0.0, 1.0), normalized=True)
+def _rescale(flat: np.ndarray) -> np.ndarray:
+    """Each row divided by its maximum, rows without a positive entry as they are."""
+    peak = flat.max(axis=1, keepdims=True)
+    return flat / np.where(peak > 0, peak, 1.0)
 
 
-def modify_constant(attr_map: AttributionMap, delta: float, direction: str) -> AttributionMap:
-    """Shift every value by a constant, clipping back into [0, 1]."""
-    if direction == "remove":
-        return _as_map(attr_map.values - delta)
-    if direction == "introduce":
-        return _as_map(attr_map.values + delta)
-    raise ConfigError(f"unknown direction {direction!r}")
+def _random_shift(shape: tuple, lo: float, hi: float, seed: int) -> np.ndarray:
+    """Independent per-feature uniform shifts in [lo, hi], map i's from its own stream."""
+    shift = np.empty(shape)
+    for i in range(shape[0]):
+        shift[i] = substream(seed, "modify", i).uniform(lo, hi, size=shape[1:])
+    return shift
 
 
-def modify_random(
-    attr_map: AttributionMap, lo: float, hi: float, seed: int, key: Sequence[int] = ()
-) -> AttributionMap:
-    """Independent per-feature uniform shift in [lo, hi], clipped to [0, 1]."""
-    if lo > hi:
-        raise ConfigError("lo must not exceed hi")
-    rng = substream(seed, "modify", *key)
-    shift = rng.uniform(lo, hi, size=attr_map.values.shape)
-    return _as_map(attr_map.values + shift)
+def _partial(flat: np.ndarray, direction: str) -> np.ndarray:
+    """Rewrite one rank band of every map.
 
-
-def modify_partial(attr_map: AttributionMap, direction: str) -> AttributionMap:
-    """Rewrite one rank band of the map.
-
-    Remove zeroes the features ranked (ascending) in [0.6N, 0.8N); introduce
-    lifts the bottom [0, 0.4N) ranks to the 0.8-quantile of the values.
+    Remove zeroes the features ranked (ascending) in [0.6d, 0.8d); introduce
+    lifts the bottom [0, 0.4d) ranks to the map's 0.8-quantile.
     """
-    n = attr_map.size
-    if n < PARTIAL_MIN_FEATURES:
+    d = flat.shape[1]
+    if d < PARTIAL_MIN_FEATURES:
         raise DataError("map too small for partial scheme")
-    order = rank_features(attr_map)
-    flat = attr_map.flat().copy()
+    lo, hi = PARTIAL_REMOVE_BAND if direction == "remove" else PARTIAL_INTRODUCE_BAND
+    order = np.argsort(flat, axis=1, kind="stable")
+    band = order[:, round_half_away(lo * d) : round_half_away(hi * d)]
     if direction == "remove":
-        lo, hi = PARTIAL_REMOVE_BAND
-        flat[order[round_half_away(lo * n) : round_half_away(hi * n)]] = 0.0
-    elif direction == "introduce":
-        lo, hi = PARTIAL_INTRODUCE_BAND
-        level = float(np.quantile(attr_map.flat(), PARTIAL_QUANTILE, method="linear"))
-        flat[order[round_half_away(lo * n) : round_half_away(hi * n)]] = level
+        level = 0.0
     else:
-        raise ConfigError(f"unknown direction {direction!r}")
-    return _as_map(flat.reshape(attr_map.values.shape))
+        level = np.quantile(flat, PARTIAL_QUANTILE, axis=1, method="linear")[:, None]
+    out = flat.copy()
+    np.put_along_axis(out, band, level, axis=1)
+    return out
 
 
-def synth_remove(
-    attr_map: AttributionMap,
-    fraction: float,
-    seed: int,
-    key: Sequence[int] = (),
-    renormalize: bool = False,
-) -> AttributionMap:
-    """Zero a uniformly random subset of the positive-support features.
+def _counts(fraction: float, sizes: np.ndarray) -> np.ndarray:
+    """round_half_away(fraction * size) for every size."""
+    return np.floor(fraction * sizes + 0.5).astype(np.int64)
 
-    The subset holds round(fraction * support size) features.  Removing the
-    entire support would leave nothing to evaluate, so that is an error.
-    Renormalization is off by default: zeroing cannot raise the maximum, so
-    the output is already a valid normalized map, and rescaling the
-    survivors is a separate, recorded choice.
+
+def _synth_remove(flat: np.ndarray, scheme: ModScheme) -> np.ndarray:
+    """Zero a uniformly random subset of each map's positive support.
+
+    The subset holds round(fraction * support size) features.  Removing a
+    map's entire support would leave nothing to evaluate, so that is an
+    error, reported for the first such map.  Renormalization is off by
+    default: zeroing cannot raise the maximum, so the output is already a
+    valid normalized map, and rescaling the survivors is a separate,
+    recorded choice.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError("fraction must lie in [0, 1]")
-    support = np.flatnonzero(attr_map.flat() > 0)
-    if support.size == 0:
-        raise DataError("map has no positive support")
-    k = round_half_away(fraction * support.size)
-    if k >= support.size:
+    positive = flat > 0
+    sizes = np.count_nonzero(positive, axis=1)
+    ks = _counts(scheme.fraction, sizes)
+    bad = np.flatnonzero(ks >= sizes)
+    if bad.size:
+        if sizes[bad[0]] == 0:
+            raise DataError("map has no positive support")
         raise DataError("fraction removes the entire support")
-    flat = attr_map.flat().copy()
-    if k > 0:
-        rng = substream(seed, "modify", *key)
-        drop = rng.choice(support, size=k, replace=False)
-        flat[drop] = 0.0
-    if renormalize:
-        peak = flat.max()
-        flat = flat / peak
-    return _as_map(flat.reshape(attr_map.values.shape))
+    out = flat.copy()
+    for i in np.flatnonzero(ks):
+        rng = substream(scheme.seed, "modify", i)
+        out[i, rng.choice(np.flatnonzero(positive[i]), size=int(ks[i]), replace=False)] = 0.0
+    return _rescale(out) if scheme.renormalize else out
 
 
-def synth_introduce(
-    attr_map: AttributionMap,
-    oracle: OracleInfo,
-    fraction: float,
-    magnitude: float,
-    seed: int,
-    key: Sequence[int] = (),
-) -> AttributionMap:
+def _synth_introduce(
+    flat: np.ndarray, informative: np.ndarray, scheme: ModScheme, magnitude: float
+) -> np.ndarray:
     """Plant attribution on features that carry no signal.
 
-    Candidates are features with zero attribution that are also outside the
-    oracle's informative set; round(fraction * candidate count) of them get
-    values drawn uniformly from (0, magnitude].  The result is renormalized
-    so downstream value thresholds keep their meaning.
+    A map's candidates are its features with zero attribution that are also
+    outside the oracle's informative set; round(fraction * candidate count)
+    of them get values drawn uniformly from (0, magnitude].  Each map is then
+    renormalized so downstream value thresholds keep their meaning.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError("fraction must lie in [0, 1]")
-    if magnitude <= 0:
-        raise ConfigError("magnitude must be positive")
-    flat = attr_map.flat().copy()
-    informative = oracle.informative.reshape(-1)
-    if informative.shape != flat.shape:
-        raise DataError("oracle shape does not match the map")
-    candidates = np.flatnonzero((flat == 0) & ~informative)
-    k = round_half_away(fraction * candidates.size)
-    if k > 0:
-        rng = substream(seed, "modify", *key)
-        chosen = rng.choice(candidates, size=k, replace=False)
-        flat[chosen] = magnitude * (1.0 - rng.random(k))  # uniform in (0, magnitude]
-    peak = flat.max()
-    if peak > 0:
-        flat = flat / peak
-    return _as_map(flat.reshape(attr_map.values.shape))
-
-
-def craft_rect(attr_map: AttributionMap, rect: tuple[int, int]) -> AttributionMap:
-    """All-or-nothing rectangle at the attribution-weighted centroid."""
-    values = attr_map.values
-    if values.ndim != 3:
-        raise DataError("rectangle crafting needs a grid map")
-    rect_h, rect_w = rect
-    if rect_h < 1 or rect_w < 1:
-        raise ConfigError("rectangle sides must be positive")
-    weights = values.sum(axis=2)
-    total = weights.sum()
-    if total <= 0:
-        raise DataError("undefined centroid")
-    h, w, c = values.shape
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    r_bar = float((weights * rows).sum() / total)
-    c_bar = float((weights * cols).sum() / total)
-    top = int(np.floor(r_bar - (rect_h - 1) / 2 + 0.5))
-    left = int(np.floor(c_bar - (rect_w - 1) / 2 + 0.5))
-    out = np.zeros_like(values)
-    r0, r1 = max(top, 0), min(top + rect_h, h)
-    c0, c1 = max(left, 0), min(left + rect_w, w)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1, :] = 1.0
-    return AttributionMap(values=out, normalized=True)
-
-
-def craft_pooling(attr_map: AttributionMap, n_regions: int) -> AttributionMap:
-    """Average-pool the map over equal-height horizontal bands.
-
-    Rows left over when the height does not divide evenly go to the last
-    band.  Idempotent: pooling a band-constant map returns it unchanged.
-    """
-    values = attr_map.values
-    if values.ndim != 3:
-        raise DataError("pooling needs a grid map")
-    h = values.shape[0]
-    if n_regions < 1:
-        raise ConfigError("n_regions must be positive")
-    if n_regions > h:
-        raise ConfigError(f"n_regions {n_regions} exceeds grid height {h}")
-    band = h // n_regions
-    out = values.copy()
-    for i in range(n_regions):
-        top = i * band
-        bottom = (i + 1) * band if i < n_regions - 1 else h
-        out[top:bottom] = values[top:bottom].mean()
-    return _as_map(out)
+    candidates = (flat == 0) & ~informative
+    ks = _counts(scheme.fraction, np.count_nonzero(candidates, axis=1))
+    out = flat.copy()
+    for i in np.flatnonzero(ks):
+        rng = substream(scheme.seed, "modify", i)
+        chosen = rng.choice(np.flatnonzero(candidates[i]), size=int(ks[i]), replace=False)
+        out[i, chosen] = magnitude * (1.0 - rng.random(int(ks[i])))  # uniform in (0, magnitude]
+    return _rescale(out)
 
 
 def apply_scheme(
-    maps: Sequence[AttributionMap],
-    scheme: ModScheme,
-    oracle: Optional[Sequence[OracleInfo]] = None,
-) -> list[AttributionMap]:
-    """Apply one scheme to every map, with an independent stream per map."""
+    maps: MapSet, scheme: ModScheme, oracle: Optional[OracleInfo] = None
+) -> MapSet:
+    """Apply one scheme to every map of the set.
+
+    The random draws run map by map, each from ``substream(seed, "modify",
+    i)``; shifting, band rewrites, rescaling, the final clip to [0, 1] and
+    validation run once on the whole stack.
+    """
     mag = scheme.resolved_magnitude()
-    if scheme.kind == "synth_introduce":
+    values = maps.values
+    flat = values.reshape(len(maps), -1)
+    if scheme.kind == "constant":
+        out = values - mag if scheme.direction == "remove" else values + mag
+    elif scheme.kind == "random":
+        lo, hi = (-mag, 0.0) if scheme.direction == "remove" else (0.0, mag)
+        out = values + _random_shift(values.shape, lo, hi, scheme.seed)
+    elif scheme.kind == "partial":
+        out = _partial(flat, scheme.direction)
+    elif scheme.kind == "synth_remove":
+        out = _synth_remove(flat, scheme)
+    else:
         if oracle is None:
             raise ConfigError("synth_introduce needs oracle information")
-        if len(oracle) != len(maps):
+        if oracle.informative.shape[0] != len(maps):
             raise DataError("need one oracle entry per map")
-    out = []
-    for i, attr_map in enumerate(maps):
-        if scheme.kind == "constant":
-            out.append(modify_constant(attr_map, mag, scheme.direction))
-        elif scheme.kind == "random":
-            lo, hi = (-mag, 0.0) if scheme.direction == "remove" else (0.0, mag)
-            out.append(modify_random(attr_map, lo, hi, scheme.seed, key=(i,)))
-        elif scheme.kind == "partial":
-            out.append(modify_partial(attr_map, scheme.direction))
-        elif scheme.kind == "synth_remove":
-            out.append(
-                synth_remove(
-                    attr_map,
-                    scheme.fraction,
-                    scheme.seed,
-                    key=(i,),
-                    renormalize=scheme.renormalize,
-                )
-            )
-        else:
-            out.append(
-                synth_introduce(
-                    attr_map, oracle[i], scheme.fraction, mag, scheme.seed, key=(i,)
-                )
-            )
-    return out
+        if mag <= 0:
+            raise ConfigError("magnitude must be positive")
+        informative = oracle.informative.reshape(len(maps), -1)
+        if informative.shape != flat.shape:
+            raise DataError("oracle shape does not match the map")
+        out = _synth_introduce(flat, informative, scheme, mag)
+    return MapSet(np.clip(out, 0.0, 1.0).reshape(values.shape), normalized=True)

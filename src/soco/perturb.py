@@ -1,11 +1,12 @@
-"""Feature ranking, masking, and imputation.
+"""Imputation settings and the grid neighbor solve.
 
-Masking is defined on the flattened (row-major) feature order so tabular and
-grid maps share one rank semantics.  Imputation fills masked features either
-with zeros, with dataset means, or by solving the grid neighbor-average
-linear system (masked pixels become weighted averages of their 8-neighbors,
-direct neighbors weighted twice as heavily as diagonal ones), optionally
-plus Gaussian noise on the imputed entries only.
+An ``Imputer`` says how the metrics fill masked features: with zeros, with
+dataset means, or by solving the grid neighbor-average linear system
+(masked pixels become weighted averages of their 8-neighbors, direct
+neighbors weighted twice as heavily as diagonal ones), optionally plus
+Gaussian noise on the imputed entries only.  The masks and the zero and
+mean fills are built by the metrics' batched sweep; ``impute_grid`` solves
+one grid.  ``round_half_away`` turns every ratio into a feature count.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from .core import AttributionMap, ConfigError, DataError, Dataset, Mask
+from .core import ConfigError, DataError, Mask
 
 IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
 
@@ -33,30 +33,6 @@ def round_half_away(x: float) -> int:
     if x < 0:
         raise ConfigError(f"negative count {x}")
     return int(np.floor(x + 0.5))
-
-
-def rank_features(attr_map: AttributionMap) -> np.ndarray:
-    """Flat feature indices sorted by ascending attribution, ties by ascending index."""
-    return np.argsort(attr_map.flat(), axis=0, kind="stable")
-
-
-def mask_by_ratio(attr_map: AttributionMap, ratio: float) -> Mask:
-    """Mask exactly round(ratio * d) lowest-attribution features.
-
-    The unmasked complement is therefore the top-attribution set of the map.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"mask ratio outside [0, 1]: {ratio}")
-    k = round_half_away(ratio * attr_map.size)
-    order = rank_features(attr_map)
-    flat = np.zeros(attr_map.size, dtype=bool)
-    flat[order[:k]] = True
-    return flat.reshape(attr_map.values.shape)
-
-
-def mask_by_threshold(attr_map: AttributionMap, threshold: float) -> Mask:
-    """Mask features with attribution strictly greater than ``threshold``."""
-    return attr_map.values > threshold
 
 
 @dataclass(frozen=True)
@@ -75,38 +51,6 @@ class Imputer:
             raise ConfigError(f"unknown imputer kind {self.kind!r}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
-
-
-def default_noise_std(dataset: Dataset, fraction: float = 0.01) -> float:
-    """Noise scale as a fraction of the observed feature value range."""
-    feats = dataset.feature_matrix()
-    return fraction * float(feats.max() - feats.min())
-
-
-def _add_noise(
-    filled: np.ndarray, mask: Mask, noise_std: float, rng: Optional[np.random.Generator]
-) -> np.ndarray:
-    if noise_std == 0.0:
-        return filled
-    if rng is None:
-        raise ConfigError("imputation noise requested without a generator")
-    noisy = filled.copy()
-    noisy[mask] += noise_std * rng.standard_normal(int(mask.sum()))
-    return noisy
-
-
-def impute_tabular(
-    features: np.ndarray,
-    mask: Mask,
-    means: np.ndarray,
-    noise_std: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Replace masked entries with their dataset mean plus optional noise."""
-    if features.shape != mask.shape or features.shape != means.shape:
-        raise DataError("features, mask, and means must share one shape")
-    filled = np.where(mask, means, features)
-    return _add_noise(filled, mask, noise_std, rng)
 
 
 # 8-neighborhood offsets in the order their entries appear in each row of W
@@ -199,21 +143,16 @@ def _plane_system(
     return A, b
 
 
-def impute_grid(
-    features: np.ndarray,
-    mask: Mask,
-    noise_std: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Noisy linear imputation on an (h, w) or (h, w, c) grid.
+def impute_grid(features: np.ndarray, mask: Mask) -> np.ndarray:
+    """Linear neighbor imputation on an (h, w) or (h, w, c) grid.
 
     Masked pixels satisfy x_p = sum_q W[p, q] * x_q with unmasked pixels as
     boundary values; each channel is solved independently.  The neighbor
     system W is built once per grid shape and reused, and each channel's
     reduced system is cut from it straight into CSR form.  When everything
     is masked the system is homogeneous and the mean-zero solution (all
-    zeros) is used, with a warning.  Noise is added to imputed pixels only,
-    after the solve.
+    zeros) is used, with a warning.  The noise of the noisy-linear imputer is
+    not drawn here: the metrics add their pre-drawn noise to the fill.
 
     Calls share no mutable state, so independent ones may run on separate
     threads: the metrics' noisy-linear fill solves its samples that way, up
@@ -248,23 +187,5 @@ def impute_grid(
         A, b = _plane_system(mflat, feat_planes[:, ch], h, w)
         out_planes[mflat, ch] = spsolve(A, b)
 
-    out = _add_noise(out, msk, noise_std, rng)
     return out[..., 0] if squeeze else out
 
-
-def apply_imputer(
-    features: np.ndarray,
-    mask: Mask,
-    imputer: Imputer,
-    dataset: Dataset,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Dispatch one sample through the configured imputer."""
-    if imputer.kind == "zero":
-        filled = np.where(mask, 0.0, features)
-        return _add_noise(filled, mask, imputer.noise_std, rng)
-    if imputer.kind == "mean":
-        return impute_tabular(features, mask, dataset.feature_means, imputer.noise_std, rng)
-    if features.ndim not in (2, 3):
-        raise ConfigError("noisy_linear requires grid-shaped samples")
-    return impute_grid(features, mask, imputer.noise_std, rng)

@@ -6,17 +6,17 @@ available in closed form: for the sum-of-inputs model the marginal
 contribution of feature i is x_i for the positive class and -x_i for the
 negative class, independent of coalition, so the Shapley value reduces to the
 (signed) feature value itself.  Ground-truth attribution maps keep only the
-class-aligned part and are max-normalized.
+class-aligned part and are max-normalized.  Everything here works on the
+whole dataset at once: one map set, one stacked oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .core import AttributionMap, DataError, Dataset, Sample, batch_features, normalize_attribution
+from .core import DataError, Dataset, MapSet, batch_features, normalize_attribution
 from .rng import substream
 
 DEFAULT_N_SAMPLES = 1000
@@ -44,7 +44,7 @@ def generate_synthetic(
             x = rng.standard_normal(n_features)
         rows[i] = x
     labels = (rows.sum(axis=1) > 0).astype(np.int64)
-    return Dataset.from_arrays(rows, labels, n_classes=2)
+    return Dataset(rows, labels, n_classes=2)
 
 
 class LinearStepModel:
@@ -54,7 +54,7 @@ class LinearStepModel:
     class 0 (the step rises at zero).  Tabular inputs only.
     """
 
-    def predict_probs(self, batch: Union[Sequence[Sample], np.ndarray]) -> np.ndarray:
+    def predict_probs(self, batch: np.ndarray) -> np.ndarray:
         feats = batch_features(batch)
         if feats.ndim != 2:
             raise DataError("tabular model")
@@ -65,32 +65,28 @@ class LinearStepModel:
         return probs
 
 
-def linear_step_predict(sample: Sample) -> int:
-    """Predicted class of the step model for a single sample."""
-    probs = LinearStepModel().predict_probs(np.asarray([sample.features]))
-    return int(np.argmax(probs[0]))
-
-
 @dataclass(frozen=True)
 class OracleInfo:
-    """Exact per-feature contribution and the informative-feature set.
+    """Exact per-feature contributions and informative sets of a dataset.
 
-    ``phi`` is the signed contribution toward the sample's own class before
-    any normalization; ``informative`` marks features with phi > 0.
+    ``phi[i]`` is the signed contribution of each feature of sample i toward
+    the sample's own class, before any normalization; ``informative`` marks
+    the features with phi > 0.  Both are ``(n, d)``.
     """
 
     phi: np.ndarray
     informative: np.ndarray
 
-    def informative_mass(self) -> float:
-        return float(self.phi[self.informative].sum())
+
+def _class_aligned(dataset: Dataset) -> np.ndarray:
+    """Each sample's features, negated for the samples of class 0."""
+    if dataset.is_grid:
+        raise DataError("tabular model")
+    feats = dataset.feature_matrix()
+    return np.where(dataset.labels()[:, None] == 1, feats, -feats)
 
 
-def _class_aligned(features: np.ndarray, label: int) -> np.ndarray:
-    return features if label == 1 else -features
-
-
-def ground_truth_attribution(dataset: Dataset) -> list[AttributionMap]:
+def ground_truth_attribution(dataset: Dataset) -> MapSet:
     """Exact attribution maps for the step model, one normalized map per sample.
 
     Raises on the first sample whose stored label disagrees with the model,
@@ -101,19 +97,11 @@ def ground_truth_attribution(dataset: Dataset) -> list[AttributionMap]:
     predicted = np.argmax(LinearStepModel().predict_probs(dataset.feature_matrix()), axis=1)
     bad = np.flatnonzero(predicted != dataset.labels())
     if bad.size:
-        raise DataError(f"inconsistent label for sample {dataset.samples[bad[0]].sample_id}")
-    return [
-        normalize_attribution(np.maximum(_class_aligned(s.features, s.label), 0.0))
-        for s in dataset.samples
-    ]
+        raise DataError(f"inconsistent label for sample {dataset.sample_ids[bad[0]]}")
+    return normalize_attribution(np.maximum(_class_aligned(dataset), 0.0))
 
 
-def oracle_info(dataset: Dataset) -> list[OracleInfo]:
-    """Per-sample exact contributions phi and informative sets {phi > 0}."""
-    out = []
-    for sample in dataset.samples:
-        if sample.is_grid:
-            raise DataError("tabular model")
-        phi = _class_aligned(sample.features, sample.label)
-        out.append(OracleInfo(phi=phi, informative=phi > 0))
-    return out
+def oracle_info(dataset: Dataset) -> OracleInfo:
+    """Exact contributions phi and informative sets {phi > 0} of every sample."""
+    phi = _class_aligned(dataset)
+    return OracleInfo(phi=phi, informative=phi > 0)

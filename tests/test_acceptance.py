@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from soco import (
-    AttributionMap,
     CompletenessConfig,
     CurveSet,
     Dataset,
     EvalCurve,
     Imputer,
     LinearStepModel,
+    MapSet,
     ModScheme,
-    Sample,
     SoundnessConfig,
     ValidationSettings,
     apply_scheme,
@@ -29,9 +28,6 @@ from soco import (
     ground_truth_attribution,
     hausdorff_distance,
     impute_grid,
-    impute_tabular,
-    mask_by_ratio,
-    mask_by_threshold,
     min_pairwise_hausdorff,
     oracle_info,
     order_based_curve,
@@ -42,6 +38,11 @@ from soco import (
     soundness_curve,
     substream,
 )
+from soco import metrics
+from soco.perturb import round_half_away
+
+from per_sample import mask_by_ratio
+
 SMALL_RATIOS = tuple(round(0.9 - 0.1 * i, 1) for i in range(9))  # 0.9 .. 0.1
 
 
@@ -226,10 +227,7 @@ def tiny_antisymmetric_dataset(d: int, seed: int) -> Dataset:
     feats[0::2] = base
     feats[1::2] = -base
     labels = (feats.sum(axis=1) > 0).astype(int)
-    samples = tuple(
-        Sample(features=feats[i], label=int(labels[i]), sample_id=i) for i in range(8)
-    )
-    return Dataset(samples=samples, n_classes=2, feature_means=np.zeros(d))
+    return Dataset(feats, labels, n_classes=2)
 
 
 def staircase_instance(seed: int):
@@ -270,14 +268,11 @@ def staircase_instance(seed: int):
     feats[0::2] = phys
     feats[1::2] = -phys
     labels = (feats.sum(axis=1) > 0).astype(int)
-    samples = tuple(
-        Sample(features=feats[i], label=int(labels[i]), sample_id=i) for i in range(8)
-    )
     v = np.cumsum(rng.uniform(0.02, 0.1, size=10))
     map_vals = np.empty(10)
     map_vals[perm] = v / v[-1]
-    maps = [AttributionMap(map_vals.copy()) for _ in range(8)]
-    return Dataset(samples=samples, n_classes=2, feature_means=np.zeros(10)), maps
+    maps = MapSet(np.tile(map_vals, (8, 1)))
+    return Dataset(feats, labels, n_classes=2), maps
 
 
 def test_a4_soundness_oracle_equivalence(record_criterion):
@@ -303,10 +298,10 @@ def test_a4_soundness_oracle_equivalence(record_criterion):
             # oracle's informative mass
             ratio = next(r for r, s, _ in curve.meta["sweep"] if s == level)
             per_sample = []
-            for m, o in zip(maps, oracle):
+            for m, informative in zip(maps, oracle.informative):
                 included = ~mask_by_ratio(m, ratio)
                 inc_mass = m.flat()[included].sum()
-                inf_mass = m.flat()[included & o.informative].sum()
+                inf_mass = m.flat()[included & informative].sum()
                 per_sample.append(inf_mass / inc_mass)
             analytic = float(np.mean(per_sample))
             worst = max(worst, abs(q - analytic))
@@ -328,7 +323,7 @@ def test_a4_soundness_oracle_equivalence(record_criterion):
 
 def test_a5_completeness_oracle_ordering(world, record_criterion):
     record = record_criterion
-    dataset, model, gt, oracles = (
+    dataset, model, gt, oracle = (
         world["dataset"],
         world["model"],
         world["gt"],
@@ -336,13 +331,14 @@ def test_a5_completeness_oracle_ordering(world, record_criterion):
     )
     t = 0.5  # the metric's fraction-sensitive regime on this world
     cfg = CompletenessConfig(thresholds=(t,), imputer=Imputer(kind="mean"))
-    phi_informative = np.array([o.phi[o.informative].sum() for o in oracles])
+    phis = list(zip(oracle.phi, oracle.informative))
+    phi_informative = np.array([phi[informative].sum() for phi, informative in phis])
 
     def drop_and_ratio(maps):
         drop = completeness_curve(model, dataset, maps, cfg).points[0][1]
         masses = [
-            o.phi[(m.values > t) & o.informative].sum()
-            for m, o in zip(maps, oracles)
+            phi[(values > t) & informative].sum()
+            for values, (phi, informative) in zip(maps.values, phis)
         ]
         return drop, float(np.mean(np.array(masses) / phi_informative))
 
@@ -531,33 +527,38 @@ def test_a8_determinism_and_worker_invariance(tmp_path, record_criterion):
 
 
 def test_a9_mask_properties(record_criterion):
+    # the masks and the fill are the metrics' own: the rank-prefix and
+    # threshold masks of metrics._masks, and the mean fill of metrics._fill
     record = record_criterion
     rng = np.random.default_rng(99)
+    imputer = Imputer(kind="mean", noise_std=0.5)
     violations = 0
     for case in range(10_000):
         d = int(rng.integers(3, 41))
-        values = rng.random(d) * (rng.random(d) < 0.8)
-        attr = AttributionMap(values)
+        values = (rng.random(d) * (rng.random(d) < 0.8))[None]
+        ranks = metrics._ranks(metrics._order(values))
+
+        def ratio_mask(ratio):
+            return metrics._masks(ranks, round_half_away(ratio * d), values.shape)
 
         t_lo, t_hi = np.sort(rng.uniform(0.01, 0.99, size=2))
         if t_lo < t_hi:
             # higher threshold masks a subset of what a lower one masks
-            if np.any(mask_by_threshold(attr, t_hi) & ~mask_by_threshold(attr, t_lo)):
+            hi_mask = metrics._masks(-values, -t_hi, values.shape)
+            lo_mask = metrics._masks(-values, -t_lo, values.shape)
+            if np.any(hi_mask & ~lo_mask):
                 violations += 1
 
         r_lo, r_hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-        if np.any(mask_by_ratio(attr, r_lo) & ~mask_by_ratio(attr, r_hi)):
+        if np.any(ratio_mask(r_lo) & ~ratio_mask(r_hi)):
             violations += 1
 
-        feats = rng.standard_normal(d)
-        mask = mask_by_ratio(attr, r_hi)
-        out = impute_tabular(
-            feats,
-            mask,
-            rng.standard_normal(d),
-            noise_std=0.5,
-            rng=substream(9, "noise", case),
-        )
+        feats = rng.standard_normal((1, d))
+        mask = ratio_mask(r_hi)
+        # the second row sets the dataset's means apart from the sample
+        dataset = Dataset(np.concatenate([feats, rng.standard_normal((1, d))]), [0, 1], 2)
+        noise = 0.5 * substream(9, "noise", case).standard_normal((1, d))
+        out = metrics._fill(feats, mask, imputer, dataset, noise)
         if not np.array_equal(out[~mask], feats[~mask]):
             violations += 1
     record("A9", violations == 0, f"{violations} violations over 10000 cases (need 0)")

@@ -38,7 +38,7 @@ def workdir(tmp_path):
 
 def test_gen_and_attribute(workdir):
     ds = read_dataset(workdir / "data.soco")
-    assert len(ds.samples) == 30
+    assert len(ds) == 30
     maps = read_maps(workdir / "maps.soco", ds)
     assert len(maps) == 30
 
@@ -56,7 +56,7 @@ def test_gen_json_format(tmp_path):
     )
     assert rc == 0
     assert json.loads(out.read_text())["kind"] == "dataset"
-    assert len(read_dataset(out).samples) == 5
+    assert len(read_dataset(out)) == 5
 
 
 def test_modify_writes_shifted_maps(workdir):
@@ -332,3 +332,119 @@ def test_run_bad_probability_matrix_is_exit_3_without_traceback(tmp_path, mode):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "not a numeric matrix" in proc.stderr
+
+
+def no_traceback(proc, code: int, prefix: str) -> bool:
+    return proc.returncode == code and "Traceback" not in proc.stderr and prefix in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("attribute", {"kind": "dataset", "labels": [0], "n_classes": 2}),
+        ("attribute", [{"kind": "dataset"}]),
+        ("attribute", {"kind": "dataset", "features": [[1.0], [2.0]], "labels": [1],
+                       "n_classes": 2}),
+        ("attribute", {"kind": "dataset", "features": [[1.0, 2.0], [3.0]], "labels": [1, 1],
+                       "n_classes": 2}),
+        ("modify", {"kind": "maps"}),
+        ("modify", "maps"),
+        ("modify", {"kind": "maps", "values": [[0.5, 1.0], [0.5]]}),
+    ],
+    ids=["dataset-missing-key", "dataset-not-object", "dataset-few-labels",
+         "dataset-ragged", "maps-missing-key", "maps-not-object", "maps-ragged"],
+)
+def test_malformed_json_container_is_exit_4_without_traceback(tmp_path, verb, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if verb == "attribute":
+        args = ["attribute", "--dataset", str(bad)]
+    else:
+        args = ["modify", "--maps", str(bad), "--kind", "constant"]
+    proc = run_cli_process(*args, "--out", str(tmp_path / "out.soco"))
+    assert no_traceback(proc, 4, "data error"), proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+BAD_WEIGHTS = {
+    "missing-file": None,
+    "invalid-json": "{not json",
+    "not-object": "[1, 2]",
+    "no-layers": json.dumps({"n_classes": 2}),
+    "no-bias": json.dumps({"n_classes": 2, "layers": [{"weight": [[1.0, 0.0]]}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+@pytest.mark.parametrize("verb", ["eval", "run"])
+def test_bad_weights_file_is_exit_2_without_traceback(workdir, verb, case):
+    weights = workdir / "weights.json"
+    if BAD_WEIGHTS[case] is not None:
+        weights.write_text(BAD_WEIGHTS[case])
+    if verb == "eval":
+        proc = run_cli_process(
+            "eval", "--metric", "deletion", "--dataset", str(workdir / "data.soco"),
+            "--maps", str(workdir / "maps.soco"), "--mlp-weights", str(weights),
+            "--out", str(workdir / "c.json"),
+        )
+    else:
+        cfg = {
+            "output_dir": "out",
+            "dataset": {"path": "data.soco"},
+            "model": {"mlp_weights": weights.name},
+            "maps": {"source": "maps.soco"},
+            "metrics": {"deletion": {}},
+        }
+        (workdir / "exp.json").write_text(json.dumps(cfg))
+        proc = run_cli_process("run", "--config", str(workdir / "exp.json"))
+    assert no_traceback(proc, 2, "config error"), proc.stderr
+    assert not (workdir / "c.json").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"layers": []}, "no field 'n_classes'"),
+        ({"n_classes": 2, "layers": [{"bias": [0.0, 0.0]}]}, "no field 'weight'"),
+        ({"n_classes": 2, "layers": ["dense"]}, "malformed"),
+        ({"n_classes": 2, "layers": [{"weight": [[1.0], [2.0, 3.0]], "bias": [0.0, 0.0]}]},
+         "malformed"),
+    ],
+)
+def test_weights_reader_reports_every_malformation(tmp_path, payload, message):
+    from soco import ConfigError, MlpWeights
+
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=message):
+        MlpWeights.from_json(path)
+    with pytest.raises(ConfigError, match="cannot read weights"):
+        MlpWeights.from_json(tmp_path)  # a directory
+
+
+@pytest.mark.parametrize("verb", ["gen-synthetic", "eval", "run"])
+def test_unwritable_output_is_exit_4_without_traceback(workdir, verb):
+    (workdir / "afile").write_text("a regular file, not a directory")
+    before = sorted(p.name for p in workdir.rglob("*"))
+    if verb == "gen-synthetic":
+        proc = run_cli_process(
+            "gen-synthetic", "--n-samples", "5", "--n-features", "8",
+            "--out", str(workdir / "afile" / "data.soco"),
+        )
+    elif verb == "eval":
+        proc = run_cli_process(
+            "eval", "--metric", "deletion", "--dataset", str(workdir / "data.soco"),
+            "--out", str(workdir / "missing" / "c.json"),
+        )
+    else:
+        cfg = {
+            "output_dir": "afile/out",
+            "dataset": {"path": "data.soco"},
+            "maps": {"source": "maps.soco"},
+            "metrics": {"deletion": {}},
+        }
+        (workdir / "exp.json").write_text(json.dumps(cfg))
+        before.append("exp.json")
+        proc = run_cli_process("run", "--config", str(workdir / "exp.json"))
+    assert no_traceback(proc, 4, "cannot write"), proc.stderr
+    assert sorted(p.name for p in workdir.rglob("*")) == sorted(before)

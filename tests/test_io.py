@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from soco import (
-    AttributionMap,
     DataError,
     Dataset,
     EvalCurve,
+    MapSet,
     TrialSummary,
     emit_plot_data,
     read_curve,
@@ -24,23 +24,20 @@ from soco.io import MAGIC, canonical_json, config_digest, dataset_digest
 def disk_dataset(rng):
     feats = rng.standard_normal((6, 9)).astype(np.float32).astype(np.float64)
     labels = rng.integers(0, 3, size=6)
-    return Dataset.from_arrays(feats, labels, n_classes=3)
+    return Dataset(feats, labels, n_classes=3)
 
 
 @pytest.fixture
 def grid_dataset(rng):
     feats = rng.standard_normal((4, 3, 5, 2)).astype(np.float32).astype(np.float64)
     labels = rng.integers(0, 2, size=4)
-    return Dataset.from_arrays(feats, labels, n_classes=2)
+    return Dataset(feats, labels, n_classes=2)
 
 
 def maps_for(dataset, rng):
-    out = []
-    for _ in dataset.samples:
-        raw = rng.random(dataset.feature_shape).astype(np.float32)
-        raw.flat[0] = 1.0
-        out.append(AttributionMap(raw.astype(np.float64), normalized=True))
-    return out
+    raw = rng.random((len(dataset),) + dataset.feature_shape).astype(np.float32)
+    raw.reshape(len(dataset), -1)[:, 0] = 1.0
+    return MapSet(raw, normalized=True)
 
 
 # -- dataset containers --------------------------------------------------------
@@ -56,9 +53,7 @@ def test_dataset_round_trip(tmp_path, disk_dataset, format):
     )
     np.testing.assert_array_equal(loaded.labels(), disk_dataset.labels())
     assert loaded.n_classes == disk_dataset.n_classes
-    assert [s.sample_id for s in loaded.samples] == [
-        s.sample_id for s in disk_dataset.samples
-    ]
+    np.testing.assert_array_equal(loaded.sample_ids, disk_dataset.sample_ids)
 
 
 def test_grid_dataset_round_trip(tmp_path, grid_dataset):
@@ -74,7 +69,7 @@ def test_grid_dataset_round_trip(tmp_path, grid_dataset):
 def test_round_trip_is_exact_from_second_write(tmp_path, rng):
     # first write quantizes doubles to f32; rewriting the loaded copy is exact
     feats = rng.standard_normal((5, 4))
-    ds = Dataset.from_arrays(feats, np.zeros(5, dtype=int), n_classes=2)
+    ds = Dataset(feats, np.zeros(5, dtype=int), n_classes=2)
     first = tmp_path / "a.soco"
     second = tmp_path / "b.soco"
     write_dataset(ds, first)
@@ -135,16 +130,15 @@ def test_maps_round_trip(tmp_path, disk_dataset, rng, format):
     path = tmp_path / "maps.soco"
     write_maps(maps, path, dataset=disk_dataset, format=format)
     loaded = read_maps(path, dataset=disk_dataset)
-    assert len(loaded) == len(maps)
-    for a, b in zip(loaded, maps):
-        np.testing.assert_array_equal(a.values, b.values)
+    assert isinstance(loaded, MapSet) and len(loaded) == len(maps)
+    np.testing.assert_array_equal(loaded.values, maps.values)
 
 
 def test_maps_digest_mismatch(tmp_path, disk_dataset, rng):
     maps = maps_for(disk_dataset, rng)
     path = tmp_path / "maps.soco"
     write_maps(maps, path, dataset=disk_dataset)
-    other = Dataset.from_arrays(
+    other = Dataset(
         disk_dataset.feature_matrix() + 1.0, disk_dataset.labels(), n_classes=3
     )
     with pytest.raises(DataError, match="different dataset"):
@@ -154,7 +148,7 @@ def test_maps_digest_mismatch(tmp_path, disk_dataset, rng):
 def test_maps_count_mismatch(tmp_path, disk_dataset, rng):
     maps = maps_for(disk_dataset, rng)
     path = tmp_path / "maps.soco"
-    write_maps(maps[:4], path)
+    write_maps(MapSet(maps.values[:4]), path)
     with pytest.raises(DataError, match="4 maps for 6 samples"):
         read_maps(path, dataset=disk_dataset)
 
@@ -169,18 +163,18 @@ def test_maps_without_dataset_skip_alignment(tmp_path, disk_dataset, rng):
 
 def test_maps_refuse_empty(tmp_path):
     with pytest.raises(DataError, match="no maps"):
-        write_maps([], tmp_path / "empty.soco")
+        write_maps(MapSet(np.zeros((0, 3))), tmp_path / "empty.soco")
 
 
 # -- digests -----------------------------------------------------------------------
 
 
 def test_dataset_digest_tracks_content(disk_dataset):
-    same = Dataset.from_arrays(
+    same = Dataset(
         disk_dataset.feature_matrix(), disk_dataset.labels(), n_classes=3
     )
     assert dataset_digest(same) == dataset_digest(disk_dataset)
-    moved = Dataset.from_arrays(
+    moved = Dataset(
         disk_dataset.feature_matrix() * 2.0, disk_dataset.labels(), n_classes=3
     )
     assert dataset_digest(moved) != dataset_digest(disk_dataset)

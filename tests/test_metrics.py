@@ -7,21 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soco import (
-    AttributionMap,
     CompletenessConfig,
     ConfigError,
     DataError,
     Dataset,
     EvalCurve,
     Imputer,
+    MapSet,
     MlpModel,
     MlpWeights,
     SoundnessConfig,
     align_soundness,
     auc,
     completeness_curve,
-    mask_by_ratio,
-    mask_by_threshold,
     normalize_attribution,
     order_based_curve,
     road_curve,
@@ -29,7 +27,7 @@ from soco import (
     substream,
 )
 from soco import metrics
-from soco.core import Sample, accuracy_from_probs
+from soco.core import accuracy_from_probs
 from soco.metrics import (
     DEFAULT_FRACTIONS,
     DEFAULT_MASK_RATIOS,
@@ -40,6 +38,8 @@ from soco.metrics import (
 from soco.models import Layer
 from soco.perturb import impute_grid, round_half_away
 
+from per_sample import mask_by_ratio, mask_by_threshold
+
 COARSE_RATIOS = tuple(round(0.95 - 0.1 * i, 2) for i in range(10))  # 0.95 .. 0.05
 
 
@@ -48,7 +48,8 @@ COARSE_RATIOS = tuple(round(0.95 - 0.1 * i, 2) for i in range(10))  # 0.95 .. 0.
 
 def naive_soundness(model, dataset, maps, ratios, epsilon, weighting, noise_std, seed):
     """Literal per-sample implementation with Python sets, no vectorization."""
-    n = len(dataset.samples)
+    n = len(dataset)
+    feats = dataset.feature_matrix()
     noise = np.zeros((n, dataset.n_features))
     if noise_std:
         noise = noise_std * substream(seed, "noise").standard_normal(noise.shape)
@@ -61,7 +62,7 @@ def naive_soundness(model, dataset, maps, ratios, epsilon, weighting, noise_std,
         included = []
         for i, attr in enumerate(maps):
             mask = mask_by_ratio(attr, m)
-            x = np.where(mask, dataset.feature_means, dataset.samples[i].features)
+            x = np.where(mask, dataset.feature_means, feats[i])
             filled.append(x + noise[i] * mask)
             included.append(set(np.flatnonzero(~mask)))
         s_m = accuracy_from_probs(
@@ -147,8 +148,9 @@ def test_gt_soundness_saturates_at_one(step_model, small_dataset, gt_maps):
 
 
 def test_soundness_skips_zero_maps_with_warning(step_model, small_dataset, gt_maps):
-    maps = list(gt_maps)
-    maps[3] = AttributionMap(np.zeros(small_dataset.n_features), normalized=True)
+    values = gt_maps.values.copy()
+    values[3] = 0.0
+    maps = MapSet(values, normalized=True)
     cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS)
     with pytest.warns(UserWarning, match="all-zero"):
         curve = soundness_curve(step_model, small_dataset, maps, cfg)
@@ -176,7 +178,7 @@ def test_soundness_ratio_grid_must_leave_features(step_model):
 
 def test_soundness_map_count_mismatch(step_model, small_dataset, gt_maps):
     with pytest.raises(DataError, match="one attribution map per sample"):
-        soundness_curve(step_model, small_dataset, gt_maps[:-1])
+        soundness_curve(step_model, small_dataset, MapSet(gt_maps.values[:-1]))
 
 
 def test_soundness_config_validation():
@@ -224,23 +226,21 @@ def test_completeness_matches_forward_pass_oracle(step_model, small_dataset, gt_
 
 
 def test_completeness_zero_maps_drop_nothing(step_model, small_dataset):
-    zeros = [
-        AttributionMap(np.zeros(small_dataset.n_features), normalized=True)
-        for _ in small_dataset.samples
-    ]
+    zeros = MapSet(np.zeros((len(small_dataset), small_dataset.n_features)), normalized=True)
     curve = completeness_curve(step_model, small_dataset, zeros)
     assert all(y == 0.0 for y in curve.ys())
 
 
 def test_completeness_removed_sets_shrink_with_threshold(small_dataset, gt_maps):
-    # inherited mask antitonicity, checked through the public mask op
-    for attr in gt_maps[:5]:
-        prev = None
-        for t in (0.1, 0.5, 0.9):
-            cur = mask_by_threshold(attr, t)
-            if prev is not None:
-                assert not np.any(cur & ~prev)
-            prev = cur
+    # mask antitonicity, checked through the masks completeness builds
+    values = gt_maps.values[:5]
+    prev = None
+    for t in (0.1, 0.5, 0.9):
+        cur = metrics._masks(-values, -t, values.shape)
+        assert np.array_equal(cur, values > t)
+        if prev is not None:
+            assert not np.any(cur & ~prev)
+        prev = cur
 
 
 def test_completeness_meta_has_clean_accuracy(step_model, small_dataset, gt_maps):
@@ -287,7 +287,7 @@ def test_insertion_fraction_one_is_clean_accuracy(step_model, small_dataset, gt_
 
 
 def test_order_curve_sees_only_rankings(step_model, small_dataset, gt_maps):
-    cubed = [normalize_attribution(m.values**3) for m in gt_maps]
+    cubed = normalize_attribution(gt_maps.values**3)
     for order in ("MoRF", "LeRF"):
         a = order_based_curve(
             step_model, small_dataset, gt_maps, mode="deletion", order=order
@@ -330,10 +330,8 @@ def test_road_is_deletion_with_mean_on_tabular(step_model, small_dataset, gt_map
 def test_road_uses_neighbor_solve_on_grids(rng):
     feats = rng.standard_normal((8, 4, 4, 1))
     labels = (feats.sum(axis=(1, 2, 3)) > 0).astype(int)
-    ds = Dataset.from_arrays(feats, labels, n_classes=2)
-    maps = [
-        normalize_attribution(np.abs(feats[i])) for i in range(8)
-    ]
+    ds = Dataset(feats, labels, n_classes=2)
+    maps = normalize_attribution(np.abs(feats))
     weights = MlpWeights(
         layers=(Layer(weight=rng.standard_normal((2, 16)), bias=np.zeros(2)),),
         n_classes=2,
@@ -393,7 +391,7 @@ def literal_accuracy(model, dataset, features, labels, masks, imputer, noise):
 def literal_noise(dataset, imputer, seed):
     if imputer.noise_std == 0.0:
         return None
-    shape = (len(dataset.samples),) + dataset.feature_shape
+    shape = (len(dataset),) + dataset.feature_shape
     return imputer.noise_std * substream(seed, "noise").standard_normal(shape)
 
 
@@ -531,14 +529,10 @@ def sweep_problems(draw):
     raw.reshape(n, d)[0, 0] = 4  # at least one map with mass
     if n > 1 and draw(st.booleans()):
         raw[1] = 0  # an all-zero map, which soundness skips
-    maps = [normalize_attribution(r.astype(np.float64)) for r in raw]
+    maps = normalize_attribution(raw.astype(np.float64))
     n_classes = 3
     labels = rng.integers(0, n_classes, n)
-    ds = Dataset(
-        samples=tuple(Sample(feats[i], int(labels[i]), i) for i in range(n)),
-        n_classes=n_classes,
-        feature_means=feats.mean(axis=0),
-    )
+    ds = Dataset(feats, labels, n_classes=n_classes)
     layer = Layer(weight=rng.standard_normal((n_classes, d)), bias=rng.standard_normal(n_classes))
     model = MlpModel(MlpWeights(layers=(layer,), n_classes=n_classes))
     noise_std = draw(st.sampled_from((0.0, 0.5)))
@@ -645,8 +639,8 @@ def pool_problem(rng, n=2 * POOL_THREADS + 1, shape=(6, 5, 3)):
     masks[1] = True
     masks[2] = False
     labels = (feats.sum(axis=(1, 2, 3)) > 0).astype(int)
-    ds = Dataset.from_arrays(feats, labels, n_classes=2)
-    maps = [normalize_attribution(np.abs(f) * (rng.random(shape) < 0.7)) for f in feats]
+    ds = Dataset(feats, labels, n_classes=2)
+    maps = normalize_attribution(np.abs(feats) * (rng.random((n,) + shape) < 0.7))
     layer = Layer(weight=rng.standard_normal((2, feats[0].size)), bias=np.zeros(2))
     return ds, masks, maps, MlpModel(MlpWeights(layers=(layer,), n_classes=2))
 

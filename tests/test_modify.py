@@ -1,83 +1,86 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soco import (
-    AttributionMap,
     ConfigError,
     DataError,
+    MapSet,
     ModScheme,
+    OracleInfo,
     apply_scheme,
-    craft_pooling,
-    craft_rect,
-    modify_constant,
-    modify_partial,
-    modify_random,
     normalize_attribution,
     oracle_info,
-    synth_introduce,
-    synth_remove,
 )
+from soco.modify import DIRECTIONS, SCHEME_KINDS
+
+from per_sample import apply_scheme_per_map, per_map_oracles
 
 
 def amap(values):
-    return AttributionMap(np.asarray(values, dtype=float), normalized=True)
+    """A one-map set."""
+    return MapSet(np.asarray(values, dtype=float)[None], normalized=True)
+
+
+def apply_one(values, oracle=None, **scheme):
+    """apply_scheme on a one-map set; the map's stream is keyed by index 0."""
+    return apply_scheme(amap(values), ModScheme(**scheme), oracle).values[0]
 
 
 # -- constant shift ----------------------------------------------------------------
 
 
 def test_constant_remove_shifts_and_clips():
-    out = modify_constant(amap([0.9, 0.5, 0.1]), 0.6, "remove")
-    np.testing.assert_allclose(out.values, [0.3, 0.0, 0.0], atol=1e-12)
+    out = apply_one([0.9, 0.5, 0.1], kind="constant", magnitude=0.6)
+    np.testing.assert_allclose(out, [0.3, 0.0, 0.0], atol=1e-12)
 
 
 def test_constant_introduce_clips_at_one():
-    out = modify_constant(amap([0.9, 0.5, 0.0]), 0.6, "introduce")
-    np.testing.assert_allclose(out.values, [1.0, 1.0, 0.6], atol=1e-12)
+    out = apply_one([0.9, 0.5, 0.0], kind="constant", direction="introduce", magnitude=0.6)
+    np.testing.assert_allclose(out, [1.0, 1.0, 0.6], atol=1e-12)
 
 
 def test_constant_preserves_interior_order():
-    vals = np.array([0.95, 0.8, 0.7, 0.65])
-    out = modify_constant(amap(vals), 0.3, "remove")
-    assert np.all(np.diff(out.values) < 0)  # strictly decreasing stays so
+    out = apply_one([0.95, 0.8, 0.7, 0.65], kind="constant", magnitude=0.3)
+    assert np.all(np.diff(out) < 0)  # strictly decreasing stays so
 
 
 def test_constant_rejects_bad_direction():
     with pytest.raises(ConfigError):
-        modify_constant(amap([0.5]), 0.1, "sideways")
+        ModScheme(kind="constant", direction="sideways")
 
 
 # -- random shift ------------------------------------------------------------------
 
 
 def test_random_zero_span_is_identity():
-    m = amap([0.2, 0.7, 1.0])
-    out = modify_random(m, 0.0, 0.0, seed=3)
-    np.testing.assert_array_equal(out.values, m.values)
+    vals = [0.2, 0.7, 1.0]
+    out = apply_one(vals, kind="random", magnitude=0.0, seed=3)
+    np.testing.assert_array_equal(out, vals)
 
 
 def test_random_remove_never_increases():
-    m = amap(np.linspace(0, 1, 50))
-    out = modify_random(m, -0.6, 0.0, seed=11)
-    assert np.all(out.values <= m.values + 1e-15)
-    assert np.any(out.values < m.values)
+    vals = np.linspace(0, 1, 50)
+    out = apply_one(vals, kind="random", magnitude=0.6, seed=11)
+    assert np.all(out <= vals + 1e-15)
+    assert np.any(out < vals)
 
 
 def test_random_shift_mean_matches_span():
     # all-ones map and span [-0.6, 0] never clip, so the mean shift is -0.3
-    n = 100_000
-    m = amap(np.full(n, 1.0))
-    out = modify_random(m, -0.6, 0.0, seed=0)
-    assert np.mean(m.values - out.values) == pytest.approx(0.3, abs=0.01)
+    out = apply_one(np.full(100_000, 1.0), kind="random", magnitude=0.6, seed=0)
+    assert np.mean(1.0 - out) == pytest.approx(0.3, abs=0.01)
 
 
 def test_random_is_seed_deterministic():
-    m = amap(np.linspace(0, 1, 20))
-    a = modify_random(m, 0.1, 0.5, seed=9)
-    b = modify_random(m, 0.1, 0.5, seed=9)
-    c = modify_random(m, 0.1, 0.5, seed=10)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert np.any(a.values != c.values)
+    vals = np.linspace(0, 1, 20)
+    scheme = dict(kind="random", direction="introduce", magnitude=0.4)
+    a = apply_one(vals, seed=9, **scheme)
+    b = apply_one(vals, seed=9, **scheme)
+    c = apply_one(vals, seed=10, **scheme)
+    np.testing.assert_array_equal(a, b)
+    assert np.any(a != c)
 
 
 # -- partial bands -----------------------------------------------------------------
@@ -85,59 +88,66 @@ def test_random_is_seed_deterministic():
 
 def test_partial_remove_zeroes_upper_band():
     vals = np.linspace(0.05, 1.0, 10)  # rank i holds vals[i]
-    out = modify_partial(amap(vals), "remove")
+    out = apply_one(vals, kind="partial")
     # ranks 6 and 7 of ten features fall in the (0.6, 0.8] band
-    assert out.values[6] == 0.0
-    assert out.values[7] == 0.0
+    assert out[6] == 0.0
+    assert out[7] == 0.0
     kept = [i for i in range(10) if i not in (6, 7)]
-    np.testing.assert_array_equal(out.values[kept], vals[kept])
+    np.testing.assert_array_equal(out[kept], vals[kept])
 
 
 def test_partial_introduce_raises_lower_band():
     vals = np.linspace(0.05, 1.0, 10)
     q = np.quantile(vals, 0.8)
-    out = modify_partial(amap(vals), "introduce")
-    changed = out.values != vals
+    out = apply_one(vals, kind="partial", direction="introduce")
+    changed = out != vals
     assert changed[:4].all() and not changed[4:].any()
-    assert np.all(out.values[:4] >= min(q, vals[3]) - 1e-12)
-    assert np.all(out.values <= 1.0)
+    assert np.all(out[:4] >= min(q, vals[3]) - 1e-12)
+    assert np.all(out <= 1.0)
 
 
 def test_partial_requires_enough_features():
     with pytest.raises(DataError, match="too small for partial"):
-        modify_partial(amap([0.1, 0.2, 0.3, 0.4]), "remove")
+        apply_one([0.1, 0.2, 0.3, 0.4], kind="partial")
 
 
 # -- synthetic remove --------------------------------------------------------------
 
 
 def test_synth_remove_zero_fraction_is_identity():
-    m = amap([0.0, 0.4, 0.8, 1.0])
-    out = synth_remove(m, 0.0, seed=1)
-    np.testing.assert_array_equal(out.values, m.values)
+    vals = [0.0, 0.4, 0.8, 1.0]
+    out = apply_one(vals, kind="synth_remove", fraction=0.0, seed=1)
+    np.testing.assert_array_equal(out, vals)
 
 
 def test_synth_remove_zeroes_a_support_subset():
-    m = amap(np.linspace(0, 1, 40))
-    out = synth_remove(m, 0.5, seed=4)
-    support = m.values > 0
-    zeroed = (out.values == 0) & support
+    vals = np.linspace(0, 1, 40)
+    out = apply_one(vals, kind="synth_remove", fraction=0.5, seed=4)
+    support = vals > 0
+    zeroed = (out == 0) & support
     assert zeroed.sum() == round(0.5 * support.sum())
     untouched = ~zeroed
-    np.testing.assert_array_equal(out.values[untouched], m.values[untouched])
+    np.testing.assert_array_equal(out[untouched], vals[untouched])
 
 
 def test_synth_remove_renormalize_restores_unit_max():
-    m = amap(np.linspace(0, 1, 40))
-    out = synth_remove(m, 0.9, seed=4, renormalize=True)
-    assert out.values.max() == pytest.approx(1.0)
+    out = apply_one(np.linspace(0, 1, 40), kind="synth_remove", fraction=0.9, seed=4,
+                    renormalize=True)
+    assert out.max() == pytest.approx(1.0)
 
 
 def test_synth_remove_rejects_empty_support_and_full_removal():
     with pytest.raises(DataError, match="no positive support"):
-        synth_remove(amap([0.0, 0.0]), 0.3, seed=0)
+        apply_one([0.0, 0.0], kind="synth_remove", fraction=0.3)
     with pytest.raises(DataError, match="entire support"):
-        synth_remove(amap([0.5, 1.0]), 1.0, seed=0)
+        apply_one([0.5, 1.0], kind="synth_remove", fraction=1.0)
+    # the first map that fails is the one reported, as in a map-by-map loop
+    both = MapSet([[0.5, 1.0, 0.0], [0.0, 0.0, 0.0]], normalized=True)
+    with pytest.raises(DataError, match="entire support"):
+        apply_scheme(both, ModScheme(kind="synth_remove", fraction=0.9))
+    with pytest.raises(DataError, match="no positive support"):
+        apply_scheme(MapSet(both.values[::-1], normalized=True),
+                     ModScheme(kind="synth_remove", fraction=0.9))
 
 
 # -- synthetic introduce -----------------------------------------------------------
@@ -151,88 +161,33 @@ def tiny_world():
     return ds, ground_truth_attribution(ds), oracle_info(ds)
 
 
+def introduce(maps, oracles, fraction, magnitude, seed):
+    scheme = ModScheme(kind="synth_introduce", direction="introduce", fraction=fraction,
+                       magnitude=magnitude, seed=seed)
+    return apply_scheme(maps, scheme, oracles).values
+
+
 def test_synth_introduce_targets_uninformative_zeros(tiny_world):
     ds, maps, oracles = tiny_world
-    out = synth_introduce(maps[0], oracles[0], 0.5, 0.7, seed=2)
-    new = (out.values > 0) & (maps[0].values == 0)
+    out = introduce(maps, oracles, 0.5, 0.7, seed=2)
+    new = (out > 0) & (maps.values == 0)
     assert new.any()
-    assert not np.any(new & oracles[0].informative)
-    assert np.all(out.values[new] <= 0.7 / out.values.max() + 1e-12)
+    assert not np.any(new & oracles.informative)
+    peak = np.broadcast_to(out.max(axis=1, keepdims=True), out.shape)
+    assert np.all(out[new] <= 0.7 / peak[new] + 1e-12)
 
 
 def test_synth_introduce_keeps_existing_support(tiny_world):
     ds, maps, oracles = tiny_world
-    out = synth_introduce(maps[1], oracles[1], 0.4, 0.5, seed=6)
-    old = maps[1].values > 0
-    assert np.all(out.values[old] > 0)
+    out = introduce(maps, oracles, 0.4, 0.5, seed=6)
+    old = maps.values > 0
+    assert np.all(out[old] > 0)
 
 
 def test_synth_introduce_fraction_zero_changes_nothing(tiny_world):
     ds, maps, oracles = tiny_world
-    out = synth_introduce(maps[2], oracles[2], 0.0, 0.5, seed=6)
-    np.testing.assert_allclose(out.values, maps[2].values, atol=1e-12)
-
-
-# -- crafted shapes ----------------------------------------------------------------
-
-
-def test_craft_rect_single_pixel():
-    grid = np.zeros((5, 5, 1))
-    grid[2, 3, 0] = 1.0
-    out = craft_rect(AttributionMap(grid, normalized=True), (1, 1))
-    want = np.zeros((5, 5, 1))
-    want[2, 3, 0] = 1.0
-    np.testing.assert_array_equal(out.values, want)
-
-
-def test_craft_rect_centers_on_weighted_centroid():
-    grid = np.zeros((6, 6, 1))
-    grid[1, 1, 0] = 1.0
-    grid[5, 5, 0] = 1.0  # centroid -> (3, 3)
-    out = craft_rect(AttributionMap(grid, normalized=True), (2, 2))
-    assert out.values.sum() == 4.0
-    # even side at fractional center rounds toward the higher index
-    assert out.values[3:5, 3:5, 0].sum() == 4.0
-
-
-def test_craft_rect_clips_at_border():
-    grid = np.zeros((4, 4, 1))
-    grid[0, 0, 0] = 1.0
-    out = craft_rect(AttributionMap(grid, normalized=True), (3, 3))
-    assert out.values[:2, :2].sum() == out.values.sum() > 0
-
-
-def test_craft_rect_needs_mass():
-    with pytest.raises(DataError, match="undefined centroid"):
-        craft_rect(AttributionMap(np.zeros((3, 3, 1)), normalized=True), (1, 1))
-
-
-def test_craft_pooling_single_region_is_global_mean():
-    grid = np.arange(12, dtype=float).reshape(3, 4, 1) / 11.0
-    out = craft_pooling(AttributionMap(grid, normalized=True), 1)
-    np.testing.assert_allclose(out.values, np.full((3, 4, 1), grid.mean()))
-
-
-def test_craft_pooling_band_means():
-    col = np.arange(14, dtype=float).reshape(14, 1, 1) / 13.0
-    out = craft_pooling(AttributionMap(col, normalized=True), 7)
-    # 14 rows over 7 bands -> 2 rows each, means 0.5, 2.5, ... of the raw indices
-    want = np.repeat(np.arange(0.5, 14, 2.0) / 13.0, 2).reshape(14, 1, 1)
-    np.testing.assert_allclose(out.values, want)
-
-
-def test_craft_pooling_is_idempotent():
-    rng = np.random.default_rng(0)
-    grid = rng.random((9, 5, 2))
-    once = craft_pooling(AttributionMap(grid / grid.max(), normalized=True), 4)
-    twice = craft_pooling(once, 4)
-    np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
-
-
-def test_craft_pooling_rejects_excess_regions():
-    grid = np.ones((3, 3, 1))
-    with pytest.raises(ConfigError):
-        craft_pooling(AttributionMap(grid, normalized=True), 4)
+    out = introduce(maps, oracles, 0.0, 0.5, seed=6)
+    np.testing.assert_allclose(out, maps.values, atol=1e-12)
 
 
 # -- scheme application ------------------------------------------------------------
@@ -269,8 +224,14 @@ def test_apply_scheme_synth_introduce_needs_oracle(tiny_world):
     scheme = ModScheme(kind="synth_introduce", fraction=0.3, magnitude=0.5)
     with pytest.raises(ConfigError, match="oracle"):
         apply_scheme(maps, scheme)
+    short = OracleInfo(phi=oracles.phi[:-1], informative=oracles.informative[:-1])
     with pytest.raises(DataError, match="one oracle entry per map"):
-        apply_scheme(maps, scheme, oracle=oracles[:-1])
+        apply_scheme(maps, scheme, oracle=short)
+    narrow = OracleInfo(phi=oracles.phi[:, :-1], informative=oracles.informative[:, :-1])
+    with pytest.raises(DataError, match="oracle shape"):
+        apply_scheme(maps, scheme, oracle=narrow)
+    with pytest.raises(ConfigError, match="magnitude"):
+        apply_scheme(maps, ModScheme(kind="synth_introduce", magnitude=0.0), oracle=oracles)
     out = apply_scheme(maps, scheme, oracle=oracles)
     assert len(out) == len(maps)
 
@@ -289,3 +250,55 @@ def test_scheme_validation():
         ModScheme(kind="constant", direction="both")
     with pytest.raises(ConfigError):
         ModScheme(kind="synth_remove", fraction=1.5)
+
+
+# -- the stacked schemes against the per-map oracle --------------------------------
+
+
+@st.composite
+def scheme_problems(draw):
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 40)),)
+    else:
+        shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = (n,) + shape
+    # few distinct levels, so maps carry ties and exact zeros
+    density = draw(st.sampled_from((0.3, 0.9, 1.0)))
+    raw = rng.integers(0, 4, size=size) * (rng.random(size) < density)
+    raw.reshape(n, -1)[:, rng.integers(0, raw[0].size)] = 4  # mass in every map
+    if draw(st.integers(0, 3)) == 0:
+        raw[0] = 0  # an all-zero map
+    maps = normalize_attribution(raw.astype(np.float64))
+    phi = rng.standard_normal(size)
+    scheme = ModScheme(
+        kind=draw(st.sampled_from(SCHEME_KINDS)),
+        direction=draw(st.sampled_from(DIRECTIONS)),
+        magnitude=draw(st.sampled_from((-1.0, 0.0, 0.25, 1.0))),
+        fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0))),
+        seed=draw(st.integers(0, 1000)),
+        renormalize=draw(st.booleans()),
+    )
+    return maps, scheme, OracleInfo(phi=phi, informative=phi > 0)
+
+
+def outcome(run):
+    try:
+        return run()
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=800, deadline=None)
+@given(scheme_problems())
+def test_stacked_schemes_match_the_per_map_oracle(problem):
+    maps, scheme, oracle = problem
+    got = outcome(lambda: apply_scheme(maps, scheme, oracle).values)
+    want = outcome(lambda: np.stack(
+        [m.values for m in apply_scheme_per_map(maps, scheme, per_map_oracles(oracle))]
+    ))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()

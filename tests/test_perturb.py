@@ -7,27 +7,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from soco import (
-    AttributionMap,
+    CompletenessConfig,
     ConfigError,
     DataError,
+    Dataset,
     Imputer,
+    MapSet,
+    SoundnessConfig,
+    completeness_curve,
     generate_synthetic,
     impute_grid,
-    impute_tabular,
-    mask_by_ratio,
-    mask_by_threshold,
-    rank_features,
 )
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from soco.perturb import (
-    _neighbor_system,
-    _plane_system,
-    apply_imputer,
-    default_noise_std,
-    round_half_away,
-)
+from soco import metrics
+from soco.perturb import _neighbor_system, _plane_system, round_half_away
 
 # -- reference implementations (kept deliberately naive) ----------------------
 
@@ -118,19 +113,38 @@ def neighbor_average(values: np.ndarray, r: int, c: int) -> float:
     return acc / total_w
 
 
-# -- ranking and masking -------------------------------------------------------
+# -- ranking and masking, as the metrics' sweep builds them ---------------------
+
+
+def rank_of(values):
+    """Flat feature indices of one map by ascending value, ties by index."""
+    return metrics._order(np.asarray(values, dtype=np.float64)[None])[0]
+
+
+def ratio_mask(values, ratio):
+    """The sweep's mask of one map at a mask ratio: its round(ratio * d)
+    lowest-ranked features."""
+    v = np.asarray(values, dtype=np.float64)[None]
+    ranks = metrics._ranks(metrics._order(v))
+    return metrics._masks(ranks, round_half_away(ratio * v.shape[1]), v.shape)[0]
+
+
+def threshold_mask(values, t):
+    """Completeness's mask of one map: the features attributed above t."""
+    v = np.asarray(values, dtype=np.float64)[None]
+    return metrics._masks(-v, -t, v.shape)[0]
 
 
 def test_rank_features_examples():
-    assert rank_features(AttributionMap(np.array([0.3, 0.1, 0.2]))).tolist() == [1, 2, 0]
-    assert rank_features(AttributionMap(np.array([0.5, 0.5]))).tolist() == [0, 1]
+    assert rank_of([0.3, 0.1, 0.2]).tolist() == [1, 2, 0]
+    assert rank_of([0.5, 0.5]).tolist() == [0, 1]
 
 
 @given(hnp.arrays(np.float64, st.integers(2, 30), elements=st.floats(0, 1)))
 def test_rank_permutation_equivariance(values):
-    base = rank_features(AttributionMap(values))
+    base = rank_of(values)
     perm = np.random.default_rng(0).permutation(values.size)
-    permuted = rank_features(AttributionMap(values[perm]))
+    permuted = rank_of(values[perm])
     # permuted map must rank feature perm[j] wherever the original ranked j,
     # up to tie order; compare the sorted value sequences instead
     assert np.array_equal(values[perm][permuted], np.sort(values))
@@ -138,19 +152,19 @@ def test_rank_permutation_equivariance(values):
 
 
 def test_mask_by_ratio_examples():
-    m = AttributionMap(np.arange(10) / 10.0)
-    assert np.flatnonzero(mask_by_ratio(m, 0.3)).tolist() == [0, 1, 2]
-    assert not mask_by_ratio(m, 0.0).any()
-    assert mask_by_ratio(m, 1.0).all()
+    m = np.arange(10) / 10.0
+    assert np.flatnonzero(ratio_mask(m, 0.3)).tolist() == [0, 1, 2]
+    assert not ratio_mask(m, 0.0).any()
+    assert ratio_mask(m, 1.0).all()
     with pytest.raises(ConfigError):
-        mask_by_ratio(m, 1.5)
+        SoundnessConfig(mask_ratios=(1.5,))
 
 
 def test_mask_by_threshold_examples():
-    m = AttributionMap(np.array([0.2, 0.95, 0.5]), normalized=True)
-    assert np.flatnonzero(mask_by_threshold(m, 0.9)).tolist() == [1]
-    assert not mask_by_threshold(m, 1.0).any()
-    assert mask_by_threshold(m, 0.0).all()  # strictly positive map
+    m = np.array([0.2, 0.95, 0.5])
+    assert np.flatnonzero(threshold_mask(m, 0.9)).tolist() == [1]
+    assert not threshold_mask(m, 1.0).any()
+    assert threshold_mask(m, 0.0).all()  # strictly positive map
 
 
 @given(
@@ -160,9 +174,8 @@ def test_mask_by_threshold_examples():
 )
 def test_threshold_masks_antitone(values, t1, t2):
     t1, t2 = min(t1, t2), max(t1, t2)
-    m = AttributionMap(values, normalized=True)
-    high = mask_by_threshold(m, t2)
-    low = mask_by_threshold(m, t1)
+    high = threshold_mask(values, t2)
+    low = threshold_mask(values, t1)
     assert not np.any(high & ~low)  # mask(t2) subset of mask(t1)
 
 
@@ -173,9 +186,8 @@ def test_threshold_masks_antitone(values, t1, t2):
 )
 def test_ratio_masks_monotone(values, m1, m2):
     m1, m2 = min(m1, m2), max(m1, m2)
-    amap = AttributionMap(values, normalized=True)
-    small = mask_by_ratio(amap, m1)
-    big = mask_by_ratio(amap, m2)
+    small = ratio_mask(values, m1)
+    big = ratio_mask(values, m2)
     assert not np.any(small & ~big)
 
 
@@ -189,20 +201,28 @@ def test_round_half_away():
 # -- imputation ----------------------------------------------------------------
 
 
+def mean_fill(features, masks):
+    """The metrics' mean fill of a tabular batch, with the batch's own means."""
+    ds = Dataset(features, np.zeros(len(features)), n_classes=2)
+    return metrics._fill(features, np.asarray(masks), Imputer(kind="mean"), ds, None)
+
+
 def test_impute_tabular_examples():
-    out = impute_tabular(
-        np.array([1.0, 2.0]), np.array([True, False]), np.zeros(2)
-    )
-    assert out.tolist() == [0.0, 2.0]
-    x = np.array([3.0, 4.0])
-    assert np.array_equal(impute_tabular(x, np.zeros(2, bool), np.ones(2)), x)
-    means = np.array([9.0, 8.0])
-    assert np.array_equal(impute_tabular(x, np.ones(2, bool), means), means)
+    # means of the two rows below: (0, 2)
+    rows = np.array([[1.0, 2.0], [-1.0, 2.0]])
+    out = mean_fill(rows, [[True, False], [False, False]])
+    assert out.tolist() == [[0.0, 2.0], [-1.0, 2.0]]
+    assert np.array_equal(mean_fill(rows, np.zeros((2, 2), bool)), rows)
+    full = mean_fill(rows, np.ones((2, 2), bool))
+    assert np.array_equal(full, [[0.0, 2.0], [0.0, 2.0]])
 
 
-def test_impute_tabular_shape_mismatch():
-    with pytest.raises(DataError):
-        impute_tabular(np.zeros(3), np.zeros(2, bool), np.zeros(3))
+def test_impute_tabular_shape_mismatch(step_model, small_dataset):
+    # the masks come from the maps, so maps of another shape never reach the fill
+    wrong = MapSet(np.ones((len(small_dataset), small_dataset.n_features + 1)), normalized=True)
+    cfg = CompletenessConfig(imputer=Imputer(kind="mean"))
+    with pytest.raises(DataError, match="shape does not match"):
+        completeness_curve(step_model, small_dataset, wrong, cfg)
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (28, 28)])
@@ -253,7 +273,9 @@ def test_plane_system_matches_coo_assembly(shape, rng):
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])
 def test_impute_grid_ignores_memory_layout(shape, layout, noise_std, rng):
     # the solved planes are written through a view of the output; an input
-    # that is not C-ordered must not turn that view into a discarded copy
+    # that is not C-ordered must not turn that view into a discarded copy.
+    # Checked through the metrics' noisy-linear fill, which adds its
+    # pre-drawn noise to the solve.
     if layout == "fortran":
         grid = np.asfortranarray(rng.standard_normal(shape))
         mask = np.asfortranarray(rng.random(shape) < 0.4)
@@ -268,15 +290,22 @@ def test_impute_grid_ignores_memory_layout(shape, layout, noise_std, rng):
     if len(shape) == 3:
         mask[..., -1] = True  # a fully masked plane as well
     assert not grid.flags.c_contiguous and not mask.flags.c_contiguous
+    grid_set = Dataset(np.zeros((1, 2, 2, 1)), [0], n_classes=2)  # says "grid" to the fill
+    noise = noise_std * np.random.default_rng(3).standard_normal((1,) + grid.shape)
+    imputer = Imputer(kind="noisy_linear", noise_std=noise_std)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="fully masked grid")
-        got = impute_grid(grid, mask, noise_std, np.random.default_rng(3))
-        want = impute_grid(
-            np.ascontiguousarray(grid), np.ascontiguousarray(mask),
-            noise_std, np.random.default_rng(3),
+        got = impute_grid(grid, mask)
+        want = impute_grid(np.ascontiguousarray(grid), np.ascontiguousarray(mask))
+        got_fill = metrics._fill(grid[None], mask[None], imputer, grid_set, noise)
+        want_fill = metrics._fill(
+            np.ascontiguousarray(grid)[None], np.ascontiguousarray(mask)[None],
+            imputer, grid_set, noise,
         )
     assert np.array_equal(got, want)
     assert not np.array_equal(got[mask], grid[mask])
+    assert np.array_equal(got_fill, want_fill)
+    assert np.array_equal(got_fill[0][~mask], grid[~mask])
 
 
 def test_impute_grid_constant_field_fixed_point(rng):
@@ -318,7 +347,7 @@ def test_impute_grid_residual_property(rng):
 def test_impute_grid_preserves_unmasked(rng):
     grid = rng.standard_normal((6, 6))
     mask = rng.random((6, 6)) < 0.5
-    out = impute_grid(grid, mask, noise_std=0.7, rng=np.random.default_rng(0))
+    out = impute_grid(grid, mask)
     assert np.array_equal(out[~mask], grid[~mask])
 
 
@@ -338,25 +367,23 @@ def test_impute_grid_channels_independent(rng):
 
 
 def test_noise_only_on_masked_positions(rng):
-    x = rng.standard_normal(10)
-    mask = np.zeros(10, bool)
-    mask[:4] = True
-    out = impute_tabular(x, mask, np.zeros(10), noise_std=0.5, rng=np.random.default_rng(3))
+    x = rng.standard_normal((1, 10))
+    mask = np.zeros((1, 10), bool)
+    mask[0, :4] = True
+    ds = Dataset(np.zeros((2, 10)), [0, 1], n_classes=2)
+    noise = metrics._predrawn_noise(ds, Imputer(noise_std=0.5), 3, np.array([True, False]))
+    out = metrics._fill(x, mask, Imputer(kind="mean", noise_std=0.5), ds, noise)
     assert np.array_equal(out[~mask], x[~mask])
     assert not np.array_equal(out[mask], np.zeros(4))
 
 
 def test_noise_determinism():
-    x = np.zeros(6)
-    mask = np.ones(6, bool)
-    a = impute_tabular(x, mask, np.zeros(6), 1.0, np.random.default_rng(9))
-    b = impute_tabular(x, mask, np.zeros(6), 1.0, np.random.default_rng(9))
-    assert np.array_equal(a, b)
-
-
-def test_noise_without_rng_rejected():
-    with pytest.raises(ConfigError):
-        impute_tabular(np.zeros(3), np.ones(3, bool), np.zeros(3), noise_std=0.1)
+    ds = Dataset(np.zeros((3, 6)), [0, 1, 0], n_classes=2)
+    keep = np.array([True, False, True])
+    a = metrics._predrawn_noise(ds, Imputer(noise_std=1.0), 9, keep)
+    b = metrics._predrawn_noise(ds, Imputer(noise_std=1.0), 9, keep)
+    assert a.shape == (2, 6) and np.array_equal(a, b)
+    assert metrics._predrawn_noise(ds, Imputer(noise_std=0.0), 9, keep) is None
 
 
 class TestImputerDispatch:
@@ -368,26 +395,17 @@ class TestImputerDispatch:
 
     def test_zero_and_mean_on_tabular(self):
         ds = generate_synthetic(10, 4, seed=0)
-        x = ds.samples[0].features
-        mask = np.array([True, False, True, False])
-        zero = apply_imputer(x, mask, Imputer(kind="zero"), ds)
-        assert zero[0] == 0.0 and zero[2] == 0.0
-        mean = apply_imputer(x, mask, Imputer(kind="mean"), ds)
-        assert mean[0] == ds.feature_means[0]
+        x = ds.feature_matrix()[:1]
+        mask = np.array([[True, False, True, False]])
+        zero = metrics._fill(x, mask, Imputer(kind="zero"), ds, None)
+        assert zero[0, 0] == 0.0 and zero[0, 2] == 0.0
+        mean = metrics._fill(x, mask, Imputer(kind="mean"), ds, None)
+        assert mean[0, 0] == ds.feature_means[0]
+        assert mean[0, 1] == x[0, 1]
 
     def test_noisy_linear_rejects_tabular(self):
         ds = generate_synthetic(5, 4, seed=0)
         with pytest.raises(ConfigError):
-            apply_imputer(
-                ds.samples[0].features,
-                np.ones(4, bool),
-                Imputer(kind="noisy_linear"),
-                ds,
+            metrics._fill(
+                ds.feature_matrix(), np.ones((5, 4), bool), Imputer(kind="noisy_linear"), ds, None
             )
-
-
-def test_default_noise_std_is_range_fraction():
-    ds = generate_synthetic(20, 6, seed=1)
-    feats = ds.feature_matrix()
-    expected = 0.01 * (feats.max() - feats.min())
-    assert default_noise_std(ds) == pytest.approx(expected)

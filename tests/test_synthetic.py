@@ -5,13 +5,12 @@ from soco import (
     DataError,
     Dataset,
     LinearStepModel,
-    Sample,
-    accuracy,
+    MapSet,
     generate_synthetic,
     ground_truth_attribution,
     oracle_info,
 )
-from soco.synthetic import linear_step_predict
+from soco.core import accuracy_from_probs
 
 
 def test_generation_is_deterministic_and_order_free():
@@ -35,7 +34,7 @@ def test_reference_statistics_frozen():
     ds = generate_synthetic(1000, 200, seed=7)
     assert ds.labels().mean() == pytest.approx(0.508, abs=0)
     gt = ground_truth_attribution(ds)
-    mean_support = np.mean([m.support_mask().sum() for m in gt])
+    mean_support = np.count_nonzero(gt.values > 0, axis=1).mean()
     assert mean_support == pytest.approx(104.487, abs=1e-9)
 
 
@@ -58,52 +57,57 @@ def test_step_model_rejects_grids():
 
 def test_model_is_perfect_on_its_own_labels():
     ds = generate_synthetic(200, 20, seed=5)
-    assert accuracy(LinearStepModel(), ds.samples) == 1.0
+    probs = LinearStepModel().predict_probs(ds.feature_matrix())
+    assert accuracy_from_probs(probs, ds.labels()) == 1.0
 
 
 class TestGroundTruth:
     def test_maps_are_normalized_class_aligned_positives(self):
         ds = generate_synthetic(30, 12, seed=2)
-        for sample, attr in zip(ds.samples, ground_truth_attribution(ds)):
-            aligned = sample.features if sample.label == 1 else -sample.features
+        maps = ground_truth_attribution(ds)
+        assert isinstance(maps, MapSet) and maps.normalized and len(maps) == 30
+        for x, label, attr in zip(ds.feature_matrix(), ds.labels(), maps):
+            aligned = x if label == 1 else -x
             raw = np.maximum(aligned, 0.0)
-            assert np.allclose(attr.values, raw / raw.max())
-            assert attr.normalized
+            assert np.array_equal(attr.values, raw / raw.max())
 
     def test_inconsistent_label_rejected(self):
         feats = np.ones((1, 3))  # sum positive, so label must be 1
-        bad = Dataset.from_arrays(feats, [0], n_classes=2)
+        bad = Dataset(feats, [0], n_classes=2)
         with pytest.raises(DataError, match="inconsistent label for sample 0"):
             ground_truth_attribution(bad)
 
     def test_first_inconsistent_label_is_reported(self):
         feats = np.array([[1.0], [-1.0], [2.0], [3.0], [-2.0]])
-        bad = Dataset.from_arrays(feats, [1, 0, 0, 1, 1], n_classes=2)
+        bad = Dataset(feats, [1, 0, 0, 1, 1], n_classes=2)
         with pytest.raises(DataError, match="inconsistent label for sample 2$"):
             ground_truth_attribution(bad)
 
     def test_grid_dataset_rejected(self):
-        grid = Dataset.from_arrays(np.ones((2, 2, 2, 1)), [1, 1], n_classes=2)
+        grid = Dataset(np.ones((2, 2, 2, 1)), [1, 1], n_classes=2)
         with pytest.raises(DataError, match="tabular model"):
             ground_truth_attribution(grid)
+        with pytest.raises(DataError, match="tabular model"):
+            oracle_info(grid)
 
 
 class TestOracle:
     def test_informative_set_is_positive_contributions(self):
         ds = generate_synthetic(25, 9, seed=4)
-        for sample, info in zip(ds.samples, oracle_info(ds)):
-            aligned = sample.features if sample.label == 1 else -sample.features
-            assert np.array_equal(info.phi, aligned)
-            assert np.array_equal(info.informative, aligned > 0)
-            assert info.informative_mass() == pytest.approx(aligned[aligned > 0].sum())
+        info = oracle_info(ds)
+        assert info.phi.shape == info.informative.shape == (25, 9)
+        for x, label, phi, informative in zip(
+            ds.feature_matrix(), ds.labels(), info.phi, info.informative
+        ):
+            aligned = x if label == 1 else -x
+            assert np.array_equal(phi, aligned)
+            assert np.array_equal(informative, aligned > 0)
 
     def test_oracle_matches_ground_truth_support(self, small_dataset, gt_maps, oracle):
-        for attr, info in zip(gt_maps, oracle):
-            assert np.array_equal(attr.support_mask(), info.informative)
+        assert np.array_equal(gt_maps.values > 0, oracle.informative)
 
 
 def test_linear_step_predict_single_sample():
-    up = Sample(features=np.array([1.0, 2.0]), label=1, sample_id=0)
-    down = Sample(features=np.array([-1.0, -2.0]), label=0, sample_id=1)
-    assert linear_step_predict(up) == 1
-    assert linear_step_predict(down) == 0
+    model = LinearStepModel()
+    assert model.predict_probs(np.array([[1.0, 2.0]])).tolist() == [[0.0, 1.0]]
+    assert model.predict_probs(np.array([[-1.0, -2.0]])).tolist() == [[1.0, 0.0]]
