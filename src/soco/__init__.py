@@ -25,6 +25,7 @@ from .core import (
     Model,
     ModelBridgeError,
     SocoError,
+    WorkerError,
     normalize_attribution,
 )
 from .experiment import (
@@ -101,6 +102,7 @@ __all__ = [
     "TrialSummary",
     "ValidationResult",
     "ValidationSettings",
+    "WorkerError",
     "aggregate_trials",
     "align_soundness",
     "apply_scheme",

@@ -3,7 +3,7 @@
 Verbs mirror the library layers: data generation, attribution, map
 modification, single-metric evaluation, curve comparison, full config-driven
 runs, and plot-data export.  Exit codes: 0 success, 2 bad configuration or
-arguments, 3 model bridge failure, 4 bad data.
+arguments, 3 model bridge failure, 4 bad data, 5 a worker process died.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .analysis import CurveSet, min_pairwise_hausdorff, pairwise_hausdorff
-from .core import ConfigError, DataError, ModelBridgeError
+from .core import ConfigError, DataError, ModelBridgeError, WorkerError
 from .experiment import evaluate_metric, load_config, run_experiment
 from .io import (
     emit_plot_data,
@@ -233,6 +233,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

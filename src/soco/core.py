@@ -32,6 +32,10 @@ class DataError(SocoError):
     """Invalid data, maps, or files (CLI exit code 4)."""
 
 
+class WorkerError(SocoError):
+    """A worker process died before it reported its job (CLI exit code 5)."""
+
+
 TABULAR_NDIM = 1
 GRID_NDIM = 3
 

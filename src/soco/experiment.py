@@ -34,12 +34,15 @@ from __future__ import annotations
 import json
 import re
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, ContextManager, Optional, Union
 
 import numpy as np
 
+from . import parallel
 from ._version import __version__
 from .analysis import aggregate_trials
 from .core import ConfigError, Dataset, EvalCurve, MapSet, Model
@@ -113,9 +116,10 @@ class ExperimentConfig:
 
         Output location changes where results appear, never what they are,
         so two configs differing only there share a digest (and produce
-        byte-identical curve files).  The same holds for ``workers``: runs
-        are serial today, and the key is reserved for job-level parallelism,
-        which must not change a result either.
+        byte-identical curve files).  The same holds for ``workers``, the
+        most (variant, metric) jobs run at once, each on its own worker
+        process; the count is capped at the usable CPUs and never changes a
+        result.
         """
         content = {k: v for k, v in self.raw.items() if k not in ("workers", "output_dir")}
         return config_digest(content)
@@ -223,22 +227,27 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
     return parse_config(raw, base_dir=path.parent)
 
 
-def _build_model(cfg: ExperimentConfig):
-    """Returns (model, closer) where closer releases external resources."""
+def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
+    """What opens the run's model in each lane (see ``parallel.run_jobs``).
+
+    A builtin or MLP model is built here, once, so a bad weights file fails
+    before any lane starts, and the lanes share it.  An external model is
+    one server per lane, started on first use and closed when the lane ends.
+    """
     spec = cfg.model_spec
-    if "builtin" in spec:
-        return LinearStepModel(), lambda: None
-    if "mlp_weights" in spec:
-        return MlpModel(MlpWeights.from_json(cfg.base_dir / spec["mlp_weights"])), lambda: None
-    ext = spec["external"]
-    model = ExternalModel(
-        ExternalModelSpec(
+    if "external" in spec:
+        ext = spec["external"]
+        ext_spec = ExternalModelSpec(
             command=tuple(ext["command"]),
             timeout_s=float(ext.get("timeout_s", 30.0)),
             batch_limit=int(ext.get("batch_limit", 64)),
         )
-    )
-    return model, model.close
+        return lambda: ExternalModel(ext_spec)
+    if "builtin" in spec:
+        model = LinearStepModel()
+    else:
+        model = MlpModel(MlpWeights.from_json(cfg.base_dir / spec["mlp_weights"]))
+    return lambda: nullcontext(model)
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -328,50 +337,74 @@ class RunManifest:
         }
 
 
+def _sweep_length(metric: str, options: dict) -> int:
+    """The steps of one metric's sweep, the cost by which jobs are ordered."""
+    if metric == "soundness":
+        return len(options.get("mask_ratios", DEFAULT_MASK_RATIOS))
+    if metric == "completeness":
+        return len(options.get("thresholds", DEFAULT_THRESHOLDS))
+    return len(options.get("fractions", DEFAULT_FRACTIONS))
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute every (variant, metric) pair and write curves plus a manifest.
 
-    Curve files are deterministic given the master seed; the manifest is
-    written last so its presence marks a completed run.
+    The dataset, every variant's maps and the model are built first; only
+    then is the output directory made.  The (variant, metric) jobs run on up
+    to ``cfg.workers`` lanes, capped at the usable CPUs, longest sweep first
+    (``parallel.run_jobs``).  Curve files are deterministic given the master
+    seed, whatever the lane count; the manifest is written last so its
+    presence marks a completed run.
     """
     out_dir = cfg.output_dir
-    make_dir(out_dir)
     digest = cfg.digest()
 
     dataset = _build_dataset(cfg)
-    model, closer = _build_model(cfg)
-    try:
-        if cfg.map_source == "ground_truth":
-            base_maps = ground_truth_attribution(dataset)
-        else:
-            base_maps = read_maps(cfg.base_dir / cfg.map_source, dataset)
+    open_model = _model_opener(cfg)
+    if cfg.map_source == "ground_truth":
+        base_maps = ground_truth_attribution(dataset)
+    else:
+        base_maps = read_maps(cfg.base_dir / cfg.map_source, dataset)
+    needs_oracle = any(
+        s.kind == "synth_introduce" for pipe in cfg.variants.values() for s in pipe
+    )
+    oracle = oracle_info(dataset) if needs_oracle else None
+    variant_maps = {}
+    for variant, pipeline in sorted(cfg.variants.items()):
+        maps = base_maps
+        for scheme in pipeline:
+            maps = apply_scheme(maps, scheme, oracle)
+        variant_maps[variant] = maps
+    make_dir(out_dir)
 
-        needs_oracle = any(
-            s.kind == "synth_introduce" for pipe in cfg.variants.values() for s in pipe
+    def evaluate(model: Model, job: tuple) -> tuple:
+        variant, metric = job
+        started = time.perf_counter()
+        curve = evaluate_metric(
+            metric, cfg.metrics[metric], model, dataset, variant_maps[variant], cfg.seed
         )
-        oracle = oracle_info(dataset) if needs_oracle else None
+        return curve, time.perf_counter() - started
 
-        outputs: dict = {}
-        timings: dict = {}
-        skipped: dict = {}
-        for variant, pipeline in sorted(cfg.variants.items()):
-            maps = base_maps
-            for scheme in pipeline:
-                maps = apply_scheme(maps, scheme, oracle)
-            outputs[variant] = {}
-            for metric in sorted(cfg.metrics):
-                started = time.perf_counter()
-                curve = evaluate_metric(
-                    metric, cfg.metrics[metric], model, dataset, maps, cfg.seed
-                )
-                curve = replace(curve, config_digest=digest)
-                path = out_dir / f"{variant}.{metric}.curve.json"
-                write_curve(curve, path)
-                outputs[variant][metric] = str(path)
-                timings[f"{variant}/{metric}"] = time.perf_counter() - started
-                skipped[f"{variant}/{metric}"] = int(curve.meta.get("skipped", 0))
-    finally:
-        closer()
+    @contextmanager
+    def open_lane():
+        with open_model() as model:
+            yield partial(evaluate, model)
+
+    jobs = sorted(
+        ((variant, metric) for variant in variant_maps for metric in sorted(cfg.metrics)),
+        key=lambda job: -_sweep_length(job[1], cfg.metrics[job[1]]),
+    )
+    outputs: dict = {variant: {} for variant in variant_maps}
+    timings: dict = {}
+    skipped: dict = {}
+    for (variant, metric), (curve, seconds) in zip(
+        jobs, parallel.run_jobs(open_lane, jobs, cfg.workers)
+    ):
+        path = out_dir / f"{variant}.{metric}.curve.json"
+        write_curve(replace(curve, config_digest=digest), path)
+        outputs[variant][metric] = str(path)
+        timings[f"{variant}/{metric}"] = seconds
+        skipped[f"{variant}/{metric}"] = int(curve.meta.get("skipped", 0))
 
     manifest = RunManifest(
         config_digest=digest,
@@ -442,8 +475,10 @@ def run_validation(
     modifications (and the soundness imputation noise) from trial-keyed
     streams.  Completeness runs noiseless, so the unmodified maps'
     completeness curve is the same in every trial and is computed once.
-    Returns aggregate orderings; optionally writes per-method summaries
-    under ``out_dir``.
+    The (trial, method) jobs run on the usable CPUs (``parallel.run_jobs``);
+    each draws only from its own streams, so the result does not depend on
+    the CPU count.  Returns aggregate orderings; optionally writes
+    per-method summaries under ``out_dir``.
     """
     dataset = generate_synthetic(settings.n_samples, settings.n_features, settings.seed)
     model = LinearStepModel()
@@ -458,43 +493,49 @@ def run_validation(
     c_cfg = CompletenessConfig(
         thresholds=settings.thresholds, imputer=Imputer(kind="mean")
     )
-
     original_completeness = completeness_curve(model, dataset, gt, c_cfg)
+
+    def trial_job(job: tuple) -> tuple:
+        """Aligned soundness and, for modified maps, the completeness curve."""
+        trial, method = job
+        if method == "original":
+            maps = gt
+        elif method == "remove":
+            maps = apply_scheme(
+                gt,
+                ModScheme(kind="synth_remove", fraction=settings.remove_fraction, seed=trial),
+            )
+        else:
+            maps = apply_scheme(
+                gt,
+                ModScheme(
+                    kind="synth_introduce",
+                    direction="introduce",
+                    fraction=settings.introduce_fraction,
+                    magnitude=settings.introduce_magnitude,
+                    seed=trial,
+                ),
+                oracle,
+            )
+        s_curve = soundness_curve(model, dataset, maps, s_cfg, seed=settings.seed + trial)
+        c_curve = None if maps is gt else completeness_curve(model, dataset, maps, c_cfg)
+        return align_soundness(s_curve, settings.aligned_levels), c_curve
+
+    # the unmodified maps' jobs are the shortest (no modification, no
+    # completeness), so they go last and fill the lanes' tails
+    jobs = [(trial, method) for method in VALIDATION_METHODS[::-1] for trial in range(settings.n_trials)]
+    outcomes = parallel.run_jobs(
+        lambda: nullcontext(trial_job), jobs, parallel._usable_cpus()
+    )
     aligned: dict = {m: {lvl: [] for lvl in settings.aligned_levels} for m in VALIDATION_METHODS}
     completeness_curves: dict = {m: [] for m in VALIDATION_METHODS}
-    clean_accuracy = None
-
-    for trial in range(settings.n_trials):
-        remove = apply_scheme(
-            gt,
-            ModScheme(
-                kind="synth_remove", fraction=settings.remove_fraction, seed=trial
-            ),
-        )
-        introduce = apply_scheme(
-            gt,
-            ModScheme(
-                kind="synth_introduce",
-                direction="introduce",
-                fraction=settings.introduce_fraction,
-                magnitude=settings.introduce_magnitude,
-                seed=trial,
-            ),
-            oracle,
-        )
-        for method, maps in (("original", gt), ("remove", remove), ("introduce", introduce)):
-            s_curve = soundness_curve(
-                model, dataset, maps, s_cfg, seed=settings.seed + trial
-            )
-            for level, value in align_soundness(s_curve, settings.aligned_levels):
-                aligned[method][level].append(value)
-            if maps is gt:
-                c_curve = original_completeness
-            else:
-                c_curve = completeness_curve(model, dataset, maps, c_cfg)
-            completeness_curves[method].append(c_curve)
-            if clean_accuracy is None:
-                clean_accuracy = float(c_curve.meta["clean_accuracy"])
+    for (_, method), (levels, c_curve) in zip(jobs, outcomes):
+        for level, value in levels:
+            aligned[method][level].append(value)
+        completeness_curves[method].append(original_completeness if c_curve is None else c_curve)
+    clean_accuracy = (
+        float(original_completeness.meta["clean_accuracy"]) if settings.n_trials else None
+    )
 
     grid = sorted(settings.thresholds)
     summary_soundness = {

@@ -18,7 +18,6 @@ the modify module exists to demonstrate exactly that blindness.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import parallel
 from .core import (
     ConfigError,
     DataError,
@@ -148,13 +148,6 @@ def _constant_fill(imputer: Imputer, dataset: Dataset):
     return 0.0 if imputer.kind == "zero" else dataset.feature_means
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _impute_grids(features: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """``impute_grid`` on every sample, stacked in sample order.
 
@@ -166,7 +159,7 @@ def _impute_grids(features: np.ndarray, masks: np.ndarray) -> np.ndarray:
     sample the solves run inline: on one CPU a one-thread pool costs about
     0.15-0.2 ms more per call (one 28x28 sample: 0.93 against 1.16 ms).
     """
-    threads = min(_usable_cpus(), features.shape[0])
+    threads = min(parallel._usable_cpus(), features.shape[0])
     if threads <= 1:
         return np.stack([impute_grid(f, m) for f, m in zip(features, masks)])
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,9 +1,17 @@
 """Line-protocol model servers used by the bridge tests.
 
-Run as: python3 external_servers.py MODE [ARG]
+Run as: python3 external_servers.py MODE [ARG] [--pid-dir DIR]
+
+With ``--pid-dir DIR`` the server first creates an empty file named after
+its process id in DIR, so a test can check that every server it caused to
+start has been reaped.
 
 Modes:
     uniform        answer each request with uniform probabilities, in order
+    step           answer in order with one-hot probabilities of the step
+                   model: class 1 iff the row sums above 0
+    kill-parent    kill the process that started the server (SIGKILL) on
+                   the first request, then exit
     shuffle        buffer two requests, answer them in reversed order with
                    probabilities derived from each row's first value
     malformed      answer the first request with a non-JSON line
@@ -18,6 +26,7 @@ Modes:
 
 import json
 import os
+import signal
 import sys
 
 
@@ -43,12 +52,21 @@ def _content(req):
     return [[0.8, 0.2] if row[0] > 0.5 else [0.2, 0.8] for row in req["inputs"]]
 
 
+def _step(req):
+    return [[0.0, 1.0] if sum(row) > 0 else [1.0, 0.0] for row in req["inputs"]]
+
+
 def main() -> None:
-    mode = sys.argv[1]
+    args = sys.argv[1:]
+    if "--pid-dir" in args:
+        at = args.index("--pid-dir")
+        open(os.path.join(args[at + 1], str(os.getpid())), "w").close()
+        del args[at : at + 2]
+    mode = args[0]
     if mode == "always-crash":
         sys.exit(1)
     if mode == "crash-once":
-        sentinel = sys.argv[2]
+        sentinel = args[1]
         if not os.path.exists(sentinel):
             with open(sentinel, "w") as handle:
                 handle.write("crashed\n")
@@ -60,6 +78,13 @@ def main() -> None:
         while True:
             req = _read()
             _reply(req["id"], _uniform(req))
+    elif mode == "step":
+        while True:
+            req = _read()
+            _reply(req["id"], _step(req))
+    elif mode == "kill-parent":
+        _read()
+        os.kill(os.getppid(), signal.SIGKILL)
     elif mode == "shuffle":
         while True:
             first = _read()

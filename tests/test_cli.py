@@ -1,13 +1,15 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soco import read_curve, read_dataset, read_maps
+from soco import parallel, read_curve, read_dataset, read_maps
 from soco.cli import main
 
 SERVER = str(Path(__file__).parent / "external_servers.py")
@@ -399,6 +401,7 @@ def test_bad_weights_file_is_exit_2_without_traceback(workdir, verb, case):
         proc = run_cli_process("run", "--config", str(workdir / "exp.json"))
     assert no_traceback(proc, 2, "config error"), proc.stderr
     assert not (workdir / "c.json").exists()
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -448,3 +451,95 @@ def test_unwritable_output_is_exit_4_without_traceback(workdir, verb):
         proc = run_cli_process("run", "--config", str(workdir / "exp.json"))
     assert no_traceback(proc, 4, "cannot write"), proc.stderr
     assert sorted(p.name for p in workdir.rglob("*")) == sorted(before)
+
+
+# -- `soco run` on forked lanes ---------------------------------------------------
+
+needs_two_cpus = pytest.mark.skipif(
+    parallel._usable_cpus() < 2, reason="forked lanes need two usable CPUs"
+)
+
+
+def lane_config(workdir, workers, mode, maps="maps.soco", out="out"):
+    """A run_bridge-style config: containers, three variants, four metrics and
+    an external server that records its pid under workdir/pids."""
+    pids = workdir / "pids"
+    pids.mkdir(exist_ok=True)
+    cfg = {
+        "seed": 5,
+        "output_dir": out,
+        "workers": workers,
+        "dataset": {"path": "data.soco"},
+        "model": {"external": {
+            "command": [sys.executable, SERVER, mode, "--pid-dir", str(pids)],
+            "timeout_s": 10.0,
+        }},
+        "maps": {"source": maps, "variants": {
+            "original": [],
+            "remove": [{"kind": "synth_remove", "fraction": 0.3}],
+            "introduce": [{"kind": "synth_introduce", "direction": "introduce",
+                           "fraction": 0.3, "magnitude": 1.0}],
+        }},
+        "metrics": {"soundness": {}, "completeness": {}, "deletion": {}, "insertion": {}},
+    }
+    path = workdir / f"{out}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def unreaped_servers(workdir) -> list:
+    """Pids of recorded servers that still exist (running or unreaped)."""
+    alive = []
+    for entry in (workdir / "pids").iterdir():
+        try:
+            os.kill(int(entry.name), 0)
+        except ProcessLookupError:
+            continue
+        alive.append(int(entry.name))
+    return alive
+
+
+@needs_two_cpus
+def test_run_on_two_lanes_matches_one_lane_byte_for_byte(workdir):
+    for workers in (1, 2):
+        config = lane_config(workdir, workers, "step", out=f"w{workers}")
+        assert main(["run", "--config", str(config)]) == 0
+        assert multiprocessing.active_children() == []
+    assert len(list((workdir / "pids").iterdir())) == 3  # one server, then one per lane
+    assert unreaped_servers(workdir) == []
+    names = sorted(p.name for p in (workdir / "w1").glob("*.curve.json"))
+    assert len(names) == 12
+    for name in names:
+        assert (workdir / "w1" / name).read_bytes() == (workdir / "w2" / name).read_bytes()
+
+
+LANE_FAILURES = {
+    # case: (server mode, maps file, exit code, message prefix)
+    "server-dies-twice": ("always-crash", "maps.soco", 3, "model bridge error"),
+    "malformed-maps": ("step", "bad.json", 4, "data error"),
+    "lane-killed": ("kill-parent", "maps.soco", 5, "worker error"),
+}
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("in_process", [False, True], ids=["subprocess", "in-process"])
+@pytest.mark.parametrize("case", sorted(LANE_FAILURES))
+def test_lane_failures_keep_their_exit_codes_and_leave_nothing_running(
+    workdir, capfd, case, in_process
+):
+    mode, maps, code, prefix = LANE_FAILURES[case]
+    (workdir / "bad.json").write_text(json.dumps({"kind": "maps"}))
+    config = lane_config(workdir, 2, mode, maps=maps)
+    threads = threading.active_count()
+    if in_process:
+        rc = main(["run", "--config", str(config)])
+        err = capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+    else:
+        proc = run_cli_process("run", "--config", str(config))
+        rc, err = proc.returncode, proc.stderr
+    assert rc == code and "Traceback" not in err and prefix in err, err
+    assert not (workdir / "out" / "manifest.json").exists()
+    if case != "lane-killed":  # a killed lane cannot reap its server
+        assert unreaped_servers(workdir) == []

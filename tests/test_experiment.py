@@ -1,16 +1,23 @@
 import json
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
 
 from soco import (
     ConfigError,
+    MapSet,
     ValidationSettings,
     generate_synthetic,
+    ground_truth_attribution,
     load_config,
+    parallel,
     parse_config,
     run_experiment,
     run_validation,
+    write_dataset,
+    write_maps,
 )
 from soco.experiment import evaluate_metric
 from soco.io import dataset_digest
@@ -184,6 +191,35 @@ def test_worker_count_never_changes_results(tmp_path):
     assert a == b
 
 
+def test_lane_warnings_reach_the_caller(tmp_path):
+    dataset = generate_synthetic(20, 80, seed=3)
+    values = ground_truth_attribution(dataset).values.copy()
+    values[[2, 7]] = 0.0
+    write_dataset(dataset, tmp_path / "data.soco")
+    write_maps(MapSet(values), tmp_path / "maps.soco", dataset=dataset)
+    skipped = {}
+    for workers in (1, 2):
+        cfg = parse_config(
+            base_config(
+                output_dir=f"w{workers}",
+                workers=workers,
+                dataset={"path": "data.soco"},
+                maps={"source": "maps.soco", "variants": {"original": [], "again": []}},
+                metrics={"soundness": {"mask_ratios": [0.8, 0.5, 0.2]}, "deletion": {}},
+            ),
+            base_dir=tmp_path,
+        )
+        with pytest.warns(UserWarning, match="skipping 2 all-zero") as record:
+            skipped[workers] = run_experiment(cfg).skipped
+        assert len([w for w in record if "all-zero" in str(w.message)]) == 2
+    assert skipped[1] == skipped[2] == {
+        "again/deletion": 0,
+        "again/soundness": 2,
+        "original/deletion": 0,
+        "original/soundness": 2,
+    }
+
+
 def test_evaluate_metric_rejects_unknown(small_dataset, gt_maps, step_model):
     with pytest.raises(ConfigError, match="unknown metric"):
         evaluate_metric("fidelity", {}, step_model, small_dataset, gt_maps, 0)
@@ -225,3 +261,16 @@ def test_micro_validation_run(tmp_path):
     summary = json.loads((tmp_path / "val" / "validation_summary.json").read_text())
     assert summary["clean_accuracy"] == 1.0
     assert (tmp_path / "val" / "completeness.remove.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [7, 201])
+def test_validation_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, seed):
+    settings = ValidationSettings(seed=seed, n_trials=3)
+    pooled = run_validation(settings, out_dir=tmp_path / "pooled")
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    inline = run_validation(settings, out_dir=tmp_path / "inline")
+    # byte-equal pickles: every float, NaN included, and every array equal
+    assert pickle.dumps(pooled) == pickle.dumps(inline)
+    for name in ("validation_summary.json", "completeness.remove.csv"):
+        assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()

@@ -26,7 +26,7 @@ from soco import (
     soundness_curve,
     substream,
 )
-from soco import metrics
+from soco import metrics, parallel
 from soco.core import accuracy_from_probs
 from soco.metrics import (
     DEFAULT_FRACTIONS,
@@ -626,7 +626,7 @@ POOL_THREADS = 3
 @pytest.fixture()
 def pooled(monkeypatch):
     """Solve grids on POOL_THREADS threads, whatever CPUs this machine has."""
-    monkeypatch.setattr(metrics, "_usable_cpus", lambda: POOL_THREADS)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: POOL_THREADS)
 
 
 def pool_problem(rng, n=2 * POOL_THREADS + 1, shape=(6, 5, 3)):
