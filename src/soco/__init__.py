@@ -16,7 +16,6 @@ from .analysis import (
     pairwise_hausdorff,
 )
 from .core import (
-    AttributionMap,
     ConfigError,
     DataError,
     Dataset,
@@ -77,7 +76,6 @@ from .synthetic import (
 
 __all__ = [
     "__version__",
-    "AttributionMap",
     "CompletenessConfig",
     "ConfigError",
     "CurveSet",

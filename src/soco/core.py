@@ -48,15 +48,6 @@ def _check_shape(shape: tuple[int, ...]) -> None:
         raise DataError("empty feature array")
 
 
-def _check_attribution(values: np.ndarray, normalized: bool) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DataError("non-finite attribution")
-    if np.any(values < 0):
-        raise DataError("negative attribution value")
-    if normalized and values.max(initial=0.0) > 1.0 + 1e-12:
-        raise DataError("normalized map has values above 1")
-
-
 def _frozen(values) -> np.ndarray:
     """A read-only float64 copy, so no caller can change what was checked."""
     arr = np.array(values, dtype=np.float64, order="C")
@@ -135,33 +126,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class AttributionMap:
-    """One sample's non-negative per-feature attribution, optionally
-    max-normalized to [0, 1]; a row of a ``MapSet``."""
+    """One map of a ``MapSet``, as iterating the set yields it: a read-only
+    view of the map's row of ``values``."""
 
     values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        _check_shape(values.shape)
-        _check_attribution(values, self.normalized)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def flat(self) -> np.ndarray:
-        """Row-major flattened values; the canonical feature ordering."""
-        return self.values.reshape(-1)
 
 
 class MapSet:
     """The attribution maps of a whole dataset, one per sample.
 
     ``values`` is one read-only float64 ``(n, *feature_shape)`` array, checked
-    once: finite, non-negative, and at most 1 when ``normalized``.  ``len``
-    and integer indexing give the per-map ``AttributionMap`` rows.
+    once: finite, non-negative, and at most 1 when ``normalized``.
     """
 
     def __init__(self, values, normalized: bool = False) -> None:
@@ -169,18 +144,20 @@ class MapSet:
         _check_shape(arr.shape[1:])
         if arr.shape[0] == 0:
             raise DataError("no maps")
-        _check_attribution(arr, normalized)
+        if not np.all(np.isfinite(arr)):
+            raise DataError("non-finite attribution")
+        if np.any(arr < 0):
+            raise DataError("negative attribution value")
+        if normalized and arr.max(initial=0.0) > 1.0 + 1e-12:
+            raise DataError("normalized map has values above 1")
         self.values = arr
         self.normalized = normalized
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __getitem__(self, i: int) -> AttributionMap:
-        return AttributionMap(self.values[i], normalized=self.normalized)
-
     def __iter__(self) -> Iterator[AttributionMap]:
-        return (self[i] for i in range(len(self)))
+        return (AttributionMap(row) for row in self.values)
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
@@ -205,9 +182,6 @@ def normalize_attribution(values: Union[MapSet, np.ndarray]) -> MapSet:
     # dividing by one leaves an all-zero map exactly as it was
     peak = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (arr.ndim - 1))
     return MapSet(arr / peak, normalized=True)
-
-
-Mask = np.ndarray  # boolean array matching the feature shape; True = masked
 
 
 class Model(Protocol):

@@ -458,9 +458,6 @@ class ValidationResult:
     completeness: dict
     clean_accuracy: float
 
-    def soundness_means(self, method: str) -> dict:
-        return {lvl: stats[0] for lvl, stats in self.aligned_soundness[method].items()}
-
 
 VALIDATION_METHODS = ("original", "remove", "introduce")
 

@@ -14,15 +14,20 @@ Completeness removes high-attribution features above a threshold and
 reports the accuracy drop.  Order-based curves (deletion, insertion, ROAD)
 consume only the feature ranking, never the values; the pair of schemes in
 the modify module exists to demonstrate exactly that blindness.
+
+Every metric evaluates its nested masks through one engine, ``_sweep``,
+which takes each step as the features whose mask state changes: rank
+cut-offs for soundness and the order-based curves, thresholds for
+completeness.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from itertools import groupby
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain, pairwise
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -107,24 +112,6 @@ def _order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, axis=1, kind="stable")
 
 
-def _ranks(order: np.ndarray) -> np.ndarray:
-    """Each feature's position in its row of ``order`` (the inverse permutation)."""
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
-    return ranks
-
-
-def _masks(keys: np.ndarray, cut, shape: tuple) -> np.ndarray:
-    """One step's masks, in ``shape``: True where a feature's key is below ``cut``.
-
-    Ratio steps key the features by rank (``_ranks``) and cut at a count k,
-    masking the k first-ranked features of each row; threshold steps key
-    them by negated attribution and cut at -t, masking the features
-    attributed above t (negation is exact, so this is ``values > t``).
-    """
-    return (keys < cut).reshape(shape)
-
-
 def _predrawn_noise(
     dataset: Dataset, imputer: Imputer, seed: int, keep: np.ndarray
 ) -> Optional[np.ndarray]:
@@ -190,75 +177,101 @@ def _fill(
     return np.where(masks, fill, features)
 
 
+def _rank_steps(order: np.ndarray, ks: Sequence[int], mask_prefix: bool):
+    """``_sweep``'s start state and change sets for the cut-offs ``ks``.
+
+    At cut-off k the first k features of each row of ``order`` are masked
+    when ``mask_prefix`` is set (soundness, deletion, ROAD) and the other
+    d - k otherwise (insertion), so a step changes the features ranked
+    between the previous and the current cut-off.  The sweep starts from
+    whichever end state, all or none of the prefix, lies nearer ``ks[0]``.
+    """
+    n, d = order.shape
+    row_start = (np.arange(n) * d)[:, None]
+    k_start = d if 2 * ks[0] > d else 0
+    changes = (
+        ((order[:, min(a, b) : max(a, b)] + row_start).reshape(-1), (b > a) == mask_prefix)
+        for a, b in pairwise([k_start, *ks])
+    )
+    return (k_start == d) == mask_prefix, changes
+
+
+def _threshold_steps(values: np.ndarray, thresholds: Sequence[float]):
+    """``_sweep``'s start state and change sets for completeness.
+
+    Nothing is masked at first; an empty step gives the clean accuracy, and
+    each descending threshold t then masks the features newly above it, so
+    the masked set at t is ``values > t``.
+    """
+    unmasked = np.zeros(values.shape, dtype=bool)
+    above = chain([unmasked, unmasked], (values > t for t in thresholds))
+    return False, ((np.flatnonzero(cur & ~prev), True) for prev, cur in pairwise(above))
+
+
 def _sweep(
     model: Model,
     dataset: Dataset,
     features: np.ndarray,
     labels: np.ndarray,
-    order: np.ndarray,
-    ks: Sequence[int],
     imputer: Imputer,
     noise: Optional[np.ndarray],
-    mask_prefix: bool,
+    start_masked: bool,
+    changes: Iterable[tuple[np.ndarray, bool]],
 ) -> list[float]:
-    """Model accuracy at each cut-off k of a monotone sweep.
+    """Model accuracy at each step of a sweep of nested masks.
 
-    ``features`` and ``order`` are ``(n, d)``; row i's features are ranked
-    by ``order[i]``.  At cut-off k the first k ranked features are masked
-    when ``mask_prefix`` is set (soundness, deletion) and the other d - k
-    otherwise (insertion).  A k equal to the previous step's repeats that
-    step's mask and noise, so its accuracy is reused without a model call.
-    The distinct steps reach the model as one lazy iterable (``predict_many``),
-    so a pipelining model can overlap them.
+    ``features`` is ``(n, d)``.  Every feature starts masked or none does
+    (``start_masked``); each change set holds one step's flat indices into
+    the ``(n, d)`` mask and whether those features become masked.  A step
+    after the first whose change set is empty repeats the previous mask, so
+    its accuracy is reused without a model call.  The other steps reach the
+    model as one lazy iterable of read-only arrays (``predict_many``), so a
+    pipelining model can overlap them.
 
-    Zero and mean fills keep one ``(n, d)`` buffer and rewrite only the
-    features ranked between the previous and the current cut-off: newly
-    masked ones get fill plus noise, newly unmasked ones their own value.
-    The noisy-linear solve depends on the whole mask, so that fill is
-    rebuilt at every distinct step, its samples solved on threads up to the
-    usable CPUs (see ``_fill``); the curve is byte-identical to a serial
-    solve.  The model always gets a read-only array.
+    Zero and mean fills keep one ``(n, d)`` buffer, the fill of the start
+    mask, and rewrite only the changed entries.  The noisy-linear solve
+    depends on the whole mask, so that fill is redone from the maintained
+    mask at every step (see ``_fill``).
     """
     n, d = features.shape
     shape = (n,) + dataset.feature_shape
     if imputer.kind == "noisy_linear":
-        ranks = _ranks(order)
+        mask = np.full(n * d, start_masked)
 
-        def filled(k: int) -> np.ndarray:
-            prefix = _masks(ranks, k, shape)
-            masks = prefix if mask_prefix else ~prefix
-            out = _fill(features.reshape(shape), masks, imputer, dataset, noise)
+        def step(idx: np.ndarray, masked: bool) -> np.ndarray:
+            mask[idx] = masked
+            out = _fill(features.reshape(shape), mask.reshape(shape), imputer, dataset, noise)
             out.flags.writeable = False
             return out
 
     else:
-        replacement = np.broadcast_to(_constant_fill(imputer, dataset), shape)
+        # _fill of an all-True mask, without np.where's 1-2 ms on 1000 x 200
+        filled = np.broadcast_to(_constant_fill(imputer, dataset), shape)
         if noise is not None:
-            replacement = replacement + noise
-        masked_src = np.ascontiguousarray(replacement).reshape(-1)
-        open_src = features.reshape(-1)
-        row_start = (np.arange(n) * d)[:, None]
-        # start from whichever end state, all or none of the features in the
-        # prefix, lies nearer the first cut-off
-        k_prev = d if 2 * ks[0] > d else 0
-        start = masked_src if (k_prev == d) == mask_prefix else open_src
-        buf = start.copy()
+            filled = filled + noise
+        filled = filled.reshape(-1)
+        clean = features.reshape(-1)
+        buf = (filled if start_masked else clean).copy()
         view = buf.reshape(shape)
         view.flags.writeable = False
 
-        def filled(k: int) -> np.ndarray:
-            nonlocal k_prev
-            lo, hi = sorted((k, k_prev))
-            idx = (order[:, lo:hi] + row_start).reshape(-1)
-            src = masked_src if (k > k_prev) == mask_prefix else open_src
-            buf[idx] = src[idx]
-            k_prev = k
+        def step(idx: np.ndarray, masked: bool) -> np.ndarray:
+            buf[idx] = (filled if masked else clean)[idx]
             return view
 
-    runs = [(k, len(list(repeats))) for k, repeats in groupby(ks)]
-    probs = predict_many(model, (filled(k) for k, _ in runs))
-    accs = (accuracy_from_probs(p, labels) for p in probs)
-    return [acc for acc, (_, n_repeats) in zip(accs, runs) for _ in range(n_repeats)]
+    repeats: list[int] = []  # the steps each model call answers
+
+    def batches():
+        for idx, masked in changes:
+            if repeats and idx.size == 0:
+                repeats[-1] += 1
+            else:
+                repeats.append(1)
+                yield step(idx, masked)
+
+    # predict_many draws every batch, so ``repeats`` is complete once it ends
+    accs = [accuracy_from_probs(p, labels) for p in predict_many(model, batches())]
+    return [acc for acc, count in zip(accs, repeats) for _ in range(count)]
 
 
 def soundness_curve(
@@ -312,7 +325,7 @@ def soundness_curve(
         )
 
     accs = _sweep(
-        model, dataset, features, labels, order, ks, cfg.imputer, noise, mask_prefix=True
+        model, dataset, features, labels, cfg.imputer, noise, *_rank_steps(order, ks, True)
     )
     sweep: list[tuple[float, float, float]] = []
     false_mass = np.zeros(n)
@@ -377,22 +390,21 @@ def completeness_curve(
     cfg: Optional[CompletenessConfig] = None,
     seed: int = 0,
 ) -> EvalCurve:
-    """Accuracy drop when features attributed above each threshold are removed."""
+    """Accuracy drop when features attributed above each threshold are removed.
+
+    A threshold that masks the same features as the next higher one repeats
+    that step's accuracy without a model call.
+    """
     cfg = cfg or CompletenessConfig()
     values = _flat_maps(dataset, maps)
-    features = dataset.feature_matrix()
+    n, d = values.shape
+    features = dataset.feature_matrix().reshape(n, d)
     labels = dataset.labels()
-    n = values.shape[0]
     noise = _predrawn_noise(dataset, cfg.imputer, seed, np.ones(n, dtype=bool))
-    keys = -values
-    shape = (n,) + dataset.feature_shape
-
-    def steps():
-        yield features
-        for t in cfg.thresholds:
-            yield _fill(features, _masks(keys, -t, shape), cfg.imputer, dataset, noise)
-
-    s_0, *s_ts = (accuracy_from_probs(p, labels) for p in predict_many(model, steps()))
+    s_0, *s_ts = _sweep(
+        model, dataset, features, labels, cfg.imputer, noise,
+        *_threshold_steps(values, cfg.thresholds),
+    )
     pts = sorted((float(t), s_0 - s_t) for t, s_t in zip(cfg.thresholds, s_ts))
     return EvalCurve(
         metric_kind="completeness",
@@ -447,8 +459,8 @@ def order_based_curve(
     ks = [round_half_away(float(f) * d) for f in fr]
 
     accs = _sweep(
-        model, dataset, features, labels, ranking, ks, imputer, noise,
-        mask_prefix=(mode == "deletion"),
+        model, dataset, features, labels, imputer, noise,
+        *_rank_steps(ranking, ks, mode == "deletion"),
     )
     return EvalCurve(
         metric_kind=mode,
@@ -480,12 +492,7 @@ def road_curve(
         fractions=fractions,
         seed=seed,
     )
-    return EvalCurve(
-        metric_kind="road",
-        x_axis=base.x_axis,
-        points=base.points,
-        meta=dict(base.meta),
-    )
+    return replace(base, metric_kind="road")
 
 
 def auc(curve: EvalCurve) -> float:

@@ -4,9 +4,10 @@ An ``Imputer`` says how the metrics fill masked features: with zeros, with
 dataset means, or by solving the grid neighbor-average linear system
 (masked pixels become weighted averages of their 8-neighbors, direct
 neighbors weighted twice as heavily as diagonal ones), optionally plus
-Gaussian noise on the imputed entries only.  The masks and the zero and
-mean fills are built by the metrics' batched sweep; ``impute_grid`` solves
-one grid.  ``round_half_away`` turns every ratio into a feature count.
+Gaussian noise on the imputed entries only.  The metrics' sweep engine
+keeps the masks and the zero and mean fills, updating only the features a
+step changes; ``impute_grid`` solves one grid for the noisy-linear fill.
+``round_half_away`` turns every ratio into a feature count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from .core import ConfigError, DataError, Mask
+from .core import ConfigError, DataError
 
 IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
 
@@ -143,7 +144,7 @@ def _plane_system(
     return A, b
 
 
-def impute_grid(features: np.ndarray, mask: Mask) -> np.ndarray:
+def impute_grid(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Linear neighbor imputation on an (h, w) or (h, w, c) grid.
 
     Masked pixels satisfy x_p = sum_q W[p, q] * x_q with unmasked pixels as

@@ -41,7 +41,7 @@ from soco import (
 from soco import metrics
 from soco.perturb import round_half_away
 
-from per_sample import mask_by_ratio
+from per_sample import applied_masks, mask_by_ratio
 
 SMALL_RATIOS = tuple(round(0.9 - 0.1 * i, 1) for i in range(9))  # 0.9 .. 0.1
 
@@ -298,10 +298,10 @@ def test_a4_soundness_oracle_equivalence(record_criterion):
             # oracle's informative mass
             ratio = next(r for r, s, _ in curve.meta["sweep"] if s == level)
             per_sample = []
-            for m, informative in zip(maps, oracle.informative):
+            for m, informative in zip(maps.values, oracle.informative):
                 included = ~mask_by_ratio(m, ratio)
-                inc_mass = m.flat()[included].sum()
-                inf_mass = m.flat()[included & informative].sum()
+                inc_mass = m[included].sum()
+                inf_mass = m[included & informative].sum()
                 per_sample.append(inf_mass / inc_mass)
             analytic = float(np.mean(per_sample))
             worst = max(worst, abs(q - analytic))
@@ -527,8 +527,9 @@ def test_a8_determinism_and_worker_invariance(tmp_path, record_criterion):
 
 
 def test_a9_mask_properties(record_criterion):
-    # the masks and the fill are the metrics' own: the rank-prefix and
-    # threshold masks of metrics._masks, and the mean fill of metrics._fill
+    # the masks and the fill are the metrics' own: the masks come from
+    # applying the change sets of metrics._rank_steps and _threshold_steps in
+    # order, and the mean fill is metrics._fill
     record = record_criterion
     rng = np.random.default_rng(99)
     imputer = Imputer(kind="mean", noise_std=0.5)
@@ -536,25 +537,34 @@ def test_a9_mask_properties(record_criterion):
     for case in range(10_000):
         d = int(rng.integers(3, 41))
         values = (rng.random(d) * (rng.random(d) < 0.8))[None]
-        ranks = metrics._ranks(metrics._order(values))
-
-        def ratio_mask(ratio):
-            return metrics._masks(ranks, round_half_away(ratio * d), values.shape)
+        order = metrics._order(values)
+        ranks = np.argsort(order, axis=1)  # each feature's position in its order
 
         t_lo, t_hi = np.sort(rng.uniform(0.01, 0.99, size=2))
         if t_lo < t_hi:
             # higher threshold masks a subset of what a lower one masks
-            hi_mask = metrics._masks(-values, -t_hi, values.shape)
-            lo_mask = metrics._masks(-values, -t_lo, values.shape)
-            if np.any(hi_mask & ~lo_mask):
+            _, hi_mask, lo_mask = applied_masks(
+                *metrics._threshold_steps(values, (t_hi, t_lo)), d
+            )
+            if (
+                np.any(hi_mask & ~lo_mask)
+                or not np.array_equal(hi_mask, values[0] > t_hi)
+                or not np.array_equal(lo_mask, values[0] > t_lo)
+            ):
                 violations += 1
 
         r_lo, r_hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-        if np.any(ratio_mask(r_lo) & ~ratio_mask(r_hi)):
+        ks = [round_half_away(r_lo * d), round_half_away(r_hi * d)]
+        lo_mask, mask = applied_masks(*metrics._rank_steps(order, ks, True), d)
+        if (
+            np.any(lo_mask & ~mask)
+            or not np.array_equal(lo_mask, ranks[0] < ks[0])
+            or not np.array_equal(mask, ranks[0] < ks[1])
+        ):
             violations += 1
 
         feats = rng.standard_normal((1, d))
-        mask = ratio_mask(r_hi)
+        mask = mask[None]
         # the second row sets the dataset's means apart from the sample
         dataset = Dataset(np.concatenate([feats, rng.standard_normal((1, d))]), [0, 1], 2)
         noise = 0.5 * substream(9, "noise", case).standard_normal((1, d))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from soco import (
-    AttributionMap,
     ConfigError,
     DataError,
     Dataset,
@@ -101,13 +100,7 @@ class TestNormalizeAttribution:
 
 
 def test_attribution_map_invariants():
-    with pytest.raises(DataError):
-        AttributionMap(values=np.array([-0.1, 0.5]))
-    with pytest.raises(DataError):
-        AttributionMap(values=np.array([0.5, 1.5]), normalized=True)
-    # unnormalized maps may exceed 1
-    AttributionMap(values=np.array([0.5, 1.5]))
-    # a map set is checked the same way, once for the whole stack
+    # a map set is checked once, for the whole stack
     for values, normalized in (([[0.5, -0.1]], False), ([[0.5, 1.5]], True),
                                ([[np.nan, 0.5]], False)):
         with pytest.raises(DataError):
@@ -116,8 +109,9 @@ def test_attribution_map_invariants():
         MapSet(np.zeros((0, 3)))
     maps = MapSet([[0.5, 1.5], [0.0, 2.0]])
     assert len(maps) == 2 and maps.feature_shape == (2,)
+    # unnormalized maps may exceed 1
+    assert maps.values.tolist() == [[0.5, 1.5], [0.0, 2.0]] and not maps.normalized
     assert [m.values.tolist() for m in maps] == [[0.5, 1.5], [0.0, 2.0]]
-    assert isinstance(maps[1], AttributionMap) and not maps[1].normalized
     with pytest.raises(ValueError):
         maps.values[0, 0] = 0.0
 

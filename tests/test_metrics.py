@@ -38,7 +38,7 @@ from soco.metrics import (
 from soco.models import Layer
 from soco.perturb import impute_grid, round_half_away
 
-from per_sample import mask_by_ratio, mask_by_threshold
+from per_sample import applied_masks, mask_by_ratio, mask_by_threshold
 
 COARSE_RATIOS = tuple(round(0.95 - 0.1 * i, 2) for i in range(10))  # 0.95 .. 0.05
 
@@ -60,7 +60,7 @@ def naive_soundness(model, dataset, maps, ratios, epsilon, weighting, noise_std,
     for m in ratios:
         filled = []
         included = []
-        for i, attr in enumerate(maps):
+        for i, attr in enumerate(maps.values):
             mask = mask_by_ratio(attr, m)
             x = np.where(mask, dataset.feature_means, feats[i])
             filled.append(x + noise[i] * mask)
@@ -73,7 +73,7 @@ def naive_soundness(model, dataset, maps, ratios, epsilon, weighting, noise_std,
                 false_sets[i] |= included[i] - included_prev[i]
         qs = []
         for i in range(n):
-            v = maps[i].flat()
+            v = maps.values[i].reshape(-1)
             if weighting == "attribution":
                 inc = sum(v[j] for j in included[i])
                 false = sum(v[j] for j in false_sets[i])
@@ -97,7 +97,7 @@ def naive_completeness(model, dataset, maps, thresholds):
     points = []
     for t in thresholds:
         filled = []
-        for i, attr in enumerate(maps):
+        for i, attr in enumerate(maps.values):
             mask = mask_by_threshold(attr, t)
             filled.append(np.where(mask, dataset.feature_means, feats[i]))
         s_t = accuracy_from_probs(model.predict_probs(np.stack(filled)), labels)
@@ -232,15 +232,16 @@ def test_completeness_zero_maps_drop_nothing(step_model, small_dataset):
 
 
 def test_completeness_removed_sets_shrink_with_threshold(small_dataset, gt_maps):
-    # mask antitonicity, checked through the masks completeness builds
+    # mask antitonicity, checked through the change sets completeness sweeps:
+    # applied in order they give the clean inputs, then each threshold's mask
     values = gt_maps.values[:5]
-    prev = None
-    for t in (0.1, 0.5, 0.9):
-        cur = metrics._masks(-values, -t, values.shape)
-        assert np.array_equal(cur, values > t)
-        if prev is not None:
-            assert not np.any(cur & ~prev)
-        prev = cur
+    thresholds = (0.9, 0.5, 0.1)
+    clean, *masks = applied_masks(*metrics._threshold_steps(values, thresholds), values.size)
+    assert not clean.any()
+    for i, (t, cur) in enumerate(zip(thresholds, masks)):
+        assert np.array_equal(cur.reshape(values.shape), values > t)
+        if i:
+            assert not np.any(masks[i - 1] & ~cur)
 
 
 def test_completeness_meta_has_clean_accuracy(step_model, small_dataset, gt_maps):
@@ -405,7 +406,7 @@ def literal_ranks(values, descending=False):
 
 def literal_soundness(model, dataset, maps, cfg, seed):
     """(points, sweep) with the mask ranks < k and a full refill at every ratio."""
-    values = np.stack([m.flat() for m in maps])
+    values = maps.values.reshape(len(maps), -1)
     keep = values.sum(axis=1) > 0
     values = values[keep]
     features = dataset.feature_matrix()[keep]
@@ -438,7 +439,7 @@ def literal_soundness(model, dataset, maps, cfg, seed):
 
 
 def literal_completeness(model, dataset, maps, cfg, seed):
-    values = np.stack([m.flat() for m in maps])
+    values = maps.values.reshape(len(maps), -1)
     features, labels = dataset.feature_matrix(), dataset.labels()
     noise = literal_noise(dataset, cfg.imputer, seed)
     s_0 = accuracy_from_probs(model.predict_probs(features), labels)
@@ -449,7 +450,7 @@ def literal_completeness(model, dataset, maps, cfg, seed):
 
 
 def literal_order_curve(model, dataset, maps, mode, order, imputer, fractions, seed):
-    values = np.stack([m.flat() for m in maps])
+    values = maps.values.reshape(len(maps), -1)
     features, labels = dataset.feature_matrix(), dataset.labels()
     noise = literal_noise(dataset, imputer, seed)
     ranks = literal_ranks(values, descending=(order == "MoRF"))
@@ -549,7 +550,7 @@ def test_sweep_engine_matches_literal_per_step_fill(problem):
     ratios = tuple(m for m in DEFAULT_MASK_RATIOS if round_half_away(m * d) < d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        values = np.stack([m.flat() for m in maps])
+        values = maps.values.reshape(len(maps), -1)
         keep = values.sum(axis=1) > 0
         features = ds.feature_matrix()
         noise = literal_noise(ds, imputer, seed)
@@ -575,11 +576,22 @@ def test_sweep_engine_matches_literal_per_step_fill(problem):
             )
 
         cfg = CompletenessConfig(imputer=imputer)
-        curve = completeness_curve(inner, ds, maps, cfg, seed=seed)
+        model = CountingModel(inner)
+        curve = completeness_curve(model, ds, maps, cfg, seed=seed)
         assert curve.points == literal_completeness(inner, ds, maps, cfg, seed)
         pipelined = PipelinedModel(inner)
         assert completeness_curve(pipelined, ds, maps, cfg, seed=seed) == curve
-        assert len(pipelined.batches) == 1 + len(cfg.thresholds)
+        # one model call per distinct masked set, the clean inputs' empty set first
+        sets = [np.zeros(values.shape, dtype=bool)] + [values > t for t in cfg.thresholds]
+        distinct = [m for i, m in enumerate(sets) if i == 0 or not np.array_equal(m, sets[i - 1])]
+        assert len(model.batches) == len(distinct)
+        assert not any(model.writeable) and not any(pipelined.writeable)
+        assert_same_inputs(pipelined.batches, model.batches)
+        assert_same_inputs(
+            pipelined.batches,
+            [three_pass_fill(features, m.reshape(features.shape), imputer, ds, noise)
+             for m in distinct],
+        )
 
         for mode in ORDER_MODES:
             for order in RANK_ORDERS:
@@ -606,6 +618,19 @@ def test_sweep_engine_matches_literal_per_step_fill(problem):
                             ds, features, ranks, ks, mode == "deletion", imputer, noise
                         ),
                     )
+
+
+def test_completeness_calls_the_model_once_per_distinct_masked_set(step_model, small_dataset):
+    # over maps valued in {0, 0.5, 1} the 9 default thresholds mask three
+    # distinct sets: none (the clean inputs), the features at 1, and those at
+    # 0.5 or 1; a threshold that masks its predecessor's set costs no call
+    n, d = len(small_dataset), small_dataset.n_features
+    maps = MapSet(np.resize([0.0, 0.5, 1.0], (n, d)), normalized=True)
+    cfg = CompletenessConfig(imputer=Imputer(kind="mean", noise_std=1.0))
+    model = CountingModel(step_model)
+    curve = completeness_curve(model, small_dataset, maps, cfg, seed=3)
+    assert len(cfg.thresholds) == 9 and len(model.batches) == 3
+    assert curve.points == literal_completeness(step_model, small_dataset, maps, cfg, 3)
 
 
 def test_sweep_buffer_is_not_shared_between_steps(step_model, small_dataset, gt_maps):

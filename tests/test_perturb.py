@@ -24,6 +24,8 @@ from scipy.sparse.linalg import spsolve
 from soco import metrics
 from soco.perturb import _neighbor_system, _plane_system, round_half_away
 
+from per_sample import applied_masks
+
 # -- reference implementations (kept deliberately naive) ----------------------
 
 
@@ -121,18 +123,36 @@ def rank_of(values):
     return metrics._order(np.asarray(values, dtype=np.float64)[None])[0]
 
 
+def ratio_masks(values, ratios):
+    """The soundness sweep's masks of one map at the mask ratios ``ratios``,
+    in sweep order, from applying its change sets in order."""
+    v = np.asarray(values, dtype=np.float64)[None]
+    ks = [round_half_away(r * v.shape[1]) for r in ratios]
+    return applied_masks(*metrics._rank_steps(metrics._order(v), ks, True), v.size)
+
+
 def ratio_mask(values, ratio):
     """The sweep's mask of one map at a mask ratio: its round(ratio * d)
     lowest-ranked features."""
+    return ratio_masks(values, [ratio])[0]
+
+
+def threshold_masks(values, thresholds):
+    """Completeness's masks of one map at the descending ``thresholds``,
+    from applying its change sets in order (the first, empty, set is the
+    clean inputs')."""
     v = np.asarray(values, dtype=np.float64)[None]
-    ranks = metrics._ranks(metrics._order(v))
-    return metrics._masks(ranks, round_half_away(ratio * v.shape[1]), v.shape)[0]
+    return applied_masks(*metrics._threshold_steps(v, thresholds), v.size)[1:]
 
 
 def threshold_mask(values, t):
     """Completeness's mask of one map: the features attributed above t."""
-    v = np.asarray(values, dtype=np.float64)[None]
-    return metrics._masks(-v, -t, v.shape)[0]
+    return threshold_masks(values, [t])[0]
+
+
+def literal_ranks(values):
+    """Each feature's position in the stable ascending order of one map."""
+    return np.argsort(np.argsort(values, kind="stable"), kind="stable")
 
 
 def test_rank_features_examples():
@@ -174,9 +194,9 @@ def test_mask_by_threshold_examples():
 )
 def test_threshold_masks_antitone(values, t1, t2):
     t1, t2 = min(t1, t2), max(t1, t2)
-    high = threshold_mask(values, t2)
-    low = threshold_mask(values, t1)
+    high, low = threshold_masks(values, [t2, t1])
     assert not np.any(high & ~low)  # mask(t2) subset of mask(t1)
+    assert np.array_equal(high, values > t2) and np.array_equal(low, values > t1)
 
 
 @given(
@@ -186,9 +206,11 @@ def test_threshold_masks_antitone(values, t1, t2):
 )
 def test_ratio_masks_monotone(values, m1, m2):
     m1, m2 = min(m1, m2), max(m1, m2)
-    small = ratio_mask(values, m1)
-    big = ratio_mask(values, m2)
+    big, small = ratio_masks(values, [m2, m1])
     assert not np.any(small & ~big)
+    ranks = literal_ranks(values)
+    for m, mask in ((m2, big), (m1, small)):
+        assert np.array_equal(mask, ranks < round_half_away(m * values.size))
 
 
 def test_round_half_away():

@@ -66,10 +66,10 @@ class TestGroundTruth:
         ds = generate_synthetic(30, 12, seed=2)
         maps = ground_truth_attribution(ds)
         assert isinstance(maps, MapSet) and maps.normalized and len(maps) == 30
-        for x, label, attr in zip(ds.feature_matrix(), ds.labels(), maps):
+        for x, label, attr in zip(ds.feature_matrix(), ds.labels(), maps.values):
             aligned = x if label == 1 else -x
             raw = np.maximum(aligned, 0.0)
-            assert np.array_equal(attr.values, raw / raw.max())
+            assert np.array_equal(attr, raw / raw.max())
 
     def test_inconsistent_label_rejected(self):
         feats = np.ones((1, 3))  # sum positive, so label must be 1
