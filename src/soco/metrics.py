@@ -24,7 +24,7 @@ completeness.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain, pairwise
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -48,6 +48,9 @@ from .rng import substream
 DEFAULT_MASK_RATIOS = tuple(round(0.99 - 0.01 * i, 2) for i in range(99))
 DEFAULT_THRESHOLDS = tuple(round(0.9 - 0.1 * i, 1) for i in range(9))
 DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(11))
+
+# the most bytes of noisy-linear fills that one window of a sweep holds
+_WINDOW_BYTES = 64 << 20
 
 WEIGHTINGS = ("attribution", "cardinality")
 ORDER_MODES = ("deletion", "insertion")
@@ -135,24 +138,6 @@ def _constant_fill(imputer: Imputer, dataset: Dataset):
     return 0.0 if imputer.kind == "zero" else dataset.feature_means
 
 
-def _impute_grids(features: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """``impute_grid`` on every sample, stacked in sample order.
-
-    The samples are solved on up to one thread per usable CPU; SuperLU
-    releases the GIL, so their solves overlap.  The results are stacked in
-    sample order, so the output does not depend on scheduling, and an
-    exception from any sample reaches the caller as raised.  The pool lives
-    only for this call, so no thread outlives it.  With one CPU or one
-    sample the solves run inline: on one CPU a one-thread pool costs about
-    0.15-0.2 ms more per call (one 28x28 sample: 0.93 against 1.16 ms).
-    """
-    threads = min(parallel._usable_cpus(), features.shape[0])
-    if threads <= 1:
-        return np.stack([impute_grid(f, m) for f, m in zip(features, masks)])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.stack(list(pool.map(impute_grid, features, masks)))
-
-
 def _fill(
     features: np.ndarray,
     masks: np.ndarray,
@@ -162,14 +147,15 @@ def _fill(
 ) -> np.ndarray:
     """Features with every masked entry replaced by its fill plus noise.
 
-    The noisy-linear fill solves its samples on threads, up to the CPUs the
-    process may use (``_impute_grids``); there is no setting for this, and
-    the result is byte-identical to solving them one after another.
+    The noisy-linear fill runs ``impute_grid`` on each sample that has a
+    masked entry, one after another; a sample with none comes back as it is.
     """
     if imputer.kind == "noisy_linear":
         if not dataset.is_grid:
             raise ConfigError("noisy_linear requires grid-shaped samples")
-        fill = _impute_grids(features, masks)
+        fill = np.array(features, dtype=np.float64)
+        for i in np.flatnonzero(masks.reshape(len(masks), -1).any(axis=1)):
+            fill[i] = impute_grid(features[i], masks[i])
     else:
         fill = _constant_fill(imputer, dataset)
     if noise is not None:
@@ -208,6 +194,53 @@ def _threshold_steps(values: np.ndarray, thresholds: Sequence[float]):
     return False, ((np.flatnonzero(cur & ~prev), True) for prev, cur in pairwise(above))
 
 
+def _grid_fills(
+    features: np.ndarray,
+    imputer: Imputer,
+    dataset: Dataset,
+    noise: Optional[np.ndarray],
+    start_masked: bool,
+    steps: Sequence[tuple[np.ndarray, bool]],
+):
+    """The noisy-linear fill of each step, as read-only arrays in step order.
+
+    The steps are cut into windows of at most ``_WINDOW_BYTES`` of fills, so
+    memory does not grow with the sweep length.  For each window the rows
+    are split into about two chunks per lane, and each chunk job
+    (``parallel.run_jobs``) replays the window's change sets on its rows'
+    mask and returns its rows' ``_fill`` at every step.  The chunks of a
+    step are joined in row order, so the fill does not depend on the lanes.
+    """
+    n, d = features.shape
+    grids = features.reshape((n,) + dataset.feature_shape)
+    mask = np.full((n, d), start_masked)  # the mask at the start of a window
+    lanes = parallel.usable_lanes()
+    n_chunks = 1 if lanes == 1 else min(n, 2 * lanes)
+    bounds = [i * n // n_chunks for i in range(n_chunks + 1)]
+    chunks = [slice(lo, hi) for lo, hi in pairwise(bounds)]
+    window_steps = max(1, _WINDOW_BYTES // (8 * n * d))
+    for start in range(0, len(steps), window_steps):
+        window = steps[start : start + window_steps]
+
+        def fill_chunk(rows: slice) -> list:
+            lo, hi = rows.start * d, rows.stop * d
+            part = grids[rows]
+            part_noise = None if noise is None else noise[rows]
+            local = mask[rows].copy()
+            fills = []
+            for idx, masked in window:
+                local.reshape(-1)[idx[(idx >= lo) & (idx < hi)] - lo] = masked
+                fills.append(_fill(part, local.reshape(part.shape), imputer, dataset, part_noise))
+            return fills
+
+        per_chunk = parallel.run_jobs(lambda: nullcontext(fill_chunk), chunks, lanes)
+        for (idx, masked), parts in zip(window, zip(*per_chunk)):
+            mask.reshape(-1)[idx] = masked
+            out = np.concatenate(parts)
+            out.flags.writeable = False
+            yield out
+
+
 def _sweep(
     model: Model,
     dataset: Dataset,
@@ -230,21 +263,25 @@ def _sweep(
 
     Zero and mean fills keep one ``(n, d)`` buffer, the fill of the start
     mask, and rewrite only the changed entries.  The noisy-linear solve
-    depends on the whole mask, so that fill is redone from the maintained
-    mask at every step (see ``_fill``).
+    depends on the whole mask, so that fill is redone at every step, on
+    lanes when there are CPUs for them (``_grid_fills``); the model still
+    runs here and sees the same arrays as with no lanes at all.
     """
-    n, d = features.shape
-    shape = (n,) + dataset.feature_shape
+    repeats: list[int] = []  # the steps each model call answers
+
+    def fresh_steps():
+        for idx, masked in changes:
+            if repeats and idx.size == 0:
+                repeats[-1] += 1
+            else:
+                repeats.append(1)
+                yield idx, masked
+
     if imputer.kind == "noisy_linear":
-        mask = np.full(n * d, start_masked)
-
-        def step(idx: np.ndarray, masked: bool) -> np.ndarray:
-            mask[idx] = masked
-            out = _fill(features.reshape(shape), mask.reshape(shape), imputer, dataset, noise)
-            out.flags.writeable = False
-            return out
-
+        steps = list(fresh_steps())
+        batches = _grid_fills(features, imputer, dataset, noise, start_masked, steps)
     else:
+        shape = (len(features),) + dataset.feature_shape
         # _fill of an all-True mask, without np.where's 1-2 ms on 1000 x 200
         filled = np.broadcast_to(_constant_fill(imputer, dataset), shape)
         if noise is not None:
@@ -259,18 +296,10 @@ def _sweep(
             buf[idx] = (filled if masked else clean)[idx]
             return view
 
-    repeats: list[int] = []  # the steps each model call answers
-
-    def batches():
-        for idx, masked in changes:
-            if repeats and idx.size == 0:
-                repeats[-1] += 1
-            else:
-                repeats.append(1)
-                yield step(idx, masked)
+        batches = (step(idx, masked) for idx, masked in fresh_steps())
 
     # predict_many draws every batch, so ``repeats`` is complete once it ends
-    accs = [accuracy_from_probs(p, labels) for p in predict_many(model, batches())]
+    accs = [accuracy_from_probs(p, labels) for p in predict_many(model, batches)]
     return [acc for acc, count in zip(accs, repeats) for _ in range(count)]
 
 

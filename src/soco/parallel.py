@@ -10,22 +10,26 @@ the function it yields to one job at a time, handed out in job order as
 lanes fall idle, and leaves the context before it exits; that is where a
 lane closes a model server of its own.
 
-With one lane, one job, or no ``fork`` start method, the jobs run inline, in
-order.  Either way a job's warnings are recorded where it runs and re-issued
-in the caller, in job order, and the first failed job in job order raises
-its exception in the caller.  A lane that dies without reporting its job
-raises ``WorkerError``.  No lane outlives ``run_jobs``.
+With one lane or one job the jobs run inline, in order.  ``usable_lanes``
+allows only one inside a lane, so that lanes never fork lanes and a run
+never has more lanes than CPUs; while another Python thread is alive (such
+as a started model bridge's reader), since forking a process that runs
+threads is unsafe; and without the ``fork`` start method.  Either way a job's
+warnings are recorded where it runs and re-issued in the caller, in job
+order, and the first failed job in job order raises its exception in the
+caller; from a lane it arrives as a copy, with its type and message.  A lane
+that dies without reporting its job raises ``WorkerError``.  No lane
+outlives ``run_jobs``.
 
 The lanes are forked, not spawned, so that a lane starts without
-re-importing soco or receiving a copy of the state; the callers fork while
-they run no threads of their own (the grid fill's thread pool and a model
-bridge's reader thread live only inside a job or a lane).
+re-importing soco or receiving a copy of the state.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import warnings
 from multiprocessing.connection import wait
 from typing import Callable, ContextManager, Sequence
@@ -38,6 +42,21 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_in_lane = False  # set in every lane, so that a lane runs its own jobs inline
+
+
+def usable_lanes() -> int:
+    """The most lanes ``run_jobs`` may fork from here: the usable CPUs, or 1
+    inside a lane, while another thread is alive, or without ``fork``."""
+    if (
+        _in_lane
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return _usable_cpus()
 
 
 def _attempt(work: Callable, job) -> tuple:
@@ -65,6 +84,8 @@ def _settle(outcome: tuple, registry: dict):
 
 def _lane(open_lane, jobs, conn, inherited) -> None:
     """A worker process: run each job index received until the caller hangs up."""
+    global _in_lane
+    _in_lane = True
     for end in inherited:  # the caller's pipe ends: a lane holding one would never read EOF
         end.close()
     with open_lane() as work:
@@ -91,9 +112,9 @@ def run_jobs(
     job fails, no further job starts; the jobs already running finish, and
     the first failure in job order is raised.
     """
-    lanes = min(max_lanes, _usable_cpus(), len(jobs))
+    lanes = min(max_lanes, usable_lanes(), len(jobs))
     registry: dict = {}
-    if lanes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if lanes <= 1:
         with open_lane() as work:
             return [_settle(_attempt(work, job), registry) for job in jobs]
 
@@ -142,7 +163,7 @@ def run_jobs(
                 index = running.pop(conn)
                 try:
                     outcomes[index] = conn.recv()
-                except EOFError:
+                except (EOFError, ConnectionResetError):  # the lane died
                     lost(conn, index)
                     continue
                 failed = failed or outcomes[index][1] is not None

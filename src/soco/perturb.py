@@ -155,9 +155,9 @@ def impute_grid(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     zeros) is used, with a warning.  The noise of the noisy-linear imputer is
     not drawn here: the metrics add their pre-drawn noise to the fill.
 
-    Calls share no mutable state, so independent ones may run on separate
-    threads: the metrics' noisy-linear fill solves its samples that way, up
-    to the CPUs the process may use, with byte-identical results.
+    The result depends only on the arguments, so the metrics' noisy-linear
+    fill may solve its samples in any process (it splits them over forked
+    lanes by rows) with byte-identical results.
     """
     squeeze = features.ndim == 2
     feats = features[..., None] if squeeze else features

@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -57,3 +60,16 @@ def step_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def no_leftovers():
+    """Every call in the test leaves no child process and no extra thread.
+
+    Modules whose code forks lanes or starts bridge threads use it for every
+    test (``pytestmark``), so a leftover fails the test that left it.
+    """
+    threads = threading.active_count()
+    yield
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads

@@ -12,6 +12,8 @@ import pytest
 from soco import parallel, read_curve, read_dataset, read_maps
 from soco.cli import main
 
+pytestmark = pytest.mark.usefixtures("no_leftovers")
+
 SERVER = str(Path(__file__).parent / "external_servers.py")
 
 

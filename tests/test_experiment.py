@@ -22,6 +22,8 @@ from soco import (
 from soco.experiment import evaluate_metric
 from soco.io import dataset_digest
 
+pytestmark = pytest.mark.usefixtures("no_leftovers")
+
 
 def base_config(**overrides):
     cfg = {

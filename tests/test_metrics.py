@@ -1,5 +1,6 @@
-import threading
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from soco.models import Layer
 from soco.perturb import impute_grid, round_half_away
 
 from per_sample import applied_masks, mask_by_ratio, mask_by_threshold
+
+pytestmark = pytest.mark.usefixtures("no_leftovers")
 
 COARSE_RATIOS = tuple(round(0.95 - 0.1 * i, 2) for i in range(10))  # 0.95 .. 0.05
 
@@ -544,7 +547,13 @@ def sweep_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(sweep_problems())
 def test_sweep_engine_matches_literal_per_step_fill(problem):
-    ds, maps, inner, imputer, seed = problem
+    check_sweep_engine(*problem)
+    if problem[3].kind == "noisy_linear":
+        with mock.patch.object(parallel, "_usable_cpus", lambda: LANES):
+            check_sweep_engine(*problem)
+
+
+def check_sweep_engine(ds, maps, inner, imputer, seed):
     d = ds.n_features
     # every default ratio that leaves a feature unmasked: for d < 99 many collide
     ratios = tuple(m for m in DEFAULT_MASK_RATIOS if round_half_away(m * d) < d)
@@ -643,19 +652,13 @@ def test_sweep_buffer_is_not_shared_between_steps(step_model, small_dataset, gt_
     assert np.all(last == 0.0)
 
 
-# -- the noisy-linear fill on a thread pool against the serial loop ----------------
+# -- the noisy-linear fill on lanes against the inline fill --------------------------
 
-POOL_THREADS = 3
-
-
-@pytest.fixture()
-def pooled(monkeypatch):
-    """Solve grids on POOL_THREADS threads, whatever CPUs this machine has."""
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: POOL_THREADS)
+LANES = 3
 
 
-def pool_problem(rng, n=2 * POOL_THREADS + 1, shape=(6, 5, 3)):
-    """More samples than threads, a different random mask in each channel,
+def pool_problem(rng, n=2 * LANES + 1, shape=(6, 5, 3)):
+    """More samples than lanes, a different random mask in each channel,
     and empty and fully masked planes and samples among them."""
     feats = rng.standard_normal((n,) + shape)
     masks = rng.random((n,) + shape) < rng.random((n, 1, 1, shape[2]))
@@ -670,56 +673,103 @@ def pool_problem(rng, n=2 * POOL_THREADS + 1, shape=(6, 5, 3)):
     return ds, masks, maps, MlpModel(MlpWeights(layers=(layer,), n_classes=2))
 
 
+def use_cpus(monkeypatch, cpus):
+    """Fork up to ``cpus`` lanes, whatever CPUs this machine has."""
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+
+
+@pytest.fixture()
+def solver_pids(tmp_path, monkeypatch):
+    """Log the process of every impute_grid call the metrics make; the
+    fixture's value reads and clears the log."""
+    log = tmp_path / "solver.pids"
+
+    def impute(features, mask):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return impute_grid(features, mask)
+
+    def read():
+        pids = [int(pid) for pid in log.read_text().split()] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return pids
+
+    monkeypatch.setattr(metrics, "impute_grid", impute)
+    return read
+
+
+def grid_curves(model, ds, maps, imputer):
+    """ROAD in both orders, then completeness and soundness, with ``imputer``."""
+    curves = [
+        road_curve(model, ds, maps, order=order, noise_std=imputer.noise_std, seed=5)
+        for order in RANK_ORDERS
+    ]
+    curves.append(completeness_curve(model, ds, maps, CompletenessConfig(imputer=imputer), seed=5))
+    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS, imputer=imputer)
+    return curves + [soundness_curve(model, ds, maps, cfg, seed=5)]
+
+
 @pytest.mark.filterwarnings("ignore:fully masked grid")
 @pytest.mark.parametrize("noise_std", [0.0, 0.5])
-def test_pooled_grid_fill_matches_serial_loop(pooled, rng, noise_std):
-    ds, masks, maps, model = pool_problem(rng)
+def test_grid_fill_on_lanes_matches_inline(rng, monkeypatch, solver_pids, noise_std):
+    ds, masks, maps, inner = pool_problem(rng)
     feats = ds.feature_matrix()
     imputer = Imputer(kind="noisy_linear", noise_std=noise_std)
     noise = literal_noise(ds, imputer, seed=5)
-    threads = threading.active_count()
 
     got = metrics._fill(feats, masks, imputer, ds, noise)
     serial = np.stack([impute_grid(f, m) for f, m in zip(feats, masks)])
     if noise is not None:
         serial = serial + noise
     assert np.array_equal(got, np.where(masks, serial, feats))
+    solver_pids()
 
-    for order in RANK_ORDERS:
-        curve = road_curve(model, ds, maps, order=order, noise_std=noise_std, seed=5)
+    runs = {}
+    for cpus in (1, LANES):
+        use_cpus(monkeypatch, cpus)
+        model = CountingModel(inner)
+        runs[cpus] = grid_curves(model, ds, maps, imputer), model.batches, solver_pids()
+    inline, inline_batches, inline_pids = runs[1]
+    laned, laned_batches, laned_pids = runs[LANES]
+    assert set(inline_pids) == {os.getpid()}
+    assert len(set(laned_pids)) > 1 and os.getpid() not in laned_pids
+    assert len(laned_pids) == len(inline_pids)
+    assert laned == inline
+    assert [b.tobytes() for b in laned_batches] == [b.tobytes() for b in inline_batches]
+
+    *roads, completeness, soundness = laned
+    for order, curve in zip(RANK_ORDERS, roads):
         assert curve.points == literal_order_curve(
-            model, ds, maps, "deletion", order, imputer, DEFAULT_FRACTIONS, 5
+            inner, ds, maps, "deletion", order, imputer, DEFAULT_FRACTIONS, 5
         )
-    cfg = CompletenessConfig(imputer=imputer)
-    curve = completeness_curve(model, ds, maps, cfg, seed=5)
-    assert curve.points == literal_completeness(model, ds, maps, cfg, 5)
+    assert completeness.points == literal_completeness(
+        inner, ds, maps, CompletenessConfig(imputer=imputer), 5
+    )
     cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS, imputer=imputer)
-    curve = soundness_curve(model, ds, maps, cfg, seed=5)
-    assert curve.points == literal_soundness(model, ds, maps, cfg, 5)[0]
-    assert threading.active_count() == threads
+    assert soundness.points == literal_soundness(inner, ds, maps, cfg, 5)[0]
 
 
 @pytest.mark.filterwarnings("ignore:fully masked grid")
-def test_pooled_grid_fill_raises_a_worker_error_unchanged(pooled, rng, monkeypatch):
-    ds, masks, _, _ = pool_problem(rng)
+def test_a_lane_error_reaches_the_caller_with_its_type_and_message(rng, monkeypatch):
+    # the exception crosses a process boundary, so it arrives as a copy
+    ds, _, maps, model = pool_problem(rng)
     feats = ds.feature_matrix()
-    error = DataError("sample 4 cannot be filled")
 
     def impute(features, mask):
         if np.array_equal(features, feats[4]):
-            raise error
+            raise DataError(f"sample 4 cannot be filled in process {os.getpid()}")
         return impute_grid(features, mask)
 
     monkeypatch.setattr(metrics, "impute_grid", impute)
-    threads = threading.active_count()
-    with pytest.raises(DataError) as info:
-        metrics._fill(feats, masks, Imputer(kind="noisy_linear"), ds, None)
-    assert info.value is error
-    assert threading.active_count() == threads
+    use_cpus(monkeypatch, LANES)
+    with pytest.raises(DataError, match=r"^sample 4 cannot be filled in process \d+$") as info:
+        road_curve(model, ds, maps, seed=5)
+    assert str(info.value) != f"sample 4 cannot be filled in process {os.getpid()}"
 
 
-def test_pooled_grid_fill_warnings_obey_caller_filters(pooled, rng):
+def test_lane_grid_fill_warnings_obey_caller_filters(rng, monkeypatch):
     ds, _, maps, model = pool_problem(rng)
+    use_cpus(monkeypatch, LANES)
     n, planes = len(maps), ds.feature_shape[2]
     with pytest.warns(UserWarning, match="fully masked") as record:
         road_curve(model, ds, maps, fractions=(0.0, 1.0))
@@ -729,3 +779,57 @@ def test_pooled_grid_fill_warnings_obey_caller_filters(pooled, rng):
         warnings.filterwarnings("ignore", message="fully masked grid")
         road_curve(model, ds, maps, fractions=(0.0, 1.0))
     assert seen == []
+
+
+@pytest.mark.filterwarnings("ignore:fully masked grid")
+@pytest.mark.parametrize("cpus", [1, LANES])
+def test_sweep_windows_of_any_size_give_the_same_bytes(rng, monkeypatch, cpus):
+    ds, _, maps, inner = pool_problem(rng)
+    use_cpus(monkeypatch, cpus)
+    calls = []
+    run_jobs = parallel.run_jobs
+
+    def counted(open_lane, jobs, max_lanes):
+        calls.append(len(jobs))
+        return run_jobs(open_lane, jobs, max_lanes)
+
+    monkeypatch.setattr(parallel, "run_jobs", counted)
+    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS, imputer=Imputer("noisy_linear", 0.5))
+    model = CountingModel(inner)
+    whole = soundness_curve(model, ds, maps, cfg, seed=5)
+    steps = len(model.batches)
+    assert steps > 2 and len(calls) == 1
+    one_step = 8 * len(ds) * ds.n_features  # the bytes of one step's fills
+    for window, windows in ((one_step, steps), (2 * one_step + 1, -(-steps // 2))):
+        monkeypatch.setattr(metrics, "_WINDOW_BYTES", window)
+        calls.clear()
+        windowed = CountingModel(inner)
+        assert soundness_curve(windowed, ds, maps, cfg, seed=5) == whole
+        assert len(calls) == windows
+        assert [b.tobytes() for b in windowed.batches] == [b.tobytes() for b in model.batches]
+
+
+def test_noisy_linear_fill_solves_only_samples_with_a_masked_entry(rng, monkeypatch):
+    ds, _, maps, model = pool_problem(rng)
+    n = len(ds)
+    use_cpus(monkeypatch, 1)
+    solved = []
+
+    def impute(features, mask):
+        solved.append(np.count_nonzero(mask))
+        return impute_grid(features, mask)
+
+    monkeypatch.setattr(metrics, "impute_grid", impute)
+    road_curve(model, ds, maps, fractions=(0.0, 0.5))
+    assert len(solved) == n and all(solved)  # fraction 0 masks nothing
+
+    values = maps.values.reshape(n, -1).copy()
+    values[0] = 0.0  # never masked
+    values[1] = np.minimum(values[1], 0.5)  # masked from threshold 0.4 on
+    solved.clear()
+    cfg = CompletenessConfig(imputer=Imputer(kind="noisy_linear"))
+    completeness_curve(model, ds, MapSet(values.reshape(maps.values.shape), normalized=True), cfg)
+    sets = [np.zeros(values.shape, dtype=bool)] + [values > t for t in cfg.thresholds]
+    distinct = [m for i, m in enumerate(sets) if i == 0 or not np.array_equal(m, sets[i - 1])]
+    assert len(solved) == sum(np.count_nonzero(m.any(axis=1)) for m in distinct)
+    assert len(solved) < n * (len(distinct) - 1) and all(solved)

@@ -16,14 +16,7 @@ needs_two_cpus = pytest.mark.skipif(
     parallel._usable_cpus() < 2, reason="forked lanes need two usable CPUs"
 )
 
-
-@pytest.fixture()
-def no_leftovers():
-    """Every call in the test leaves no child process and no extra thread."""
-    threads = threading.active_count()
-    yield
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
+pytestmark = pytest.mark.usefixtures("no_leftovers")
 
 
 def square_slowly(job):
@@ -32,7 +25,7 @@ def square_slowly(job):
 
 
 @needs_two_cpus
-def test_results_come_back_in_job_order_from_forked_lanes(no_leftovers):
+def test_results_come_back_in_job_order_from_forked_lanes():
     out = parallel.run_jobs(lambda: nullcontext(square_slowly), list(range(12)), 8)
     assert [square for square, _ in out] == [job * job for job in range(12)]
     pids = {pid for _, pid in out}
@@ -59,7 +52,7 @@ def lane_log(path):
     [(64, 8, 3, 3), (2, 8, 12, 2), (64, 1, 12, 0), (1, 8, 12, 0), (64, 8, 1, 0)],
 )
 def test_lanes_never_outnumber_cpus_jobs_or_the_request(
-    tmp_path, monkeypatch, no_leftovers, cpus, max_lanes, n_jobs, lanes
+    tmp_path, monkeypatch, cpus, max_lanes, n_jobs, lanes
 ):
     # lanes == 0: the jobs run inline, in the caller, in one open_lane context
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
@@ -94,7 +87,7 @@ def fail_on_five_and_six(log):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_failure_in_job_order_is_raised_and_stops_the_rest(
-    tmp_path, monkeypatch, no_leftovers, cpus
+    tmp_path, monkeypatch, cpus
 ):
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     log = tmp_path / "started.log"
@@ -113,7 +106,7 @@ def warn(job):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_warnings_reach_the_caller_in_job_order(monkeypatch, no_leftovers, cpus):
+def test_warnings_reach_the_caller_in_job_order(monkeypatch, cpus):
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     with pytest.warns(UserWarning) as record:
         parallel.run_jobs(lambda: nullcontext(warn), list(range(6)), 2)
@@ -137,6 +130,68 @@ def die_on_three(job):
 
 
 @needs_two_cpus
-def test_a_lane_that_dies_raises_worker_error(no_leftovers):
+def test_a_lane_that_dies_raises_worker_error():
     with pytest.raises(WorkerError, match=r"died \(exit code 7\) in job 3"):
         parallel.run_jobs(lambda: nullcontext(die_on_three), list(range(20)), 2)
+
+
+@contextmanager
+def fail_to_open():
+    raise DataError("this lane cannot open")
+    yield
+
+
+@contextmanager
+def exit_on_open():
+    os._exit(9)
+    yield
+
+
+@pytest.mark.parametrize("open_lane, code", [(fail_to_open, 1), (exit_on_open, 9)])
+def test_a_lane_that_dies_before_its_first_job_raises_worker_error(
+    monkeypatch, capfd, open_lane, code
+):
+    # a lane may die after its first job index reached its pipe: the caller
+    # then reads a reset connection, not end-of-file
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    for _ in range(5):
+        with pytest.raises(WorkerError, match=rf"died \(exit code {code}\) in job 0"):
+            parallel.run_jobs(open_lane, list(range(4)), 2)
+    capfd.readouterr()  # the failed lanes' tracebacks
+
+
+def pid_of(job):
+    return os.getpid()
+
+
+def nested_jobs(job):
+    return parallel.run_jobs(lambda: nullcontext(pid_of), [0, 1, 2], 8), os.getpid()
+
+
+def test_a_lane_runs_nested_jobs_inline(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    for inner, pid in parallel.run_jobs(lambda: nullcontext(nested_jobs), [0, 1], 2):
+        assert pid != os.getpid()
+        assert inner == [pid] * 3
+
+
+def test_jobs_run_inline_while_another_thread_is_alive(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert parallel.usable_lanes() == 1
+        assert parallel.run_jobs(lambda: nullcontext(pid_of), [0, 1, 2], 2) == [os.getpid()] * 3
+    finally:
+        stop.set()
+        thread.join()
+    assert parallel.usable_lanes() == 2
+    assert os.getpid() not in parallel.run_jobs(lambda: nullcontext(pid_of), [0, 1, 2], 2)
+
+
+def test_jobs_run_inline_without_fork(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert parallel.usable_lanes() == 1
+    assert parallel.run_jobs(lambda: nullcontext(pid_of), [0, 1, 2], 2) == [os.getpid()] * 3
