@@ -16,10 +16,8 @@ import sys
 
 from soco import (
     CurveSet,
-    Imputer,
     LinearStepModel,
     ModScheme,
-    SoundnessConfig,
     apply_scheme,
     completeness_curve,
     generate_synthetic,
@@ -53,7 +51,6 @@ def main(argv=None):
             gt, ModScheme(kind="constant", direction="introduce", magnitude=args.shift)
         ),
     }
-    noisy = SoundnessConfig(imputer=Imputer(kind="mean", noise_std=1.0))
 
     curve_sets = {
         "deletion": CurveSet(
@@ -72,7 +69,9 @@ def main(argv=None):
         ),
         "soundness": CurveSet(
             {
-                name: soundness_curve(model, dataset, maps, noisy, seed=args.seed)
+                name: soundness_curve(
+                    model, dataset, maps, imputer="mean", noise_std=1.0, seed=args.seed
+                )
                 for name, maps in variants.items()
             }
         ),

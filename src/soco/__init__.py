@@ -47,8 +47,6 @@ from .io import (
     write_maps,
 )
 from .metrics import (
-    CompletenessConfig,
-    SoundnessConfig,
     align_soundness,
     auc,
     completeness_curve,
@@ -76,7 +74,6 @@ from .synthetic import (
 
 __all__ = [
     "__version__",
-    "CompletenessConfig",
     "ConfigError",
     "CurveSet",
     "DataError",
@@ -96,7 +93,6 @@ __all__ = [
     "OracleInfo",
     "RunManifest",
     "SocoError",
-    "SoundnessConfig",
     "TrialSummary",
     "ValidationResult",
     "ValidationSettings",

@@ -25,8 +25,10 @@ from .io import (
     write_dataset,
     write_maps,
 )
+from .metrics import METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
 from .models import MlpModel, MlpWeights
 from .modify import DIRECTIONS, SCHEME_KINDS, ModScheme, apply_scheme
+from .perturb import IMPUTER_KINDS
 from .synthetic import LinearStepModel, generate_synthetic, ground_truth_attribution, oracle_info
 
 
@@ -67,22 +69,13 @@ def _cmd_modify(args) -> int:
     return 0
 
 
-def _metric_options(args) -> dict:
-    if args.metric == "soundness":
-        return {
-            "epsilon": args.epsilon,
-            "imputer": args.imputer,
-            "noise_std": args.noise_std,
-            "weighting": args.weighting,
-        }
-    if args.metric == "completeness":
-        return {"imputer": args.imputer, "noise_std": args.noise_std}
-    if args.metric == "road":
-        return {"order": args.order, "noise_std": args.noise_std}
-    return {"order": args.order, "imputer": args.imputer, "noise_std": args.noise_std}
-
-
 def _cmd_eval(args) -> int:
+    # the metric-option flags given; one left out takes the metric's own default
+    known = {key for name in METRICS for key in metric_defaults(name)}
+    options = {k: v for k, v in vars(args).items() if k in known and v is not None}
+    unknown = sorted(set(options) - set(metric_defaults(args.metric)))
+    if unknown:
+        raise ConfigError(f"--metric {args.metric} takes no --{unknown[0].replace('_', '-')}")
     dataset = read_dataset(args.dataset)
     if args.mlp_weights:
         model = MlpModel(MlpWeights.from_json(args.mlp_weights))
@@ -94,9 +87,7 @@ def _cmd_eval(args) -> int:
         if args.mlp_weights:
             raise ConfigError("ground-truth maps are only defined for the builtin model")
         maps = ground_truth_attribution(dataset)
-    curve = evaluate_metric(
-        args.metric, _metric_options(args), model, dataset, maps, args.seed
-    )
+    curve = evaluate_metric(args.metric, options, model, dataset, maps, args.seed)
     write_curve(curve, args.out)
     print(f"wrote {args.metric} curve ({len(curve.points)} points) to {args.out}")
     return 0
@@ -181,20 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_modify)
 
     p = sub.add_parser("eval", help="evaluate one metric")
-    p.add_argument(
-        "--metric",
-        required=True,
-        choices=("soundness", "completeness", "deletion", "insertion", "road"),
-    )
+    p.add_argument("--metric", required=True, choices=tuple(METRICS))
     p.add_argument("--dataset", required=True)
     p.add_argument("--maps", help="map file; omitted = ground truth")
     p.add_argument("--out", required=True)
     p.add_argument("--mlp-weights")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--imputer", choices=("mean", "zero", "noisy_linear"), default="mean")
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--weighting", choices=("attribution", "cardinality"), default="attribution")
-    p.add_argument("--order", choices=("MoRF", "LeRF"), default="MoRF")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--imputer", choices=IMPUTER_KINDS)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--weighting", choices=WEIGHTINGS)
+    p.add_argument("--order", choices=RANK_ORDERS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 

@@ -35,7 +35,7 @@ import json
 import re
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, ContextManager, Optional, Union
@@ -57,20 +57,16 @@ from .io import (
     write_curve,
 )
 from .metrics import (
-    DEFAULT_FRACTIONS,
     DEFAULT_MASK_RATIOS,
     DEFAULT_THRESHOLDS,
-    CompletenessConfig,
-    SoundnessConfig,
+    METRICS,
     align_soundness,
     completeness_curve,
-    order_based_curve,
-    road_curve,
+    metric_defaults,
     soundness_curve,
 )
 from .models import ExternalModel, ExternalModelSpec, MlpModel, MlpWeights
 from .modify import ModScheme, apply_scheme
-from .perturb import Imputer
 from .synthetic import (
     LinearStepModel,
     generate_synthetic,
@@ -80,13 +76,6 @@ from .synthetic import (
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-METRIC_KEYS = {
-    "soundness": {"mask_ratios", "epsilon", "imputer", "noise_std", "weighting"},
-    "completeness": {"thresholds", "imputer", "noise_std"},
-    "deletion": {"order", "imputer", "noise_std", "fractions"},
-    "insertion": {"order", "imputer", "noise_std", "fractions"},
-    "road": {"order", "noise_std", "fractions"},
-}
 SCHEME_KEYS = {"kind", "direction", "magnitude", "fraction", "seed", "renormalize"}
 
 
@@ -198,9 +187,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
     if not isinstance(metrics, dict) or not metrics:
         raise ConfigError("nothing to run")
     for name, options in metrics.items():
-        if name not in METRIC_KEYS:
-            raise ConfigError(f"unknown metric {name!r}")
-        _check_keys(options, METRIC_KEYS[name], f"metrics.{name}")
+        _check_keys(options, set(metric_defaults(name)), f"metrics.{name}")
 
     return ExperimentConfig(
         raw=raw,
@@ -261,13 +248,6 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     return read_dataset(cfg.base_dir / cfg.dataset_spec["path"])
 
 
-def _metric_imputer(options: dict, default_kind: str = "mean") -> Imputer:
-    return Imputer(
-        kind=options.get("imputer", default_kind),
-        noise_std=float(options.get("noise_std", 0.0)),
-    )
-
-
 def evaluate_metric(
     name: str,
     options: dict,
@@ -276,43 +256,9 @@ def evaluate_metric(
     maps: MapSet,
     seed: int,
 ) -> EvalCurve:
-    """Run one named metric with its option dict (already key-checked)."""
-    if name == "soundness":
-        cfg = SoundnessConfig(
-            mask_ratios=tuple(options.get("mask_ratios", DEFAULT_MASK_RATIOS)),
-            epsilon=float(options.get("epsilon", 0.01)),
-            imputer=_metric_imputer(options),
-            weighting=options.get("weighting", "attribution"),
-        )
-        return soundness_curve(model, dataset, maps, cfg, seed=seed)
-    if name == "completeness":
-        cfg = CompletenessConfig(
-            thresholds=tuple(options.get("thresholds", DEFAULT_THRESHOLDS)),
-            imputer=_metric_imputer(options),
-        )
-        return completeness_curve(model, dataset, maps, cfg, seed=seed)
-    if name == "road":
-        return road_curve(
-            model,
-            dataset,
-            maps,
-            order=options.get("order", "MoRF"),
-            fractions=tuple(options.get("fractions", DEFAULT_FRACTIONS)),
-            noise_std=float(options.get("noise_std", 0.0)),
-            seed=seed,
-        )
-    if name in ("deletion", "insertion"):
-        return order_based_curve(
-            model,
-            dataset,
-            maps,
-            mode=name,
-            order=options.get("order", "MoRF"),
-            imputer=_metric_imputer(options, default_kind="zero"),
-            fractions=tuple(options.get("fractions", DEFAULT_FRACTIONS)),
-            seed=seed,
-        )
-    raise ConfigError(f"unknown metric {name!r}")
+    """Run one named metric with its option dict, whose keys are checked first."""
+    _check_keys(options, set(metric_defaults(name)), f"metrics.{name}")
+    return METRICS[name](model, dataset, maps, seed=seed, **options)
 
 
 @dataclass(frozen=True)
@@ -325,25 +271,12 @@ class RunManifest:
     timings_s: dict  # "variant/metric" -> seconds
     skipped: dict  # "variant/metric" -> skipped sample count
 
-    def to_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "dataset_digest": self.dataset_digest,
-            "outputs": self.outputs,
-            "timings_s": self.timings_s,
-            "skipped": self.skipped,
-        }
-
 
 def _sweep_length(metric: str, options: dict) -> int:
     """The steps of one metric's sweep, the cost by which jobs are ordered."""
-    if metric == "soundness":
-        return len(options.get("mask_ratios", DEFAULT_MASK_RATIOS))
-    if metric == "completeness":
-        return len(options.get("thresholds", DEFAULT_THRESHOLDS))
-    return len(options.get("fractions", DEFAULT_FRACTIONS))
+    defaults = metric_defaults(metric)
+    axis = next(k for k in ("mask_ratios", "thresholds", "fractions") if k in defaults)
+    return len(options.get(axis, defaults[axis]))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
@@ -415,7 +348,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         timings_s=timings,
         skipped=skipped,
     )
-    atomic_write(out_dir / "manifest.json", canonical_json(manifest.to_dict()))
+    atomic_write(out_dir / "manifest.json", canonical_json(asdict(manifest)))
     return manifest
 
 
@@ -482,15 +415,7 @@ def run_validation(
     gt = ground_truth_attribution(dataset)
     oracle = oracle_info(dataset)
 
-    s_cfg = SoundnessConfig(
-        mask_ratios=settings.mask_ratios,
-        epsilon=settings.epsilon,
-        imputer=Imputer(kind="mean", noise_std=settings.noise_std),
-    )
-    c_cfg = CompletenessConfig(
-        thresholds=settings.thresholds, imputer=Imputer(kind="mean")
-    )
-    original_completeness = completeness_curve(model, dataset, gt, c_cfg)
+    original_completeness = completeness_curve(model, dataset, gt, thresholds=settings.thresholds)
 
     def trial_job(job: tuple) -> tuple:
         """Aligned soundness and, for modified maps, the completeness curve."""
@@ -514,15 +439,20 @@ def run_validation(
                 ),
                 oracle,
             )
-        s_curve = soundness_curve(model, dataset, maps, s_cfg, seed=settings.seed + trial)
-        c_curve = None if maps is gt else completeness_curve(model, dataset, maps, c_cfg)
+        s_curve = soundness_curve(
+            model, dataset, maps, mask_ratios=settings.mask_ratios, epsilon=settings.epsilon,
+            noise_std=settings.noise_std, seed=settings.seed + trial,
+        )
+        c_curve = None if maps is gt else completeness_curve(
+            model, dataset, maps, thresholds=settings.thresholds
+        )
         return align_soundness(s_curve, settings.aligned_levels), c_curve
 
     # the unmodified maps' jobs are the shortest (no modification, no
     # completeness), so they go last and fill the lanes' tails
     jobs = [(trial, method) for method in VALIDATION_METHODS[::-1] for trial in range(settings.n_trials)]
     outcomes = parallel.run_jobs(
-        lambda: nullcontext(trial_job), jobs, parallel._usable_cpus()
+        lambda: nullcontext(trial_job), jobs, parallel.usable_lanes()
     )
     aligned: dict = {m: {lvl: [] for lvl in settings.aligned_levels} for m in VALIDATION_METHODS}
     completeness_curves: dict = {m: [] for m in VALIDATION_METHODS}

@@ -19,13 +19,18 @@ Every metric evaluates its nested masks through one engine, ``_sweep``,
 which takes each step as the features whose mask state changes: rank
 cut-offs for soundness and the order-based curves, thresholds for
 completeness.
+
+A metric's options and their defaults are its function's keyword-only
+parameters; ``METRICS`` names the functions and ``metric_defaults`` reads them.
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from functools import partial
 from itertools import chain, pairwise
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -62,7 +67,9 @@ class SoundnessPoint(NamedTuple):
     mean_soundness: float
 
 
-def _check_descending(values: Sequence[float], name: str) -> None:
+def _descending(values: Sequence[float], name: str) -> tuple:
+    """``values`` as a tuple, after checking they descend strictly inside (0, 1)."""
+    values = tuple(values)
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ConfigError(f"{name} must be non-empty")
@@ -70,30 +77,7 @@ def _check_descending(values: Sequence[float], name: str) -> None:
         raise ConfigError(f"{name} must lie strictly inside (0, 1)")
     if np.any(np.diff(arr) >= 0):
         raise ConfigError(f"{name} must be strictly descending")
-
-
-@dataclass(frozen=True)
-class SoundnessConfig:
-    mask_ratios: tuple = DEFAULT_MASK_RATIOS
-    epsilon: float = 0.01
-    imputer: Imputer = field(default_factory=Imputer)
-    weighting: str = "attribution"
-
-    def __post_init__(self) -> None:
-        _check_descending(self.mask_ratios, "mask_ratios")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if self.weighting not in WEIGHTINGS:
-            raise ConfigError(f"unknown weighting {self.weighting!r}")
-
-
-@dataclass(frozen=True)
-class CompletenessConfig:
-    thresholds: tuple = DEFAULT_THRESHOLDS
-    imputer: Imputer = field(default_factory=Imputer)
-
-    def __post_init__(self) -> None:
-        _check_descending(self.thresholds, "thresholds")
+    return values
 
 
 def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
@@ -307,7 +291,12 @@ def soundness_curve(
     model: Model,
     dataset: Dataset,
     maps: MapSet,
-    cfg: Optional[SoundnessConfig] = None,
+    *,
+    mask_ratios: Sequence[float] = DEFAULT_MASK_RATIOS,
+    epsilon: float = 0.01,
+    imputer: str = "mean",
+    noise_std: float = 0.0,
+    weighting: str = "attribution",
     seed: int = 0,
 ) -> EvalCurve:
     """Accuracy level versus mean per-sample soundness ratio.
@@ -326,7 +315,14 @@ def soundness_curve(
     equals the previous one's (common when d < 99) repeat that step's
     accuracy without a model call.
     """
-    cfg = cfg or SoundnessConfig()
+    mask_ratios = _descending(mask_ratios, "mask_ratios")
+    epsilon = float(epsilon)
+    if epsilon <= 0:
+        raise ConfigError("epsilon must be positive")
+    if weighting not in WEIGHTINGS:
+        raise ConfigError(f"unknown weighting {weighting!r}")
+    imputer = Imputer(kind=imputer, noise_std=float(noise_std))
+
     values = _flat_maps(dataset, maps)
     keep = values.sum(axis=1) > 0
     n_skipped = int(np.count_nonzero(~keep))
@@ -339,33 +335,33 @@ def soundness_curve(
     n, d = values.shape
     features = dataset.feature_matrix()[keep].reshape(n, d)
     labels = dataset.labels()[keep]
-    noise = _predrawn_noise(dataset, cfg.imputer, seed, keep)
+    noise = _predrawn_noise(dataset, imputer, seed, keep)
 
     order = _order(values)
     sorted_vals = np.take_along_axis(values, order, axis=1)
     prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(sorted_vals, axis=1)], axis=1)
     total = prefix[:, -1]
 
-    ks = [round_half_away(m * d) for m in cfg.mask_ratios]
+    ks = [round_half_away(m * d) for m in mask_ratios]
     if max(ks) >= d:
         raise ConfigError(
-            f"mask ratio {cfg.mask_ratios[int(np.argmax(ks))]} masks every "
+            f"mask ratio {mask_ratios[int(np.argmax(ks))]} masks every "
             f"feature of a {d}-feature map"
         )
 
     accs = _sweep(
-        model, dataset, features, labels, cfg.imputer, noise, *_rank_steps(order, ks, True)
+        model, dataset, features, labels, imputer, noise, *_rank_steps(order, ks, True)
     )
     sweep: list[tuple[float, float, float]] = []
     false_mass = np.zeros(n)
     false_card = 0
     s_prev = 0.0
     k_prev = d
-    for m, k, s_m in zip(cfg.mask_ratios, ks, accs):
-        if s_m - s_prev < cfg.epsilon:
+    for m, k, s_m in zip(mask_ratios, ks, accs):
+        if s_m - s_prev < epsilon:
             false_mass += prefix[:, k_prev] - prefix[:, k]
             false_card += k_prev - k
-        if cfg.weighting == "attribution":
+        if weighting == "attribution":
             included = total - prefix[:, k]
             q = float(np.mean((included - false_mass) / included))
         else:
@@ -387,10 +383,10 @@ def soundness_curve(
             "sweep": [list(t) for t in sweep],
             "skipped": n_skipped,
             "n_samples": n,
-            "weighting": cfg.weighting,
-            "epsilon": cfg.epsilon,
-            "imputer": cfg.imputer.kind,
-            "noise_std": cfg.imputer.noise_std,
+            "weighting": weighting,
+            "epsilon": epsilon,
+            "imputer": imputer.kind,
+            "noise_std": imputer.noise_std,
         },
     )
 
@@ -416,7 +412,10 @@ def completeness_curve(
     model: Model,
     dataset: Dataset,
     maps: MapSet,
-    cfg: Optional[CompletenessConfig] = None,
+    *,
+    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
+    imputer: str = "mean",
+    noise_std: float = 0.0,
     seed: int = 0,
 ) -> EvalCurve:
     """Accuracy drop when features attributed above each threshold are removed.
@@ -424,25 +423,27 @@ def completeness_curve(
     A threshold that masks the same features as the next higher one repeats
     that step's accuracy without a model call.
     """
-    cfg = cfg or CompletenessConfig()
+    thresholds = _descending(thresholds, "thresholds")
+    imputer = Imputer(kind=imputer, noise_std=float(noise_std))
+
     values = _flat_maps(dataset, maps)
     n, d = values.shape
     features = dataset.feature_matrix().reshape(n, d)
     labels = dataset.labels()
-    noise = _predrawn_noise(dataset, cfg.imputer, seed, np.ones(n, dtype=bool))
+    noise = _predrawn_noise(dataset, imputer, seed, np.ones(n, dtype=bool))
     s_0, *s_ts = _sweep(
-        model, dataset, features, labels, cfg.imputer, noise,
-        *_threshold_steps(values, cfg.thresholds),
+        model, dataset, features, labels, imputer, noise,
+        *_threshold_steps(values, thresholds),
     )
-    pts = sorted((float(t), s_0 - s_t) for t, s_t in zip(cfg.thresholds, s_ts))
+    pts = sorted((float(t), s_0 - s_t) for t, s_t in zip(thresholds, s_ts))
     return EvalCurve(
         metric_kind="completeness",
         x_axis="attribution_threshold",
         points=tuple(pts),
         meta={
             "clean_accuracy": s_0,
-            "imputer": cfg.imputer.kind,
-            "noise_std": cfg.imputer.noise_std,
+            "imputer": imputer.kind,
+            "noise_std": imputer.noise_std,
         },
     )
 
@@ -452,8 +453,10 @@ def order_based_curve(
     dataset: Dataset,
     maps: MapSet,
     mode: str,
+    *,
     order: str = "MoRF",
-    imputer: Optional[Imputer] = None,
+    imputer: str = "zero",
+    noise_std: float = 0.0,
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     seed: int = 0,
 ) -> EvalCurve:
@@ -477,7 +480,7 @@ def order_based_curve(
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.size < 2 or np.any(fr < 0) or np.any(fr > 1) or np.any(np.diff(fr) <= 0):
         raise ConfigError("fractions must be strictly ascending within [0, 1]")
-    imputer = imputer or Imputer(kind="zero")
+    imputer = Imputer(kind=imputer, noise_std=float(noise_std))
 
     values = _flat_maps(dataset, maps)
     n, d = values.shape
@@ -503,6 +506,7 @@ def road_curve(
     model: Model,
     dataset: Dataset,
     maps: MapSet,
+    *,
     order: str = "MoRF",
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     noise_std: float = 0.0,
@@ -512,16 +516,33 @@ def road_curve(
     dataset mean on tabular data where pixel adjacency is undefined."""
     kind = "noisy_linear" if dataset.is_grid else "mean"
     base = order_based_curve(
-        model,
-        dataset,
-        maps,
-        mode="deletion",
-        order=order,
-        imputer=Imputer(kind=kind, noise_std=noise_std),
-        fractions=fractions,
-        seed=seed,
+        model, dataset, maps, "deletion",
+        order=order, imputer=kind, noise_std=noise_std, fractions=fractions, seed=seed,
     )
     return replace(base, metric_kind="road")
+
+
+METRICS = {
+    "soundness": soundness_curve,
+    "completeness": completeness_curve,
+    "deletion": partial(order_based_curve, mode="deletion"),
+    "insertion": partial(order_based_curve, mode="insertion"),
+    "road": road_curve,
+}
+
+
+def metric_defaults(name: str) -> dict:
+    """The options of metric ``name`` with their defaults: the keyword-only
+    parameters of its function in ``METRICS`` but the mode the table fixes
+    and ``seed``, which a run passes itself."""
+    if name not in METRICS:
+        raise ConfigError(f"unknown metric {name!r}")
+    params = inspect.signature(METRICS[name]).parameters.values()
+    return {
+        p.name: p.default
+        for p in params
+        if p.kind is p.KEYWORD_ONLY and p.name not in ("mode", "seed")
+    }
 
 
 def auc(curve: EvalCurve) -> float:

@@ -17,9 +17,10 @@ as a started model bridge's reader), since forking a process that runs
 threads is unsafe; and without the ``fork`` start method.  Either way a job's
 warnings are recorded where it runs and re-issued in the caller, in job
 order, and the first failed job in job order raises its exception in the
-caller; from a lane it arrives as a copy, with its type and message.  A lane
-that dies without reporting its job raises ``WorkerError``.  No lane
-outlives ``run_jobs``.
+caller; from a lane it arrives as a copy, with its type and message.  An
+exception raised by ``open_lane()`` in a lane is the outcome of the lane's
+first job.  A lane that dies without reporting its job raises
+``WorkerError``.  No lane outlives ``run_jobs``.
 
 The lanes are forked, not spawned, so that a lane starts without
 re-importing soco or receiving a copy of the state.
@@ -31,6 +32,7 @@ import multiprocessing
 import os
 import threading
 import warnings
+from contextlib import ExitStack
 from multiprocessing.connection import wait
 from typing import Callable, ContextManager, Sequence
 
@@ -88,7 +90,14 @@ def _lane(open_lane, jobs, conn, inherited) -> None:
     _in_lane = True
     for end in inherited:  # the caller's pipe ends: a lane holding one would never read EOF
         end.close()
-    with open_lane() as work:
+    with ExitStack() as stack:
+        try:
+            work = stack.enter_context(open_lane())
+        except Exception as exc:  # reported as the outcome of the lane's first job
+
+            def work(job, exc=exc):
+                raise exc
+
         while True:
             try:
                 index = conn.recv()

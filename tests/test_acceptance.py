@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from soco import (
-    CompletenessConfig,
     CurveSet,
     Dataset,
     EvalCurve,
@@ -20,7 +19,6 @@ from soco import (
     LinearStepModel,
     MapSet,
     ModScheme,
-    SoundnessConfig,
     ValidationSettings,
     apply_scheme,
     completeness_curve,
@@ -70,15 +68,9 @@ def validation():
 def test_a1_gt_soundness_saturation(world, record_criterion):
     record = record_criterion
     started = time.perf_counter()
-    default = soundness_curve(
-        world["model"], world["dataset"], world["gt"], SoundnessConfig(), seed=7
-    )
+    default = soundness_curve(world["model"], world["dataset"], world["gt"], seed=7)
     tight = soundness_curve(
-        world["model"],
-        world["dataset"],
-        world["gt"],
-        SoundnessConfig(epsilon=1e-6),
-        seed=7,
+        world["model"], world["dataset"], world["gt"], epsilon=1e-6, seed=7
     )
     elapsed = time.perf_counter() - started
     min_default = min(q for _, q in default.points)
@@ -171,7 +163,6 @@ def test_a3_order_blindness(world, record_criterion):
         ),
     }
     fracs = (0.0, 0.3, 0.6, 0.9, 1.0)
-    noisy = SoundnessConfig(imputer=Imputer(kind="mean", noise_std=1.0))
 
     mins = {}
     mins["deletion"] = min_pairwise_hausdorff(
@@ -190,7 +181,7 @@ def test_a3_order_blindness(world, record_criterion):
     mins["soundness"] = min_pairwise_hausdorff(
         CurveSet(
             {
-                n: soundness_curve(model, dataset, m, noisy, seed=7)
+                n: soundness_curve(model, dataset, m, imputer="mean", noise_std=1.0, seed=7)
                 for n, m in variants.items()
             }
         )
@@ -278,7 +269,6 @@ def staircase_instance(seed: int):
 def test_a4_soundness_oracle_equivalence(record_criterion):
     record = record_criterion
     model = LinearStepModel()
-    cfg = SoundnessConfig(mask_ratios=SMALL_RATIOS)
     worst = 0.0
     n_points = 0
     analytic_lo, analytic_hi = 1.0, 0.0
@@ -290,7 +280,7 @@ def test_a4_soundness_oracle_equivalence(record_criterion):
             dataset = tiny_antisymmetric_dataset(8 + (i % 5), seed=100 + i)
             maps = ground_truth_attribution(dataset)
         oracle = oracle_info(dataset)
-        curve = soundness_curve(model, dataset, maps, cfg, seed=i)
+        curve = soundness_curve(model, dataset, maps, mask_ratios=SMALL_RATIOS, seed=i)
         assert len(curve.points) == (5 if i < 12 else 1)
         for level, q in curve.points:
             # dedup keeps the first sweep step per accuracy value; recompute
@@ -330,12 +320,11 @@ def test_a5_completeness_oracle_ordering(world, record_criterion):
         world["oracle"],
     )
     t = 0.5  # the metric's fraction-sensitive regime on this world
-    cfg = CompletenessConfig(thresholds=(t,), imputer=Imputer(kind="mean"))
     phis = list(zip(oracle.phi, oracle.informative))
     phi_informative = np.array([phi[informative].sum() for phi, informative in phis])
 
     def drop_and_ratio(maps):
-        drop = completeness_curve(model, dataset, maps, cfg).points[0][1]
+        drop = completeness_curve(model, dataset, maps, thresholds=(t,), imputer="mean").points[0][1]
         masses = [
             phi[(values > t) & informative].sum()
             for values, (phi, informative) in zip(maps.values, phis)

@@ -9,8 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soco import parallel, read_curve, read_dataset, read_maps
+from soco import (
+    LinearStepModel,
+    completeness_curve,
+    order_based_curve,
+    parallel,
+    read_curve,
+    read_dataset,
+    read_maps,
+    road_curve,
+    soundness_curve,
+    write_curve,
+)
 from soco.cli import main
+from soco.io import canonical_json
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
 
@@ -130,6 +142,61 @@ def test_eval_deletion_on_modified_maps(workdir):
     )
     assert rc == 0
     assert read_curve(workdir / "del.curve.json").metric_kind == "deletion"
+
+
+def library_curve(metric, model, dataset, maps):
+    """``metric`` through its library function, with no options."""
+    if metric in ("deletion", "insertion"):
+        return order_based_curve(model, dataset, maps, metric)
+    fn = {"soundness": soundness_curve, "completeness": completeness_curve, "road": road_curve}
+    return fn[metric](model, dataset, maps)
+
+
+def without_digest(path):
+    payload = json.loads(path.read_text())
+    payload.pop("config_digest")
+    return canonical_json(payload)
+
+
+@pytest.mark.parametrize(
+    "metric", ["soundness", "completeness", "deletion", "insertion", "road"]
+)
+def test_library_eval_and_run_share_each_metric_default(workdir, metric):
+    # one default per option: no options in the library call, no metric flag
+    # on `soco eval` and an empty option object in a `soco run` config
+    dataset = read_dataset(workdir / "data.soco")
+    maps = read_maps(workdir / "maps.soco", dataset)
+    write_curve(library_curve(metric, LinearStepModel(), dataset, maps), workdir / "lib.json")
+    assert main([
+        "eval", "--metric", metric, "--dataset", str(workdir / "data.soco"),
+        "--maps", str(workdir / "maps.soco"), "--out", str(workdir / "eval.json"),
+    ]) == 0
+    cfg = {
+        "output_dir": "out",
+        "dataset": {"path": "data.soco"},
+        "maps": {"source": "maps.soco"},
+        "metrics": {metric: {}},
+    }
+    (workdir / "exp.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(workdir / "exp.json")]) == 0
+    run_curve = workdir / "out" / f"original.{metric}.curve.json"
+    assert without_digest(workdir / "eval.json") == without_digest(workdir / "lib.json")
+    assert without_digest(run_curve) == without_digest(workdir / "lib.json")
+
+
+@pytest.mark.parametrize(
+    "metric, flag, value", [("road", "--imputer", "zero"), ("completeness", "--epsilon", "0.5")]
+)
+def test_eval_rejects_a_flag_its_metric_does_not_take(workdir, metric, flag, value):
+    out = workdir / "c.json"
+    proc = run_cli_process(
+        "eval", "--metric", metric, "--dataset", str(workdir / "data.soco"),
+        "--out", str(out), flag, value,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config error" in proc.stderr and flag in proc.stderr
+    assert not out.exists()
 
 
 def test_compare_prints_pairwise_and_min(workdir, capsys):

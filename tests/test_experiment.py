@@ -20,6 +20,7 @@ from soco import (
     write_maps,
 )
 from soco.experiment import evaluate_metric
+from soco.metrics import metric_defaults
 from soco.io import dataset_digest
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
@@ -69,6 +70,31 @@ def test_unknown_metric_and_option():
         parse_config(base_config(metrics={"fidelity": {}}))
     with pytest.raises(ConfigError, match="metrics.soundness"):
         parse_config(base_config(metrics={"soundness": {"order": "MoRF"}}))
+
+
+METRIC_OPTION_KEYS = {
+    "soundness": {"mask_ratios", "epsilon", "imputer", "noise_std", "weighting"},
+    "completeness": {"thresholds", "imputer", "noise_std"},
+    "deletion": {"order", "imputer", "noise_std", "fractions"},
+    "insertion": {"order", "imputer", "noise_std", "fractions"},
+    "road": {"order", "noise_std", "fractions"},
+}
+
+
+@pytest.mark.parametrize("metric", sorted(METRIC_OPTION_KEYS))
+def test_each_metric_takes_exactly_its_option_keys(metric):
+    keys = METRIC_OPTION_KEYS[metric]
+    assert set(metric_defaults(metric)) == keys
+    parse_config(base_config(metrics={metric: {key: None for key in keys}}))
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['seed'\] in metrics.{metric}"):
+        parse_config(base_config(metrics={metric: {"seed": 1}}))
+
+
+def test_integer_options_are_written_as_floats(small_dataset, gt_maps, step_model):
+    options = {"noise_std": 1, "epsilon": 1, "mask_ratios": [0.5]}
+    curve = evaluate_metric("soundness", options, step_model, small_dataset, gt_maps, 0)
+    assert curve.meta["noise_std"] == 1.0 and isinstance(curve.meta["noise_std"], float)
+    assert isinstance(curve.meta["epsilon"], float)
 
 
 def test_dataset_needs_exactly_one_source(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soco import (
-    CompletenessConfig,
     ConfigError,
     DataError,
     Dataset,
@@ -17,7 +16,6 @@ from soco import (
     MapSet,
     MlpModel,
     MlpWeights,
-    SoundnessConfig,
     align_soundness,
     auc,
     completeness_curve,
@@ -32,6 +30,7 @@ from soco.core import accuracy_from_probs
 from soco.metrics import (
     DEFAULT_FRACTIONS,
     DEFAULT_MASK_RATIOS,
+    DEFAULT_THRESHOLDS,
     ORDER_MODES,
     RANK_ORDERS,
     WEIGHTINGS,
@@ -112,12 +111,16 @@ def naive_completeness(model, dataset, maps, thresholds):
 
 
 def test_soundness_matches_naive_oracle_noisy(step_model, small_dataset, gt_maps):
-    cfg = SoundnessConfig(
+    curve = soundness_curve(
+        step_model,
+        small_dataset,
+        gt_maps,
         mask_ratios=COARSE_RATIOS,
         epsilon=0.01,
-        imputer=Imputer(kind="mean", noise_std=1.0),
+        imputer="mean",
+        noise_std=1.0,
+        seed=5,
     )
-    curve = soundness_curve(step_model, small_dataset, gt_maps, cfg, seed=5)
     want = naive_soundness(
         step_model, small_dataset, gt_maps, COARSE_RATIOS, 0.01, "attribution", 1.0, 5
     )
@@ -128,12 +131,16 @@ def test_soundness_matches_naive_oracle_noisy(step_model, small_dataset, gt_maps
 
 
 def test_soundness_cardinality_weighting_matches_naive(step_model, small_dataset, gt_maps):
-    cfg = SoundnessConfig(
+    curve = soundness_curve(
+        step_model,
+        small_dataset,
+        gt_maps,
         mask_ratios=COARSE_RATIOS,
-        imputer=Imputer(kind="mean", noise_std=1.0),
+        imputer="mean",
+        noise_std=1.0,
         weighting="cardinality",
+        seed=2,
     )
-    curve = soundness_curve(step_model, small_dataset, gt_maps, cfg, seed=2)
     want = naive_soundness(
         step_model, small_dataset, gt_maps, COARSE_RATIOS, 0.01, "cardinality", 1.0, 2
     )
@@ -144,8 +151,7 @@ def test_soundness_cardinality_weighting_matches_naive(step_model, small_dataset
 def test_gt_soundness_saturates_at_one(step_model, small_dataset, gt_maps):
     # noiseless mean imputation keeps the step model perfect at every ratio,
     # so the deduplicated curve is the single point (1, 1)
-    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS)
-    curve = soundness_curve(step_model, small_dataset, gt_maps, cfg)
+    curve = soundness_curve(step_model, small_dataset, gt_maps, mask_ratios=COARSE_RATIOS)
     assert curve.points == ((1.0, 1.0),)
     assert len(curve.meta["sweep"]) == len(COARSE_RATIOS)
 
@@ -154,18 +160,22 @@ def test_soundness_skips_zero_maps_with_warning(step_model, small_dataset, gt_ma
     values = gt_maps.values.copy()
     values[3] = 0.0
     maps = MapSet(values, normalized=True)
-    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS)
     with pytest.warns(UserWarning, match="all-zero"):
-        curve = soundness_curve(step_model, small_dataset, maps, cfg)
+        curve = soundness_curve(step_model, small_dataset, maps, mask_ratios=COARSE_RATIOS)
     assert curve.meta["skipped"] == 1
     assert curve.meta["n_samples"] == len(maps) - 1
 
 
 def test_soundness_q_bounded(step_model, small_dataset, gt_maps):
-    cfg = SoundnessConfig(
-        mask_ratios=COARSE_RATIOS, imputer=Imputer(kind="mean", noise_std=2.0)
+    curve = soundness_curve(
+        step_model,
+        small_dataset,
+        gt_maps,
+        mask_ratios=COARSE_RATIOS,
+        imputer="mean",
+        noise_std=2.0,
+        seed=0,
     )
-    curve = soundness_curve(step_model, small_dataset, gt_maps, cfg, seed=0)
     for _, s, q in curve.meta["sweep"]:
         assert 0.0 <= q <= 1.0
 
@@ -184,15 +194,18 @@ def test_soundness_map_count_mismatch(step_model, small_dataset, gt_maps):
         soundness_curve(step_model, small_dataset, MapSet(gt_maps.values[:-1]))
 
 
-def test_soundness_config_validation():
+def test_soundness_config_validation(step_model, small_dataset, gt_maps):
+    def run(**options):
+        soundness_curve(step_model, small_dataset, gt_maps, **options)
+
     with pytest.raises(ConfigError):
-        SoundnessConfig(mask_ratios=(0.1, 0.5))  # ascending
+        run(mask_ratios=(0.1, 0.5))  # ascending
     with pytest.raises(ConfigError):
-        SoundnessConfig(mask_ratios=(1.0, 0.5))  # 1.0 not inside (0,1)
+        run(mask_ratios=(1.0, 0.5))  # 1.0 not inside (0,1)
     with pytest.raises(ConfigError):
-        SoundnessConfig(epsilon=0.0)
+        run(epsilon=0.0)
     with pytest.raises(ConfigError):
-        SoundnessConfig(weighting="mass")
+        run(weighting="mass")
 
 
 # -- alignment -------------------------------------------------------------------
@@ -270,7 +283,7 @@ def test_deletion_full_mean_imputation_hits_constant_prediction(
         small_dataset,
         gt_maps,
         mode="deletion",
-        imputer=Imputer(kind="mean"),
+        imputer="mean",
         fractions=(0.0, 1.0),
     )
     # every sample becomes the mean vector, so the model predicts one class
@@ -322,7 +335,7 @@ def test_road_is_deletion_with_mean_on_tabular(step_model, small_dataset, gt_map
         small_dataset,
         gt_maps,
         mode="deletion",
-        imputer=Imputer(kind="mean"),
+        imputer="mean",
         fractions=(0.0, 0.4, 1.0),
     )
     assert road.points == manual.points
@@ -407,14 +420,23 @@ def literal_ranks(values, descending=False):
     return ranks
 
 
-def literal_soundness(model, dataset, maps, cfg, seed):
+def imputer_options(imputer):
+    """An ``Imputer`` as the metrics' keyword options."""
+    return {"imputer": imputer.kind, "noise_std": imputer.noise_std}
+
+
+def literal_soundness(
+    model, dataset, maps, seed, *, mask_ratios, imputer, noise_std,
+    epsilon=0.01, weighting="attribution",
+):
     """(points, sweep) with the mask ranks < k and a full refill at every ratio."""
+    imputer = Imputer(imputer, noise_std)
     values = maps.values.reshape(len(maps), -1)
     keep = values.sum(axis=1) > 0
     values = values[keep]
     features = dataset.feature_matrix()[keep]
     labels = dataset.labels()[keep]
-    noise = literal_noise(dataset, cfg.imputer, seed)
+    noise = literal_noise(dataset, imputer, seed)
     noise = None if noise is None else noise[keep]
     n, d = values.shape
     ranks = literal_ranks(values)
@@ -422,13 +444,13 @@ def literal_soundness(model, dataset, maps, cfg, seed):
         [np.zeros((n, 1)), np.cumsum(np.sort(values, axis=1, kind="stable"), axis=1)], axis=1
     )
     sweep, false_mass, false_card, s_prev, k_prev = [], np.zeros(n), 0, 0.0, d
-    for m in cfg.mask_ratios:
+    for m in mask_ratios:
         k = round_half_away(m * d)
-        s_m = literal_accuracy(model, dataset, features, labels, ranks < k, cfg.imputer, noise)
-        if s_m - s_prev < cfg.epsilon:
+        s_m = literal_accuracy(model, dataset, features, labels, ranks < k, imputer, noise)
+        if s_m - s_prev < epsilon:
             false_mass += prefix[:, k_prev] - prefix[:, k]
             false_card += k_prev - k
-        if cfg.weighting == "attribution":
+        if weighting == "attribution":
             included = prefix[:, -1] - prefix[:, k]
             q = float(np.mean((included - false_mass) / included))
         else:
@@ -441,14 +463,17 @@ def literal_soundness(model, dataset, maps, cfg, seed):
     return tuple(sorted(first.items())), sweep
 
 
-def literal_completeness(model, dataset, maps, cfg, seed):
+def literal_completeness(
+    model, dataset, maps, seed, *, imputer, noise_std, thresholds=DEFAULT_THRESHOLDS
+):
+    imputer = Imputer(imputer, noise_std)
     values = maps.values.reshape(len(maps), -1)
     features, labels = dataset.feature_matrix(), dataset.labels()
-    noise = literal_noise(dataset, cfg.imputer, seed)
+    noise = literal_noise(dataset, imputer, seed)
     s_0 = accuracy_from_probs(model.predict_probs(features), labels)
     return tuple(
-        (t, s_0 - literal_accuracy(model, dataset, features, labels, values > t, cfg.imputer, noise))
-        for t in sorted(cfg.thresholds)
+        (t, s_0 - literal_accuracy(model, dataset, features, labels, values > t, imputer, noise))
+        for t in sorted(thresholds)
     )
 
 
@@ -564,12 +589,12 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
         features = ds.feature_matrix()
         noise = literal_noise(ds, imputer, seed)
         for weighting in WEIGHTINGS:
-            cfg = SoundnessConfig(mask_ratios=ratios, imputer=imputer, weighting=weighting)
+            options = dict(mask_ratios=ratios, weighting=weighting, **imputer_options(imputer))
             model = CountingModel(inner)
-            curve = soundness_curve(model, ds, maps, cfg, seed=seed)
+            curve = soundness_curve(model, ds, maps, **options, seed=seed)
             pipelined = PipelinedModel(inner)
-            assert soundness_curve(pipelined, ds, maps, cfg, seed=seed) == curve
-            points, sweep = literal_soundness(inner, ds, maps, cfg, seed)
+            assert soundness_curve(pipelined, ds, maps, **options, seed=seed) == curve
+            points, sweep = literal_soundness(inner, ds, maps, seed, **options)
             assert curve.points == points
             assert curve.meta["sweep"] == sweep
             ks = [round_half_away(m * d) for m in ratios]
@@ -584,14 +609,14 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
                 ),
             )
 
-        cfg = CompletenessConfig(imputer=imputer)
+        options = imputer_options(imputer)
         model = CountingModel(inner)
-        curve = completeness_curve(model, ds, maps, cfg, seed=seed)
-        assert curve.points == literal_completeness(inner, ds, maps, cfg, seed)
+        curve = completeness_curve(model, ds, maps, **options, seed=seed)
+        assert curve.points == literal_completeness(inner, ds, maps, seed, **options)
         pipelined = PipelinedModel(inner)
-        assert completeness_curve(pipelined, ds, maps, cfg, seed=seed) == curve
+        assert completeness_curve(pipelined, ds, maps, **options, seed=seed) == curve
         # one model call per distinct masked set, the clean inputs' empty set first
-        sets = [np.zeros(values.shape, dtype=bool)] + [values > t for t in cfg.thresholds]
+        sets = [np.zeros(values.shape, dtype=bool)] + [values > t for t in DEFAULT_THRESHOLDS]
         distinct = [m for i, m in enumerate(sets) if i == 0 or not np.array_equal(m, sets[i - 1])]
         assert len(model.batches) == len(distinct)
         assert not any(model.writeable) and not any(pipelined.writeable)
@@ -608,7 +633,8 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
                 for fractions in (DEFAULT_FRACTIONS, (0.0, 0.04, 0.05, 0.5, 0.52, 1.0)):
                     model = CountingModel(inner)
                     curve = order_based_curve(
-                        model, ds, maps, mode, order, imputer, fractions, seed=seed
+                        model, ds, maps, mode, order=order, fractions=fractions, seed=seed,
+                        **imputer_options(imputer),
                     )
                     want = literal_order_curve(
                         inner, ds, maps, mode, order, imputer, fractions, seed
@@ -616,7 +642,8 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
                     assert curve.points == want
                     pipelined = PipelinedModel(inner)
                     assert order_based_curve(
-                        pipelined, ds, maps, mode, order, imputer, fractions, seed=seed
+                        pipelined, ds, maps, mode, order=order, fractions=fractions, seed=seed,
+                        **imputer_options(imputer),
                     ) == curve
                     ks = [round_half_away(f * d) for f in fractions]
                     assert len(model.batches) == len(set(ks))
@@ -635,11 +662,11 @@ def test_completeness_calls_the_model_once_per_distinct_masked_set(step_model, s
     # 0.5 or 1; a threshold that masks its predecessor's set costs no call
     n, d = len(small_dataset), small_dataset.n_features
     maps = MapSet(np.resize([0.0, 0.5, 1.0], (n, d)), normalized=True)
-    cfg = CompletenessConfig(imputer=Imputer(kind="mean", noise_std=1.0))
+    options = dict(imputer="mean", noise_std=1.0)
     model = CountingModel(step_model)
-    curve = completeness_curve(model, small_dataset, maps, cfg, seed=3)
-    assert len(cfg.thresholds) == 9 and len(model.batches) == 3
-    assert curve.points == literal_completeness(step_model, small_dataset, maps, cfg, 3)
+    curve = completeness_curve(model, small_dataset, maps, **options, seed=3)
+    assert len(DEFAULT_THRESHOLDS) == 9 and len(model.batches) == 3
+    assert curve.points == literal_completeness(step_model, small_dataset, maps, 3, **options)
 
 
 def test_sweep_buffer_is_not_shared_between_steps(step_model, small_dataset, gt_maps):
@@ -704,9 +731,9 @@ def grid_curves(model, ds, maps, imputer):
         road_curve(model, ds, maps, order=order, noise_std=imputer.noise_std, seed=5)
         for order in RANK_ORDERS
     ]
-    curves.append(completeness_curve(model, ds, maps, CompletenessConfig(imputer=imputer), seed=5))
-    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS, imputer=imputer)
-    return curves + [soundness_curve(model, ds, maps, cfg, seed=5)]
+    options = imputer_options(imputer)
+    curves.append(completeness_curve(model, ds, maps, **options, seed=5))
+    return curves + [soundness_curve(model, ds, maps, mask_ratios=COARSE_RATIOS, **options, seed=5)]
 
 
 @pytest.mark.filterwarnings("ignore:fully masked grid")
@@ -742,11 +769,11 @@ def test_grid_fill_on_lanes_matches_inline(rng, monkeypatch, solver_pids, noise_
         assert curve.points == literal_order_curve(
             inner, ds, maps, "deletion", order, imputer, DEFAULT_FRACTIONS, 5
         )
-    assert completeness.points == literal_completeness(
-        inner, ds, maps, CompletenessConfig(imputer=imputer), 5
-    )
-    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS, imputer=imputer)
-    assert soundness.points == literal_soundness(inner, ds, maps, cfg, 5)[0]
+    options = imputer_options(imputer)
+    assert completeness.points == literal_completeness(inner, ds, maps, 5, **options)
+    assert soundness.points == literal_soundness(
+        inner, ds, maps, 5, mask_ratios=COARSE_RATIOS, **options
+    )[0]
 
 
 @pytest.mark.filterwarnings("ignore:fully masked grid")
@@ -794,9 +821,9 @@ def test_sweep_windows_of_any_size_give_the_same_bytes(rng, monkeypatch, cpus):
         return run_jobs(open_lane, jobs, max_lanes)
 
     monkeypatch.setattr(parallel, "run_jobs", counted)
-    cfg = SoundnessConfig(mask_ratios=COARSE_RATIOS, imputer=Imputer("noisy_linear", 0.5))
+    options = dict(mask_ratios=COARSE_RATIOS, imputer="noisy_linear", noise_std=0.5)
     model = CountingModel(inner)
-    whole = soundness_curve(model, ds, maps, cfg, seed=5)
+    whole = soundness_curve(model, ds, maps, **options, seed=5)
     steps = len(model.batches)
     assert steps > 2 and len(calls) == 1
     one_step = 8 * len(ds) * ds.n_features  # the bytes of one step's fills
@@ -804,7 +831,7 @@ def test_sweep_windows_of_any_size_give_the_same_bytes(rng, monkeypatch, cpus):
         monkeypatch.setattr(metrics, "_WINDOW_BYTES", window)
         calls.clear()
         windowed = CountingModel(inner)
-        assert soundness_curve(windowed, ds, maps, cfg, seed=5) == whole
+        assert soundness_curve(windowed, ds, maps, **options, seed=5) == whole
         assert len(calls) == windows
         assert [b.tobytes() for b in windowed.batches] == [b.tobytes() for b in model.batches]
 
@@ -827,9 +854,10 @@ def test_noisy_linear_fill_solves_only_samples_with_a_masked_entry(rng, monkeypa
     values[0] = 0.0  # never masked
     values[1] = np.minimum(values[1], 0.5)  # masked from threshold 0.4 on
     solved.clear()
-    cfg = CompletenessConfig(imputer=Imputer(kind="noisy_linear"))
-    completeness_curve(model, ds, MapSet(values.reshape(maps.values.shape), normalized=True), cfg)
-    sets = [np.zeros(values.shape, dtype=bool)] + [values > t for t in cfg.thresholds]
+    completeness_curve(
+        model, ds, MapSet(values.reshape(maps.values.shape), normalized=True), imputer="noisy_linear"
+    )
+    sets = [np.zeros(values.shape, dtype=bool)] + [values > t for t in DEFAULT_THRESHOLDS]
     distinct = [m for i, m in enumerate(sets) if i == 0 or not np.array_equal(m, sets[i - 1])]
     assert len(solved) == sum(np.count_nonzero(m.any(axis=1)) for m in distinct)
     assert len(solved) < n * (len(distinct) - 1) and all(solved)

@@ -147,9 +147,9 @@ def exit_on_open():
     yield
 
 
-@pytest.mark.parametrize("open_lane, code", [(fail_to_open, 1), (exit_on_open, 9)])
+@pytest.mark.parametrize("open_lane, code", [(exit_on_open, 9)])
 def test_a_lane_that_dies_before_its_first_job_raises_worker_error(
-    monkeypatch, capfd, open_lane, code
+    monkeypatch, open_lane, code
 ):
     # a lane may die after its first job index reached its pipe: the caller
     # then reads a reset connection, not end-of-file
@@ -157,7 +157,15 @@ def test_a_lane_that_dies_before_its_first_job_raises_worker_error(
     for _ in range(5):
         with pytest.raises(WorkerError, match=rf"died \(exit code {code}\) in job 0"):
             parallel.run_jobs(open_lane, list(range(4)), 2)
-    capfd.readouterr()  # the failed lanes' tracebacks
+
+
+def test_a_lane_that_cannot_open_raises_its_error_as_job_0(monkeypatch, capfd):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    for _ in range(5):
+        with pytest.raises(DataError, match="^this lane cannot open$") as caught:
+            parallel.run_jobs(fail_to_open, list(range(4)), 2)
+        assert caught.type is DataError
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def pid_of(job):

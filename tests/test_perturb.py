@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from soco import (
-    CompletenessConfig,
     ConfigError,
     DataError,
     Dataset,
     Imputer,
     MapSet,
-    SoundnessConfig,
     completeness_curve,
     generate_synthetic,
     impute_grid,
+    soundness_curve,
 )
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
@@ -171,13 +170,13 @@ def test_rank_permutation_equivariance(values):
     assert np.array_equal(values[base], np.sort(values))
 
 
-def test_mask_by_ratio_examples():
+def test_mask_by_ratio_examples(step_model, small_dataset, gt_maps):
     m = np.arange(10) / 10.0
     assert np.flatnonzero(ratio_mask(m, 0.3)).tolist() == [0, 1, 2]
     assert not ratio_mask(m, 0.0).any()
     assert ratio_mask(m, 1.0).all()
     with pytest.raises(ConfigError):
-        SoundnessConfig(mask_ratios=(1.5,))
+        soundness_curve(step_model, small_dataset, gt_maps, mask_ratios=(1.5,))
 
 
 def test_mask_by_threshold_examples():
@@ -242,9 +241,8 @@ def test_impute_tabular_examples():
 def test_impute_tabular_shape_mismatch(step_model, small_dataset):
     # the masks come from the maps, so maps of another shape never reach the fill
     wrong = MapSet(np.ones((len(small_dataset), small_dataset.n_features + 1)), normalized=True)
-    cfg = CompletenessConfig(imputer=Imputer(kind="mean"))
     with pytest.raises(DataError, match="shape does not match"):
-        completeness_curve(step_model, small_dataset, wrong, cfg)
+        completeness_curve(step_model, small_dataset, wrong, imputer="mean")
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (28, 28)])
