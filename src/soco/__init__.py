@@ -63,7 +63,7 @@ from .models import (
 )
 from .modify import ModScheme, apply_scheme
 from .perturb import Imputer, impute_grid
-from .rng import substream
+from .rng import substream, substreams
 from .synthetic import (
     LinearStepModel,
     OracleInfo,
@@ -123,6 +123,7 @@ __all__ = [
     "run_validation",
     "soundness_curve",
     "substream",
+    "substreams",
     "write_curve",
     "write_dataset",
     "write_maps",

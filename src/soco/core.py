@@ -10,6 +10,8 @@ downstream comparison code never has to guess units.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union
 
@@ -34,6 +36,35 @@ class DataError(SocoError):
 
 class WorkerError(SocoError):
     """A worker process died before it reported its job (CLI exit code 5)."""
+
+
+def check_count(value, key: str) -> int:
+    """``value`` if it is a non-negative integer (Python or numpy, never a bool).
+
+    Anything else, a float such as 1.5 or a string such as "3" included, is a
+    ``ConfigError`` naming ``key``, never silently truncated or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def check_real(value, key: str) -> float:
+    """``value`` if it is a finite real number (Python or numpy, never a bool)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{key} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def check_flag(value, key: str) -> bool:
+    """``value`` if it is a boolean (Python or numpy)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return bool(value)
 
 
 TABULAR_NDIM = 1

@@ -45,7 +45,7 @@ import numpy as np
 from . import parallel
 from ._version import __version__
 from .analysis import aggregate_trials
-from .core import ConfigError, Dataset, EvalCurve, MapSet, Model
+from .core import ConfigError, Dataset, EvalCurve, MapSet, Model, check_count, check_real
 from .io import (
     atomic_write,
     canonical_json,
@@ -121,10 +121,8 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
         {"seed", "output_dir", "workers", "dataset", "model", "maps", "metrics"},
         "config",
     )
-    seed = int(raw.get("seed", 0))
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
-    workers = int(raw.get("workers", 1))
+    seed = check_count(raw.get("seed", 0), "seed")
+    workers = check_count(raw.get("workers", 1), "workers")
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     if "output_dir" not in raw:
@@ -141,6 +139,8 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
             {"n_samples", "n_features", "seed"},
             "dataset.synthetic",
         )
+        for key, value in dataset_spec["synthetic"].items():
+            check_count(value, f"dataset.synthetic.{key}")
     else:
         if not (base_dir / dataset_spec["path"]).exists():
             raise ConfigError(f"dataset file not found: {dataset_spec['path']}")
@@ -159,6 +159,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
             {"command", "timeout_s", "batch_limit"},
             "model.external",
         )
+        _external_spec(model_spec["external"])
 
     maps_spec = raw.get("maps", {"source": "ground_truth"})
     _check_keys(maps_spec, {"source", "variants"}, "maps")
@@ -176,9 +177,12 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
             _check_keys(entry, SCHEME_KEYS, f"variant {name!r}")
             if "kind" not in entry:
                 raise ConfigError(f"scheme in variant {name!r} needs a kind")
-            schemes.append(ModScheme(seed=entry.get("seed", seed), **{
-                k: v for k, v in entry.items() if k != "seed"
-            }))
+            try:
+                schemes.append(ModScheme(seed=entry.get("seed", seed), **{
+                    k: v for k, v in entry.items() if k != "seed"
+                }))
+            except ConfigError as exc:
+                raise ConfigError(f"variant {name!r}: {exc}") from None
         variants[name] = tuple(schemes)
     if not variants:
         raise ConfigError("maps.variants must not be empty")
@@ -214,6 +218,18 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
     return parse_config(raw, base_dir=path.parent)
 
 
+def _external_spec(ext: dict) -> ExternalModelSpec:
+    """The ``model.external`` entry as a spec, its field types checked."""
+    command = ext.get("command")
+    if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
+        raise ConfigError("model.external.command must be a list of strings")
+    return ExternalModelSpec(
+        command=tuple(command),
+        timeout_s=check_real(ext.get("timeout_s", 30.0), "model.external.timeout_s"),
+        batch_limit=check_count(ext.get("batch_limit", 64), "model.external.batch_limit"),
+    )
+
+
 def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
     """What opens the run's model in each lane (see ``parallel.run_jobs``).
 
@@ -223,12 +239,7 @@ def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
     """
     spec = cfg.model_spec
     if "external" in spec:
-        ext = spec["external"]
-        ext_spec = ExternalModelSpec(
-            command=tuple(ext["command"]),
-            timeout_s=float(ext.get("timeout_s", 30.0)),
-            batch_limit=int(ext.get("batch_limit", 64)),
-        )
+        ext_spec = _external_spec(spec["external"])
         return lambda: ExternalModel(ext_spec)
     if "builtin" in spec:
         model = LinearStepModel()
@@ -241,9 +252,9 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     if "synthetic" in cfg.dataset_spec:
         opts = cfg.dataset_spec["synthetic"]
         return generate_synthetic(
-            n_samples=int(opts.get("n_samples", 1000)),
-            n_features=int(opts.get("n_features", 200)),
-            seed=int(opts.get("seed", cfg.seed)),
+            n_samples=opts.get("n_samples", 1000),
+            n_features=opts.get("n_features", 200),
+            seed=opts.get("seed", cfg.seed),
         )
     return read_dataset(cfg.base_dir / cfg.dataset_spec["path"])
 

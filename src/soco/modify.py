@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, DataError, MapSet
+from .core import ConfigError, DataError, MapSet, check_count, check_flag, check_real
 from .perturb import round_half_away
-from .rng import substream
+from .rng import substreams
 from .synthetic import OracleInfo
 
 SCHEME_KINDS = ("constant", "random", "partial", "synth_remove", "synth_introduce")
@@ -56,10 +56,11 @@ class ModScheme:
             raise ConfigError(f"unknown scheme kind {self.kind!r}")
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {self.direction!r}")
-        if not 0.0 <= self.fraction <= 1.0:
+        check_real(self.magnitude, "magnitude")
+        if not 0.0 <= check_real(self.fraction, "fraction") <= 1.0:
             raise ConfigError("fraction must lie in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        check_count(self.seed, "seed")
+        check_flag(self.renormalize, "renormalize")
 
     def resolved_magnitude(self) -> float:
         if self.magnitude >= 0:
@@ -80,8 +81,8 @@ def _rescale(flat: np.ndarray) -> np.ndarray:
 def _random_shift(shape: tuple, lo: float, hi: float, seed: int) -> np.ndarray:
     """Independent per-feature uniform shifts in [lo, hi], map i's from its own stream."""
     shift = np.empty(shape)
-    for i in range(shape[0]):
-        shift[i] = substream(seed, "modify", i).uniform(lo, hi, size=shape[1:])
+    for i, rng in enumerate(substreams(seed, "modify", range(shape[0]))):
+        shift[i] = rng.uniform(lo, hi, size=shape[1:])
     return shift
 
 
@@ -130,8 +131,8 @@ def _synth_remove(flat: np.ndarray, scheme: ModScheme) -> np.ndarray:
             raise DataError("map has no positive support")
         raise DataError("fraction removes the entire support")
     out = flat.copy()
-    for i in np.flatnonzero(ks):
-        rng = substream(scheme.seed, "modify", i)
+    rows = np.flatnonzero(ks)
+    for i, rng in zip(rows, substreams(scheme.seed, "modify", rows)):
         out[i, rng.choice(np.flatnonzero(positive[i]), size=int(ks[i]), replace=False)] = 0.0
     return _rescale(out) if scheme.renormalize else out
 
@@ -149,8 +150,8 @@ def _synth_introduce(
     candidates = (flat == 0) & ~informative
     ks = _counts(scheme.fraction, np.count_nonzero(candidates, axis=1))
     out = flat.copy()
-    for i in np.flatnonzero(ks):
-        rng = substream(scheme.seed, "modify", i)
+    rows = np.flatnonzero(ks)
+    for i, rng in zip(rows, substreams(scheme.seed, "modify", rows)):
         chosen = rng.choice(np.flatnonzero(candidates[i]), size=int(ks[i]), replace=False)
         out[i, chosen] = magnitude * (1.0 - rng.random(int(ks[i])))  # uniform in (0, magnitude]
     return _rescale(out)
@@ -161,9 +162,11 @@ def apply_scheme(
 ) -> MapSet:
     """Apply one scheme to every map of the set.
 
-    The random draws run map by map, each from ``substream(seed, "modify",
-    i)``; shifting, band rewrites, rescaling, the final clip to [0, 1] and
-    validation run once on the whole stack.
+    The random draws run map by map, map i's from ``substream(seed,
+    "modify", i)``.  Those generators come from ``substreams``, which derives
+    the seeds of all the maps that draw in one pass and builds each generator
+    as its map is reached.  Shifting, band rewrites, rescaling, the final clip
+    to [0, 1] and validation run once on the whole stack.
     """
     mag = scheme.resolved_magnitude()
     values = maps.values

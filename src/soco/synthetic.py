@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, Dataset, MapSet, batch_features, normalize_attribution
-from .rng import substream
+from .rng import substreams
 
 DEFAULT_N_SAMPLES = 1000
 DEFAULT_N_FEATURES = 200
@@ -30,15 +30,16 @@ def generate_synthetic(
 ) -> Dataset:
     """I.i.d. standard normal features; label 1 iff the feature sum is positive.
 
-    Each sample is drawn from its own counter-keyed stream, so the dataset is
-    identical no matter how generation is ordered or parallelized.  Samples
-    with an exactly zero sum are redrawn from the same stream.
+    Sample i is drawn from its own stream, ``substream(seed, "data", i)``, so
+    the dataset is identical no matter how generation is ordered or
+    parallelized.  The streams come from ``substreams``: the same generators,
+    their seeds derived for all rows in one pass and each built as its row is
+    drawn.  Samples with an exactly zero sum are redrawn from the same stream.
     """
     if n_samples < 1 or n_features < 1:
         raise DataError("synthetic dataset needs at least one sample and one feature")
     rows = np.empty((n_samples, n_features), dtype=np.float64)
-    for i in range(n_samples):
-        rng = substream(seed, "data", i)
+    for i, rng in enumerate(substreams(seed, "data", range(n_samples))):
         x = rng.standard_normal(n_features)
         while x.sum() == 0.0:
             x = rng.standard_normal(n_features)

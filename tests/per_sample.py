@@ -1,8 +1,9 @@
 """The literal per-sample oracles, kept from before the batched data model.
 
-These are the ranking, masking and map-modification functions as the
-package wrote them one sample or one map at a time, each map a plain array
-of any shape (``apply_scheme`` is renamed ``apply_scheme_per_map``).  Tests
+These are the ranking, masking, map-modification and data-generation
+functions as the package wrote them one sample or one map at a time, each
+map a plain array of any shape (``apply_scheme`` is renamed
+``apply_scheme_per_map``), each stream built by its own ``substream`` call.  Tests
 check the batched code in ``soco`` against them; nothing in the package
 imports this module.  ``applied_masks`` replays the metrics' change sets.
 """
@@ -27,6 +28,25 @@ from soco.synthetic import OracleInfo
 def per_map_oracles(info: OracleInfo) -> list:
     """A stacked ``OracleInfo`` split into the per-map entries the oracle takes."""
     return [OracleInfo(phi=p, informative=m) for p, m in zip(info.phi, info.informative)]
+
+
+# -- data generation -------------------------------------------------------------
+
+
+def generate_synthetic_per_row(n_samples: int, n_features: int, seed: int):
+    """Features and labels of ``generate_synthetic``, row i from ``substream(seed, "data", i)``.
+
+    A row whose sum is exactly zero is redrawn from the same stream.
+    """
+    rows = []
+    for i in range(n_samples):
+        rng = substream(seed, "data", i)
+        x = rng.standard_normal(n_features)
+        while x.sum() == 0.0:
+            x = rng.standard_normal(n_features)
+        rows.append(x)
+    feats = np.stack(rows)
+    return feats, (feats.sum(axis=1) > 0).astype(np.int64)
 
 
 # -- ranking and masking ---------------------------------------------------------

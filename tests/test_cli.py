@@ -611,3 +611,76 @@ def test_lane_failures_keep_their_exit_codes_and_leave_nothing_running(
     assert not (workdir / "out" / "manifest.json").exists()
     if case != "lane-killed":  # a killed lane cannot reap its server
         assert unreaped_servers(workdir) == []
+
+
+def mistyped(path: tuple, value) -> dict:
+    """A small valid run config with the value at ``path`` replaced."""
+    cfg = {
+        "seed": 3,
+        "output_dir": "out",
+        "dataset": {"synthetic": {"n_samples": 12, "n_features": 10}},
+        "maps": {"variants": {"mod": [{"kind": "synth_remove"}]}},
+        "metrics": {"deletion": {}},
+    }
+    if path[0] == "model":
+        cfg["model"] = {"external": {"command": [sys.executable, SERVER, "step"]}}
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return cfg
+
+
+SCHEME = ("maps", "variants", "mod", 0)
+MISTYPED = [
+    (("seed",), "3", "seed"),
+    (("seed",), 1.5, "seed"),
+    (("seed",), True, "seed"),
+    (("workers",), 1.5, "workers"),
+    (("workers",), True, "workers"),
+    (("dataset", "synthetic", "n_samples"), 1.5, "dataset.synthetic.n_samples"),
+    (("dataset", "synthetic", "n_samples"), True, "dataset.synthetic.n_samples"),
+    (("dataset", "synthetic", "n_features"), 1.5, "dataset.synthetic.n_features"),
+    (("dataset", "synthetic", "n_features"), True, "dataset.synthetic.n_features"),
+    (("dataset", "synthetic", "seed"), 1.5, "dataset.synthetic.seed"),
+    (("dataset", "synthetic", "seed"), True, "dataset.synthetic.seed"),
+    (("dataset", "synthetic", "seed"), -1, "dataset.synthetic.seed"),
+    (("dataset", "synthetic", "seed"), "3", "dataset.synthetic.seed"),
+    (SCHEME + ("fraction",), "0.3", "fraction"),
+    (SCHEME + ("fraction",), None, "fraction"),
+    (SCHEME + ("magnitude",), "0.5", "magnitude"),
+    (SCHEME + ("magnitude",), None, "magnitude"),
+    (SCHEME + ("seed",), "3", "seed"),
+    (SCHEME + ("seed",), 1.5, "seed"),
+    (SCHEME + ("seed",), True, "seed"),
+    (SCHEME + ("renormalize",), 1, "renormalize"),
+    (SCHEME + ("renormalize",), "true", "renormalize"),
+    (("model", "external", "command"), None, "model.external.command"),
+    (("model", "external", "command"), "python server.py", "model.external.command"),
+    (("model", "external", "timeout_s"), "30", "model.external.timeout_s"),
+    (("model", "external", "batch_limit"), 1.5, "model.external.batch_limit"),
+    (("model", "external", "batch_limit"), True, "model.external.batch_limit"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, key", MISTYPED, ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in MISTYPED]
+)
+def test_mistyped_config_value_is_exit_2_naming_the_key(tmp_path, capsys, path, value, key):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(mistyped(path, value)))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err, err
+    if path[0] == "maps":
+        assert "variant 'mod'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mistyped_scheme_field_is_exit_2_without_traceback(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(mistyped(SCHEME + ("fraction",), "0.3")))
+    proc = run_cli_process("run", "--config", str(cfg_path))
+    assert no_traceback(proc, 2, "config error"), proc.stderr
+    assert "fraction" in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -275,7 +275,7 @@ def scheme_problems(draw):
         direction=draw(st.sampled_from(DIRECTIONS)),
         magnitude=draw(st.sampled_from((-1.0, 0.0, 0.25, 1.0))),
         fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0))),
-        seed=draw(st.integers(0, 1000)),
+        seed=draw(st.one_of(st.integers(0, 1000), st.integers(0, 2**70))),  # multi-word too
         renormalize=draw(st.booleans()),
     )
     return maps, scheme, OracleInfo(phi=phi, informative=phi > 0)
@@ -300,3 +300,21 @@ def test_stacked_schemes_match_the_per_map_oracle(problem):
         assert got == want
     else:
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("fraction", "0.3"), ("fraction", None), ("magnitude", "0.5"), ("magnitude", None),
+     ("magnitude", float("nan")), ("seed", "3"), ("seed", 1.5), ("seed", True), ("seed", -1),
+     ("renormalize", 1)],
+)
+def test_mistyped_scheme_fields_are_config_errors_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModScheme(kind="synth_remove", **{field: value})
+
+
+def test_scheme_takes_numpy_numbers():
+    scheme = ModScheme(kind="random", fraction=np.float32(0.5), magnitude=np.int64(1),
+                       seed=np.uint64(2**63), renormalize=np.bool_(True))
+    out = apply_scheme(amap([0.2, 0.9]), scheme).values
+    assert out.shape == (1, 2)

@@ -12,6 +12,8 @@ from soco import (
 )
 from soco.core import accuracy_from_probs
 
+from per_sample import generate_synthetic_per_row
+
 
 def test_generation_is_deterministic_and_order_free():
     a = generate_synthetic(20, 10, seed=3)
@@ -20,6 +22,14 @@ def test_generation_is_deterministic_and_order_free():
     # per-sample streams: a shorter run is a prefix of a longer one
     c = generate_synthetic(5, 10, seed=3)
     assert np.array_equal(c.feature_matrix(), a.feature_matrix()[:5])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_generation_matches_the_per_row_oracle(seed):
+    ds = generate_synthetic(64, 9, seed=seed)
+    feats, labels = generate_synthetic_per_row(64, 9, seed)
+    assert ds.feature_matrix().tobytes() == feats.tobytes()
+    assert np.array_equal(ds.labels(), labels)
 
 
 def test_labels_match_sign_of_sum():
