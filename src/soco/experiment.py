@@ -87,6 +87,26 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _check_metric_options(name: str, options: dict) -> None:
+    """Check metric ``name``'s option keys, and each value against the type
+    of its default: a string, a list of finite reals, or a finite real."""
+    where = f"metrics.{name}"
+    defaults = metric_defaults(name)
+    _check_keys(options, set(defaults), where)
+    for key, value in options.items():
+        default, at = defaults[key], f"{where}.{key}"
+        if isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{at} must be a string, got {value!r}")
+        elif isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{at} must be a list of finite real numbers, got {value!r}")
+            for i, item in enumerate(value):
+                check_real(item, f"{at}[{i}]")
+        else:
+            check_real(value, at)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
@@ -191,7 +211,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
     if not isinstance(metrics, dict) or not metrics:
         raise ConfigError("nothing to run")
     for name, options in metrics.items():
-        _check_keys(options, set(metric_defaults(name)), f"metrics.{name}")
+        _check_metric_options(name, options)
 
     return ExperimentConfig(
         raw=raw,
@@ -267,8 +287,9 @@ def evaluate_metric(
     maps: MapSet,
     seed: int,
 ) -> EvalCurve:
-    """Run one named metric with its option dict, whose keys are checked first."""
-    _check_keys(options, set(metric_defaults(name)), f"metrics.{name}")
+    """Run one named metric with its option dict, whose keys and value types
+    are checked first."""
+    _check_metric_options(name, options)
     return METRICS[name](model, dataset, maps, seed=seed, **options)
 
 

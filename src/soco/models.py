@@ -15,6 +15,11 @@ Requests are pipelined: a batch larger than ``batch_limit`` rows is split
 into several requests, and a sweep's consecutive steps are sent without
 waiting for earlier answers, up to ``MAX_IN_FLIGHT`` unanswered requests.
 A server must therefore keep reading while its answers are outstanding.
+
+Each request line is byte for byte ``json.dumps`` of the request above.  It
+is rendered as an edit of the last request sent in the same slot (the same
+first row within a batch), which a sweep's next step changes in few cells;
+the bridge keeps at most ``ENCODE_CELLS`` cells for this, about 7 MiB.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .core import ConfigError, DataError, ModelBridgeError, batch_features
 ACTIVATIONS = ("relu", "identity")
 PROB_SUM_TOL = 1e-6
 MAX_IN_FLIGHT = 8  # unanswered requests per bridge; only these are re-sent after a restart
-ENCODE_CACHE_SIZE = 1 << 16  # float texts kept per bridge, about 9 MiB when full
+ENCODE_CELLS = 1 << 16  # request cells the encoder keeps per bridge, about 7 MiB when full
 
 
 class BridgeTimeout(ModelBridgeError):
@@ -194,43 +199,59 @@ class _Reader(threading.Thread):
         self._out.put(_EOF)
 
 
-class _RequestEncoder:
-    """Renders request lines, formatting each distinct float64 once.
+def _render(values: np.ndarray) -> list[str]:
+    """The JSON text of each float64 in ``values``, in one ``json.dumps`` call."""
+    # a float's JSON text never contains ", ", so the list splits cleanly
+    return json.dumps(values.tolist())[1:-1].split(", ")
 
-    ``encode(i, rows)`` returns exactly ``json.dumps({"id": i, "inputs":
-    rows.tolist()}) + "\\n"``.  Sweep traffic repeats the same values step
-    after step (every entry is a feature value or that feature's fill), so
-    the text of each bit pattern is kept; the values not yet seen go through
-    one ``json.dumps`` call.  The cache stops growing at ``max_entries``;
-    once it is full, a request with more uncached values than two thirds of
-    its cells is rendered by ``json.dumps`` alone, which is then faster.
+
+class _RequestEncoder:
+    """Renders request lines as edits of the last request sent in each slot.
+
+    ``encode(i, rows, slot)`` returns exactly ``json.dumps({"id": i,
+    "inputs": rows.tolist()}) + "\\n"``.  A slot is a request's row range
+    within its batch (its first row), so the consecutive steps of a sweep
+    meet the same slot, and they differ in few cells.  Each slot keeps the
+    float64 bit patterns of its last rows and the text of each of their
+    cells and rows.  A request of the same shape renders only the cells
+    whose bits changed (so ``0.0`` against ``-0.0`` is a change, and an
+    unchanged NaN is not) and re-joins only the rows they touch; a new slot
+    or a new shape is rendered whole.  At most ``max_cells`` cells are kept
+    over all slots; a slot that would pass that bound is rendered by plain
+    ``json.dumps`` and not kept.
     """
 
-    def __init__(self, max_entries: int = ENCODE_CACHE_SIZE) -> None:
-        self.max_entries = max_entries
-        self.texts: dict[int, str] = {}
+    def __init__(self, max_cells: int = ENCODE_CELLS) -> None:
+        self.max_cells = max_cells
+        self.cells = 0  # cells kept over all slots
+        # slot -> (bit patterns, text of each cell row-major, text of each row)
+        self._slots: dict[int, tuple[np.ndarray, list[str], list[str]]] = {}
 
-    def encode(self, req_id: int, rows: np.ndarray) -> str:
+    def encode(self, req_id: int, rows: np.ndarray, slot: int) -> str:
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         n, d = rows.shape
-        if rows.size == 0:
-            return json.dumps({"id": req_id, "inputs": [[]] * n}) + "\n"
-        bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
-        keys = bits.tolist()
-        texts = list(map(self.texts.get, keys))
-        n_missing = texts.count(None)
-        if 3 * n_missing > 2 * rows.size and len(self.texts) >= self.max_entries:
-            return json.dumps({"id": req_id, "inputs": rows.tolist()}) + "\n"
-        if n_missing:
-            missing = [i for i, text in enumerate(texts) if text is None]
-            # a float's JSON text never contains ", ", so one call splits cleanly
-            fresh = json.dumps(bits[missing].view(np.float64).tolist())[1:-1].split(", ")
-            for i, text in zip(missing, fresh):
-                texts[i] = text
-            room = max(self.max_entries - len(self.texts), 0)
-            self.texts.update((keys[i], text) for i, text in zip(missing[:room], fresh))
-        cells = np.array(texts, dtype=object)[inverse.reshape(n, d)].tolist()
-        body = "], [".join([", ".join(row) for row in cells])
+        bits = rows.view(np.uint64)
+        kept = self._slots.get(slot)
+        if kept is not None and kept[0].shape == rows.shape:
+            last, cells, texts = kept
+            changed = np.flatnonzero(bits != last)
+            if changed.size:
+                for i, text in zip(changed.tolist(), _render(rows.reshape(-1)[changed])):
+                    cells[i] = text
+                for r in dict.fromkeys((changed // d).tolist()):
+                    texts[r] = ", ".join(cells[r * d : (r + 1) * d])
+                last[...] = bits
+        else:
+            if kept is not None:
+                del self._slots[slot]
+                self.cells -= kept[0].size
+            if rows.size == 0 or self.cells + rows.size > self.max_cells:
+                return json.dumps({"id": req_id, "inputs": rows.tolist()}) + "\n"
+            cells = _render(rows.reshape(-1))
+            texts = [", ".join(cells[i : i + d]) for i in range(0, n * d, d)]
+            self._slots[slot] = (bits.copy(), cells, texts)
+            self.cells += rows.size
+        body = "], [".join(texts)
         return f'{{"id": {req_id}, "inputs": [[{body}]]}}\n'
 
 
@@ -421,7 +442,7 @@ class ExternalModel:
                         stop = min(start + self.spec.batch_limit, rows.shape[0])
                         req_id = self._next_id
                         self._next_id += 1
-                        line = self._encoder.encode(req_id, rows[start:stop])
+                        line = self._encoder.encode(req_id, rows[start:stop], start)
                         pending[req_id] = _Request(len(outs) - 1, start, stop, line)
                         if not self._write(line):
                             self._restart(pending)

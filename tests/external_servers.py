@@ -22,6 +22,12 @@ Modes:
                    exists (it is created before crashing), then act uniform
     always-crash   exit(1) immediately
     silent         read requests, never answer
+    record ARG     append every request line, as received, to the file ARG,
+                   then answer it as uniform does
+    record-crash-once ARG
+                   as record, but first exit(1) after recording the first
+                   request unless the sentinel file ARG.crashed exists (it
+                   is created before crashing)
 """
 
 import json
@@ -30,11 +36,15 @@ import signal
 import sys
 
 
-def _read():
+def _read_line():
     line = sys.stdin.readline()
     if not line:
         sys.exit(0)
-    return json.loads(line)
+    return line
+
+
+def _read():
+    return json.loads(_read_line())
 
 
 def _reply(req_id, probs):
@@ -112,6 +122,19 @@ def main() -> None:
     elif mode == "silent":
         while True:
             _read()
+    elif mode in ("record", "record-crash-once"):
+        log, sentinel = args[1], args[1] + ".crashed"
+        crash = mode == "record-crash-once" and not os.path.exists(sentinel)
+        if crash:
+            open(sentinel, "w").close()
+        while True:
+            line = _read_line()
+            with open(log, "a") as handle:
+                handle.write(line)
+            if crash:
+                sys.exit(1)
+            req = json.loads(line)
+            _reply(req["id"], _uniform(req))
     else:
         raise SystemExit(f"unknown mode {mode}")
 

@@ -684,3 +684,27 @@ def test_mistyped_scheme_field_is_exit_2_without_traceback(tmp_path):
     assert no_traceback(proc, 2, "config error"), proc.stderr
     assert "fraction" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+MISTYPED_OPTIONS = [
+    ("completeness", "noise_std", None),
+    ("completeness", "thresholds", 0.5),
+    ("soundness", "mask_ratios", [0.5, "0.2"]),
+    ("deletion", "noise_std", True),
+    ("soundness", "epsilon", "0.1"),
+    ("deletion", "order", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "metric, key, value", MISTYPED_OPTIONS,
+    ids=[f"{metric}.{key}={value!r}" for metric, key, value in MISTYPED_OPTIONS],
+)
+def test_mistyped_metric_option_is_exit_2_without_traceback(tmp_path, metric, key, value):
+    cfg = mistyped(("metrics", metric), {key: value})
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli_process("run", "--config", str(cfg_path))
+    assert no_traceback(proc, 2, "config error"), proc.stderr
+    assert f"metrics.{metric}.{key}" in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -85,7 +85,7 @@ METRIC_OPTION_KEYS = {
 def test_each_metric_takes_exactly_its_option_keys(metric):
     keys = METRIC_OPTION_KEYS[metric]
     assert set(metric_defaults(metric)) == keys
-    parse_config(base_config(metrics={metric: {key: None for key in keys}}))
+    parse_config(base_config(metrics={metric: metric_defaults(metric)}))
     with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['seed'\] in metrics.{metric}"):
         parse_config(base_config(metrics={metric: {"seed": 1}}))
 
@@ -302,3 +302,12 @@ def test_validation_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, seed
     assert pickle.dumps(pooled) == pickle.dumps(inline)
     for name in ("validation_summary.json", "completeness.remove.csv"):
         assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
+def test_evaluate_metric_checks_option_types(small_dataset, gt_maps, step_model):
+    with pytest.raises(ConfigError, match=r"metrics.soundness.mask_ratios\[1\]"):
+        evaluate_metric(
+            "soundness", {"mask_ratios": [0.5, "0.2"]}, step_model, small_dataset, gt_maps, 0
+        )
+    with pytest.raises(ConfigError, match="metrics.deletion.noise_std"):
+        evaluate_metric("deletion", {"noise_std": True}, step_model, small_dataset, gt_maps, 0)

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from soco import models as soco_models
 from soco import (
     ConfigError,
     DataError,
@@ -327,17 +325,25 @@ SPECIAL_FLOATS = (
     1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300, 1e16, 1e22,
     0.1, 1.0, -3.0, 2.0**53, 123456789.0, math.nan, math.inf, -math.inf,
 )
+# NaNs that differ only in their sign or payload bits
+NAN_PAYLOADS = tuple(
+    np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+        dtype=np.uint64,
+    ).view(np.float64)
+)
 FLOATS = st.one_of(
     st.floats(),
-    st.sampled_from(SPECIAL_FLOATS),
+    st.sampled_from(SPECIAL_FLOATS + NAN_PAYLOADS),
     st.integers(-(2**60), 2**60).map(float),
     st.floats(width=32).map(float),
 )
+SLOTS = (0, 3, 64)
 
 
 @st.composite
 def float_matrices(draw):
-    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8))
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6))
     if draw(st.booleans()):
         rows = draw(arrays(np.float32, shape, elements=st.floats(width=32)))
         return rows if draw(st.booleans()) else rows.astype(np.float64)
@@ -345,45 +351,118 @@ def float_matrices(draw):
     return rows.T if draw(st.booleans()) else rows
 
 
+@st.composite
+def request_sequences(draw):
+    """(slot, rows) requests: fresh matrices, whose shapes change within a
+    slot, and edits of a slot's last rows, some that change only bits such
+    as the sign of a zero or a NaN's payload."""
+    last, requests = {}, []
+    for _ in range(draw(st.integers(1, 10))):
+        slot = draw(st.sampled_from(SLOTS))
+        prev = last.get(slot)
+        edit = draw(st.sampled_from(("new", "values", "bits")))
+        if prev is None or prev.size == 0 or edit == "new":
+            rows = draw(float_matrices())
+        else:
+            # a C-ordered copy, so that reshape(-1) below is a view the edits land in
+            rows = np.array(prev, dtype=np.float64, order="C")
+            cells = draw(st.lists(st.integers(0, rows.size - 1), min_size=1, max_size=4))
+            if edit == "values":
+                rows.reshape(-1)[cells] = draw(st.lists(FLOATS, min_size=len(cells),
+                                                        max_size=len(cells)))
+            else:
+                flip = draw(st.sampled_from((1 << 63, 1)))  # sign bit, or lowest payload bit
+                rows.view(np.uint64).reshape(-1)[cells] ^= np.uint64(flip)
+        last[slot] = rows
+        requests.append((slot, rows))
+    return requests
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    first=float_matrices(),
-    second=float_matrices(),
-    max_entries=st.integers(0, 12),
+    requests=request_sequences(),
+    max_cells=st.integers(0, 60),
     req_id=st.integers(0, 2**40),
 )
-def test_request_encoder_matches_json_dumps(first, second, max_entries, req_id):
-    encoder = _RequestEncoder(max_entries=max_entries)
-    for rows in (first, second, first):  # the last pass meets an already full cache
-        want = json.dumps({"id": req_id, "inputs": rows.tolist()}) + "\n"
-        assert encoder.encode(req_id, rows) == want
-        assert len(encoder.texts) <= max_entries
+def test_request_encoder_matches_json_dumps(requests, max_cells, req_id):
+    # max_cells up to 60 keeps some slots of up to 36 cells and turns others away
+    encoder = _RequestEncoder(max_cells=max_cells)
+    for i, (slot, rows) in enumerate(requests):
+        want = json.dumps({"id": req_id + i, "inputs": rows.tolist()}) + "\n"
+        assert encoder.encode(req_id + i, rows, slot) == want
+        assert encoder.cells <= max_cells
 
 
-def test_request_encoder_renders_mostly_fresh_values_whole_once_the_cache_is_full(
-    monkeypatch,
-):
-    calls = []
+def test_request_encoder_keeps_at_most_its_bound():
+    encoder = _RequestEncoder(max_cells=10)
+    kept = []
+    for slot, shape in ((0, (2, 3)), (1, (1, 4)), (2, (1, 1)), (0, (1, 3)), (2, (1, 1))):
+        rows = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        encoder.encode(0, rows, slot)
+        kept.append(encoder.cells)
+    # slot 2 did not fit beside 6 + 4 cells; once slot 0 shrank to 3 cells, it did
+    assert kept == [6, 10, 10, 7, 8]
 
-    def dumps(obj):
-        calls.append(type(obj).__name__)
-        return json.dumps(obj)
 
-    monkeypatch.setattr(soco_models, "json", types.SimpleNamespace(dumps=dumps))
-    encoder = _RequestEncoder(max_entries=4)
-    cases = (
-        ([[1.0, 2.0], [3.0, 4.0]], "list"),  # fills the cache
-        ([[5.0, 6.0], [7.0, 1.0]], "dict"),  # 3 of 4 cells miss a full cache
-        ([[1.0, 2.0], [3.0, 9.0]], "list"),  # 1 of 4 cells misses
-        ([[5.0, 6.0, 7.0], [7.0, 1.0, 1.0]], "list"),  # 3 fresh values in 6 cells
-        ([[5.0, 6.0, 1.0, 1.0], [1.0] * 4], "list"),  # most distinct values, few cells
-    )
-    for rows, rendered_as in cases:
-        calls.clear()
-        want = json.dumps({"id": 3, "inputs": rows}) + "\n"
-        assert encoder.encode(3, np.array(rows)) == want
-        assert calls == [rendered_as]
-    assert sorted(encoder.texts.values()) == ["1.0", "2.0", "3.0", "4.0"]
+def recorded_lines(log: Path) -> list[str]:
+    return log.read_text().splitlines(keepends=True)
+
+
+def expected_lines(batches, batch_limit, first_id=0) -> dict:
+    """id -> the line json.dumps renders for that request of ``batches``."""
+    want, req_id = {}, first_id
+    for batch in batches:
+        rows = batch.reshape(len(batch), -1)
+        for start in range(0, len(rows), batch_limit):
+            want[req_id] = json.dumps(
+                {"id": req_id, "inputs": rows[start : start + batch_limit].tolist()}
+            ) + "\n"
+            req_id += 1
+    return want
+
+
+def sweep_batches(seed, n_steps=6, shape=(7, 5)):
+    """Copies of one buffer that a sweep rewrites a few cells at a time:
+    masked cells take the fill 0.0, and some zeros flip to -0.0 and back."""
+    rng = np.random.default_rng(seed)
+    buf = rng.standard_normal(shape).astype(np.float32).astype(np.float64)
+    batches = []
+    for _ in range(n_steps):
+        batches.append(buf.copy())
+        buf.reshape(-1)[rng.choice(buf.size, 3, replace=False)] = 0.0
+        zeros = np.flatnonzero(buf == 0.0)
+        buf.reshape(-1)[zeros[: len(zeros) // 2]] *= -1.0
+    return batches
+
+
+def test_bridge_request_lines_equal_json_dumps(tmp_path):
+    log = tmp_path / "requests.log"
+    first, second = sweep_batches(1), sweep_batches(2)
+    second.append(np.ones((2, 5)))  # a shorter batch meets slot 0 in a new shape
+    with ExternalModel(server_spec("record", str(log), batch_limit=3)) as model:
+        model.predict_probs_many(first)  # 7 rows: slots 0, 3 and 6 per step
+        model.predict_probs_many(second)  # the same slots, new values
+    want = expected_lines(first, 3)
+    want.update(expected_lines(second, 3, first_id=len(want)))
+    lines = recorded_lines(log)
+    assert [json.loads(line)["id"] for line in lines] == list(want)
+    for line in lines:
+        assert line == want[json.loads(line)["id"]]
+
+
+def test_bridge_resends_request_lines_byte_for_byte_after_a_crash(tmp_path):
+    log = tmp_path / "requests.log"
+    batches = sweep_batches(3)
+    with ExternalModel(server_spec("record-crash-once", str(log), batch_limit=3)) as model:
+        model.predict_probs_many(batches)
+        assert model._restarted
+    want = expected_lines(batches, 3)
+    lines = recorded_lines(log)
+    # the first server read request 0 and died; the second got it again
+    assert lines[0] == lines[1] == want[0]
+    assert sorted({json.loads(line)["id"] for line in lines}) == list(want)
+    for line in lines:
+        assert line == want[json.loads(line)["id"]]
 
 
 def test_spec_validation():
