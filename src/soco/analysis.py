@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import ConfigError, DataError, EvalCurve
 
@@ -80,7 +79,9 @@ def hausdorff_distance(p: EvalCurve, q: EvalCurve) -> float:
     x_range, y_range = normalization_ranges(p, q)
     a = _normalized_points(p, x_range, y_range)
     b = _normalized_points(q, x_range, y_range)
-    d = cdist(a, b, metric="euclidean")
+    # the root of the summed squares, added in axis order: the same bits as
+    # scipy's cdist(a, b, "euclidean"), without importing scipy
+    d = np.sqrt(np.square(a[:, None, :] - b[None, :, :]).sum(axis=2))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 

@@ -67,6 +67,7 @@ from .metrics import (
 )
 from .models import ExternalModel, ExternalModelSpec, MlpModel, MlpWeights
 from .modify import ModScheme, apply_scheme
+from .perturb import load_solver
 from .synthetic import (
     LinearStepModel,
     generate_synthetic,
@@ -87,6 +88,12 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _check_string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _check_metric_options(name: str, options: dict) -> None:
     """Check metric ``name``'s option keys, and each value against the type
     of its default: a string, a list of finite reals, or a finite real."""
@@ -96,8 +103,7 @@ def _check_metric_options(name: str, options: dict) -> None:
     for key, value in options.items():
         default, at = defaults[key], f"{where}.{key}"
         if isinstance(default, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{at} must be a string, got {value!r}")
+            _check_string(value, at)
         elif isinstance(default, tuple):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{at} must be a list of finite real numbers, got {value!r}")
@@ -147,7 +153,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
         raise ConfigError("workers must be at least 1")
     if "output_dir" not in raw:
         raise ConfigError("config needs an output_dir")
-    output_dir = base_dir / raw["output_dir"]
+    output_dir = base_dir / _check_string(raw["output_dir"], "output_dir")
 
     dataset_spec = raw.get("dataset", {"synthetic": {}})
     _check_keys(dataset_spec, {"synthetic", "path"}, "dataset")
@@ -162,7 +168,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
         for key, value in dataset_spec["synthetic"].items():
             check_count(value, f"dataset.synthetic.{key}")
     else:
-        if not (base_dir / dataset_spec["path"]).exists():
+        if not (base_dir / _check_string(dataset_spec["path"], "dataset.path")).exists():
             raise ConfigError(f"dataset file not found: {dataset_spec['path']}")
 
     model_spec = raw.get("model", {"builtin": "linear_step"})
@@ -171,8 +177,10 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
         raise ConfigError("model needs exactly one of builtin/mlp_weights/external")
     if "builtin" in model_spec and model_spec["builtin"] != "linear_step":
         raise ConfigError(f"unknown builtin model {model_spec['builtin']!r}")
-    if "mlp_weights" in model_spec and not (base_dir / model_spec["mlp_weights"]).exists():
-        raise ConfigError(f"weights file not found: {model_spec['mlp_weights']}")
+    if "mlp_weights" in model_spec:
+        weights = _check_string(model_spec["mlp_weights"], "model.mlp_weights")
+        if not (base_dir / weights).exists():
+            raise ConfigError(f"weights file not found: {weights}")
     if "external" in model_spec:
         _check_keys(
             model_spec["external"],
@@ -183,11 +191,14 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
 
     maps_spec = raw.get("maps", {"source": "ground_truth"})
     _check_keys(maps_spec, {"source", "variants"}, "maps")
-    map_source = maps_spec.get("source", "ground_truth")
+    map_source = _check_string(maps_spec.get("source", "ground_truth"), "maps.source")
     if map_source != "ground_truth" and not (base_dir / map_source).exists():
         raise ConfigError(f"maps file not found: {map_source}")
+    variant_spec = maps_spec.get("variants", {"original": []})
+    if not isinstance(variant_spec, dict):
+        raise ConfigError(f"maps.variants must be an object, got {variant_spec!r}")
     variants = {}
-    for name, pipeline in maps_spec.get("variants", {"original": []}).items():
+    for name, pipeline in variant_spec.items():
         if not _NAME_RE.match(name):
             raise ConfigError(f"variant name {name!r} is not filename-safe")
         if not isinstance(pipeline, list):
@@ -317,9 +328,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     The dataset, every variant's maps and the model are built first; only
     then is the output directory made.  The (variant, metric) jobs run on up
     to ``cfg.workers`` lanes, capped at the usable CPUs, longest sweep first
-    (``parallel.run_jobs``).  Curve files are deterministic given the master
-    seed, whatever the lane count; the manifest is written last so its
-    presence marks a completed run.
+    (``parallel.run_jobs``).  On grid data scipy is loaded before the lanes
+    fork (``perturb.load_solver``), so no lane imports it itself.  Curve
+    files are deterministic given the master seed, whatever the lane count;
+    the manifest is written last so its presence marks a completed run.
     """
     out_dir = cfg.output_dir
     digest = cfg.digest()
@@ -340,6 +352,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         for scheme in pipeline:
             maps = apply_scheme(maps, scheme, oracle)
         variant_maps[variant] = maps
+    if dataset.is_grid:
+        load_solver()
     make_dir(out_dir)
 
     def evaluate(model: Model, job: tuple) -> tuple:

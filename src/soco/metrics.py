@@ -47,7 +47,7 @@ from .core import (
     accuracy_from_probs,
     predict_many,
 )
-from .perturb import Imputer, impute_grid, round_half_away
+from .perturb import Imputer, impute_grid, load_solver, round_half_away
 from .rng import substream
 
 DEFAULT_MASK_RATIOS = tuple(round(0.99 - 0.01 * i, 2) for i in range(99))
@@ -194,7 +194,9 @@ def _grid_fills(
     (``parallel.run_jobs``) replays the window's change sets on its rows'
     mask and returns its rows' ``_fill`` at every step.  The chunks of a
     step are joined in row order, so the fill does not depend on the lanes.
+    scipy is loaded before the lanes fork, so that no lane imports it itself.
     """
+    load_solver()
     n, d = features.shape
     grids = features.reshape((n,) + dataset.feature_shape)
     mask = np.full((n, d), start_masked)  # the mask at the start of a window

@@ -28,6 +28,7 @@ import json
 import queue
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
@@ -40,6 +41,7 @@ ACTIVATIONS = ("relu", "identity")
 PROB_SUM_TOL = 1e-6
 MAX_IN_FLIGHT = 8  # unanswered requests per bridge; only these are re-sent after a restart
 ENCODE_CELLS = 1 << 16  # request cells the encoder keeps per bridge, about 7 MiB when full
+STOP_TIMEOUT_S = 2.0  # how long a closed server may take to exit before it is killed
 
 
 class BridgeTimeout(ModelBridgeError):
@@ -299,20 +301,27 @@ class ExternalModel:
         self._reader.start()
 
     def _stop(self) -> None:
-        """Close the child's pipes and reap it, killing it if it lingers."""
+        """Close the child's pipes and reap it, killing it if it lingers.
+
+        The reader returns at the end of the child's output, which comes when
+        the child exits, so the join is the wait; ``proc.wait`` then has the
+        rest of ``STOP_TIMEOUT_S``, and a child that outlasts it is killed.
+        """
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        deadline = time.monotonic() + STOP_TIMEOUT_S
         try:
             proc.stdin.close()
         except OSError:
             pass
+        self._reader.join(timeout=STOP_TIMEOUT_S)
         try:
-            proc.wait(timeout=2.0)
+            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        self._reader.join(timeout=2.0)
+            self._reader.join(timeout=STOP_TIMEOUT_S)
         if not self._reader.is_alive():  # a grandchild may still hold the pipe
             proc.stdout.close()
 

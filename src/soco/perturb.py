@@ -8,6 +8,9 @@ Gaussian noise on the imputed entries only.  The metrics' sweep engine
 keeps the masks and the zero and mean fills, updating only the features a
 step changes; ``impute_grid`` solves one grid for the noisy-linear fill.
 ``round_half_away`` turns every ratio into a feature count.
+
+scipy serves only that solve, so it is imported on first use
+(``load_solver``), not with this module.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from .core import ConfigError, DataError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
 
@@ -52,6 +57,21 @@ class Imputer:
             raise ConfigError(f"unknown imputer kind {self.kind!r}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
+
+
+@functools.cache
+def load_solver() -> tuple:
+    """scipy's ``(csr_matrix, spsolve)``, imported on the first call.
+
+    Importing scipy.sparse costs about 30 MiB and 0.3 s, and only the
+    noisy-linear fill needs it.  A process that forks lanes to solve grids
+    calls this before it forks, so that every lane inherits the modules
+    instead of importing them itself.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import spsolve
+
+    return csr_matrix, spsolve
 
 
 # 8-neighborhood offsets in the order their entries appear in each row of W
@@ -124,6 +144,7 @@ def _plane_system(
     ascending flat index.  A is cut from ``_system_pattern`` straight into
     canonical CSR arrays; b is summed entry by entry in W's row-major order.
     """
+    csr_matrix, _ = load_solver()
     rows, cols, vals = _system_pattern(h, w)
     unknown = np.flatnonzero(mflat)
     pos = np.cumsum(mflat) - 1  # index among the unknowns, for masked pixels
@@ -170,6 +191,7 @@ def impute_grid(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
         else:
             raise DataError("mask shape does not match grid features")
     h, w, c = feats.shape
+    _, spsolve = load_solver()
     # C order makes the reshape below a view, so the solves land in ``out``
     out = np.array(feats, dtype=np.float64, order="C")
     out_planes = out.reshape(h * w, c)

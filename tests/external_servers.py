@@ -22,6 +22,7 @@ Modes:
                    exists (it is created before crashing), then act uniform
     always-crash   exit(1) immediately
     silent         read requests, never answer
+    linger         act uniform, but keep running for 30 s once stdin closes
     record ARG     append every request line, as received, to the file ARG,
                    then answer it as uniform does
     record-crash-once ARG
@@ -34,6 +35,7 @@ import json
 import os
 import signal
 import sys
+import time
 
 
 def _read_line():
@@ -119,6 +121,11 @@ def main() -> None:
         while True:
             req = _read()
             _reply(req["id"], [[{"p": 0.5}, 0.5] for _ in req["inputs"]])
+    elif mode == "linger":
+        for line in sys.stdin:
+            req = json.loads(line)
+            _reply(req["id"], _uniform(req))
+        time.sleep(30)
     elif mode == "silent":
         while True:
             _read()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from soco import (
     ConfigError,
@@ -11,6 +14,7 @@ from soco import (
     min_pairwise_hausdorff,
     pairwise_hausdorff,
 )
+from soco.analysis import _normalized_points, normalization_ranges
 
 
 def curve(points, kind="deletion", axis="masked_fraction"):
@@ -61,6 +65,42 @@ def test_distance_is_symmetric_and_triangular(rng):
     d_ac = hausdorff_distance(a, c)
     d_cb = hausdorff_distance(c, b)
     assert d_ab <= d_ac + d_cb + 1e-9
+
+
+values = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two curves of 1-12 points; sometimes both are one point at the same
+    x (a degenerate x axis) or share one y level (a degenerate y axis)."""
+    if draw(st.booleans()):
+        xs_pair = [[draw(values)]] * 2
+    else:
+        xs_pair = [
+            sorted(draw(st.lists(values, min_size=1, max_size=12, unique=True)))
+            for _ in range(2)
+        ]
+    level = draw(st.one_of(st.none(), values))
+    return [
+        curve([(x, draw(values) if level is None else level) for x in xs])
+        for xs in xs_pair
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(curve_pairs())
+def test_hausdorff_distance_equals_cdist_bit_for_bit(pair):
+    a, b = pair
+    x_range, y_range = normalization_ranges(a, b)
+    d = cdist(
+        _normalized_points(a, x_range, y_range),
+        _normalized_points(b, x_range, y_range),
+        metric="euclidean",
+    )
+    want = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    assert hausdorff_distance(a, b) == want
+    assert hausdorff_distance(b, a) == want
 
 
 def test_mismatched_axes_rejected():

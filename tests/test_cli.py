@@ -677,6 +677,29 @@ def test_mistyped_config_value_is_exit_2_naming_the_key(tmp_path, capsys, path, 
     assert not (tmp_path / "out").exists()
 
 
+MISTYPED_PATHS = [
+    (("output_dir",), 3, "output_dir must be a string, got 3"),
+    (("dataset",), {"path": 3}, "dataset.path must be a string, got 3"),
+    (("model",), {"mlp_weights": ["w.json"]},
+     "model.mlp_weights must be a string, got ['w.json']"),
+    (("maps", "source"), None, "maps.source must be a string, got None"),
+    (("maps", "variants"), ["mod"], "maps.variants must be an object, got ['mod']"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message", MISTYPED_PATHS,
+    ids=[".".join(path) for path, _, _ in MISTYPED_PATHS],
+)
+def test_mistyped_path_or_variants_is_exit_2_naming_the_key(tmp_path, capsys, path, value, message):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(mistyped(path, value)))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_mistyped_scheme_field_is_exit_2_without_traceback(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(mistyped(SCHEME + ("fraction",), "0.3")))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,15 @@ def test_bridge_restarts_leave_no_unclosed_pipes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "done"
     assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
+def test_bridge_kills_a_server_that_lingers_after_its_input_closes():
+    model = ExternalModel(server_spec("linger"))
+    np.testing.assert_allclose(model.predict_probs(np.ones((2, 2))), 0.5)
+    proc = model._proc
+    model.close()
+    assert proc.returncode == -signal.SIGKILL
+    assert proc.stdout.closed  # the kill ended the server's output too
 
 
 def test_bridge_times_out_on_silence():
