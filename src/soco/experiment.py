@@ -61,6 +61,7 @@ from .metrics import (
     DEFAULT_THRESHOLDS,
     METRICS,
     align_soundness,
+    check_options_fit,
     completeness_curve,
     metric_defaults,
     soundness_curve,
@@ -325,18 +326,23 @@ def _sweep_length(metric: str, options: dict) -> int:
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute every (variant, metric) pair and write curves plus a manifest.
 
-    The dataset, every variant's maps and the model are built first; only
-    then is the output directory made.  The (variant, metric) jobs run on up
-    to ``cfg.workers`` lanes, capped at the usable CPUs, longest sweep first
-    (``parallel.run_jobs``).  On grid data scipy is loaded before the lanes
-    fork (``perturb.load_solver``), so no lane imports it itself.  Curve
-    files are deterministic given the master seed, whatever the lane count;
-    the manifest is written last so its presence marks a completed run.
+    The dataset is built first and each metric's options are checked against
+    it (``metrics.check_options_fit``); then every variant's maps and the
+    model are built, and only then is the output directory made, so a config
+    or data error leaves no directory behind.  The (variant, metric) jobs
+    run on up to ``cfg.workers`` lanes, capped at the usable CPUs, longest
+    sweep first (``parallel.run_jobs``).  On grid data scipy is loaded
+    before the lanes fork (``perturb.load_solver``), so no lane imports it
+    itself.  Curve files are deterministic given the master seed, whatever
+    the lane count; the manifest is written last so its presence marks a
+    completed run.
     """
     out_dir = cfg.output_dir
     digest = cfg.digest()
 
     dataset = _build_dataset(cfg)
+    for metric, options in cfg.metrics.items():
+        check_options_fit(metric, options, dataset)
     open_model = _model_opener(cfg)
     if cfg.map_source == "ground_truth":
         base_maps = ground_truth_attribution(dataset)

@@ -32,7 +32,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from itertools import chain, pairwise
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,11 +62,6 @@ ORDER_MODES = ("deletion", "insertion")
 RANK_ORDERS = ("MoRF", "LeRF")
 
 
-class SoundnessPoint(NamedTuple):
-    accuracy_level: float
-    mean_soundness: float
-
-
 def _descending(values: Sequence[float], name: str) -> tuple:
     """``values`` as a tuple, after checking they descend strictly inside (0, 1)."""
     values = tuple(values)
@@ -78,6 +73,37 @@ def _descending(values: Sequence[float], name: str) -> tuple:
     if np.any(np.diff(arr) >= 0):
         raise ConfigError(f"{name} must be strictly descending")
     return values
+
+
+def _require_grid(dataset: Dataset) -> None:
+    """The noisy-linear fill solves pixel neighborhoods, so it needs grids."""
+    if not dataset.is_grid:
+        raise ConfigError("noisy_linear requires grid-shaped samples")
+
+
+def _mask_counts(mask_ratios: Sequence[float], d: int) -> list[int]:
+    """Each mask ratio's feature count round(m * d), after checking that
+    none masks all ``d`` features: soundness needs an included set."""
+    ks = [round_half_away(m * d) for m in mask_ratios]
+    if max(ks) >= d:
+        raise ConfigError(
+            f"mask ratio {mask_ratios[int(np.argmax(ks))]} masks every "
+            f"feature of a {d}-feature map"
+        )
+    return ks
+
+
+def check_options_fit(name: str, options: dict, dataset: Dataset) -> None:
+    """Apply the rules of metric ``name`` that depend on the data to its
+    ``options`` and ``dataset``: the noisy-linear fill needs grids, and no
+    soundness mask ratio may mask every feature.  The metric applies the same
+    rules itself; ``run_experiment`` calls this before it makes its output
+    directory."""
+    opts = {**metric_defaults(name), **options}
+    if opts.get("imputer") == "noisy_linear":
+        _require_grid(dataset)
+    if "mask_ratios" in opts:
+        _mask_counts(_descending(opts["mask_ratios"], "mask_ratios"), dataset.n_features)
 
 
 def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
@@ -135,8 +161,7 @@ def _fill(
     masked entry, one after another; a sample with none comes back as it is.
     """
     if imputer.kind == "noisy_linear":
-        if not dataset.is_grid:
-            raise ConfigError("noisy_linear requires grid-shaped samples")
+        _require_grid(dataset)
         fill = np.array(features, dtype=np.float64)
         for i in np.flatnonzero(masks.reshape(len(masks), -1).any(axis=1)):
             fill[i] = impute_grid(features[i], masks[i])
@@ -196,6 +221,7 @@ def _grid_fills(
     step are joined in row order, so the fill does not depend on the lanes.
     scipy is loaded before the lanes fork, so that no lane imports it itself.
     """
+    _require_grid(dataset)
     load_solver()
     n, d = features.shape
     grids = features.reshape((n,) + dataset.feature_shape)
@@ -344,12 +370,7 @@ def soundness_curve(
     prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(sorted_vals, axis=1)], axis=1)
     total = prefix[:, -1]
 
-    ks = [round_half_away(m * d) for m in mask_ratios]
-    if max(ks) >= d:
-        raise ConfigError(
-            f"mask ratio {mask_ratios[int(np.argmax(ks))]} masks every "
-            f"feature of a {d}-feature map"
-        )
+    ks = _mask_counts(mask_ratios, d)
 
     accs = _sweep(
         model, dataset, features, labels, imputer, noise, *_rank_steps(order, ks, True)
@@ -376,11 +397,10 @@ def soundness_curve(
     for _, s_m, q in sweep:
         if s_m not in first_seen:
             first_seen[s_m] = q
-    points = tuple(SoundnessPoint(s, first_seen[s]) for s in sorted(first_seen))
     return EvalCurve(
         metric_kind="soundness",
         x_axis="accuracy_level",
-        points=points,
+        points=tuple(sorted(first_seen.items())),
         meta={
             "sweep": [list(t) for t in sweep],
             "skipped": n_skipped,

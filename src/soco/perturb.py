@@ -9,8 +9,8 @@ keeps the masks and the zero and mean fills, updating only the features a
 step changes; ``impute_grid`` solves one grid for the noisy-linear fill.
 ``round_half_away`` turns every ratio into a feature count.
 
-scipy serves only that solve, so it is imported on first use
-(``load_solver``), not with this module.
+scipy serves only that solve, through LAPACK's banded Cholesky, so it is
+imported on first use (``load_solver``), not with this module.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ConfigError, DataError
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
 
@@ -60,18 +56,18 @@ class Imputer:
 
 
 @functools.cache
-def load_solver() -> tuple:
-    """scipy's ``(csr_matrix, spsolve)``, imported on the first call.
+def load_solver():
+    """LAPACK's banded Cholesky solver ``dpbsv`` from scipy, imported on the
+    first call.
 
-    Importing scipy.sparse costs about 30 MiB and 0.3 s, and only the
+    Importing scipy.linalg costs about 28 MiB and 0.3-0.45 s, and only the
     noisy-linear fill needs it.  A process that forks lanes to solve grids
     calls this before it forks, so that every lane inherits the modules
     instead of importing them itself.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import spsolve
+    from scipy.linalg.lapack import dpbsv
 
-    return csr_matrix, spsolve
+    return dpbsv
 
 
 # 8-neighborhood offsets in the order their entries appear in each row of W
@@ -83,15 +79,18 @@ _NEIGHBOR_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_NEIGHBOR_CACHE_SIZE)
-def _neighbor_system(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel neighbor indices and border-renormalized weights.
+def _neighbor_system(
+    h: int, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pixel neighbor indices, raw weights and border-renormalization totals.
 
-    Returns (rows, cols, weights) of the dense-in-concept weight matrix W
-    where row p holds the averaging weights of pixel p's neighbors; each row
-    sums to one.  Entries run row-major by pixel, then through ``_OFFSETS``;
-    ``_system_pattern`` relies on that order for its sorted CSR columns, and
-    ``_plane_system`` for the order in which it sums the right-hand side.
-    The arrays are cached per shape and read-only.
+    Returns (rows, cols, weights, totals): entry i says that pixel rows[i]
+    averages pixel cols[i] with raw weight weights[i] (1/6 for a direct
+    neighbor, 1/12 for a diagonal one), and totals[p] is the sum of pixel
+    p's raw weights, so W[p, q] = weight / totals[p] and each row of W sums
+    to one.  Entries run row-major by pixel, then through ``_OFFSETS``;
+    ``_plane_band`` sums the right-hand side in that order.  The arrays are
+    cached per shape and read-only.
     """
     r, c = np.divmod(np.arange(h * w), w)
     dr, dc = np.array(_OFFSETS).T
@@ -100,69 +99,47 @@ def _neighbor_system(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     wgt = np.array([_DIRECT_W if 0 in off else _DIAGONAL_W for off in _OFFSETS])
     # cumsum adds each row's weights one by one in entry order, which fixes
     # the totals' rounding; a pairwise sum could differ in the last bit
-    total = np.cumsum(np.where(inside, wgt, 0.0), axis=1)[:, -1]
+    totals = np.cumsum(np.where(inside, wgt, 0.0), axis=1)[:, -1]
     rows, k = np.nonzero(inside)  # row-major: by pixel, then by offset
     cols = rr[rows, k] * w + cc[rows, k]
-    weights = wgt[k] / total[rows]
-    for arr in (rows, cols, weights):
+    weights = wgt[k]
+    for arr in (rows, cols, weights, totals):
         arr.flags.writeable = False
-    return rows, cols, weights
+    return rows, cols, weights, totals
 
 
-@functools.lru_cache(maxsize=_NEIGHBOR_CACHE_SIZE)
-def _system_pattern(h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """I - W over the whole grid as (rows, cols, values) in canonical CSR order.
-
-    Each pixel's row holds its neighbors in ascending flat index (the order
-    ``_OFFSETS`` visits them) with the unit diagonal placed between those
-    before and after the pixel itself.  Keeping the entries whose row and
-    column are both masked, in this order, therefore yields the reduced
-    system's CSR arrays with sorted column indices and no duplicates.  The
-    off-diagonal values are the exact negations of W's weights.  The arrays
-    are cached per shape and read-only.
-    """
-    rows, cols, weights = _neighbor_system(h, w)
-    n = h * w
-    pixels = np.arange(n)
-    at = np.searchsorted(rows * n + cols, pixels * (n + 1))
-    pattern = (
-        np.insert(rows, at, pixels),
-        np.insert(cols, at, pixels),
-        np.insert(-weights, at, 1.0),
-    )
-    for arr in pattern:
-        arr.flags.writeable = False
-    return pattern
-
-
-def _plane_system(
+def _plane_band(
     mflat: np.ndarray, values: np.ndarray, h: int, w: int
-) -> tuple[csr_matrix, np.ndarray]:
-    """A x = b for the masked pixels of one flat (h * w) plane.
+) -> tuple[np.ndarray, np.ndarray]:
+    """D(I - W) x = D b for the masked pixels of one flat (h * w) plane.
 
-    A = I - W[unknown, unknown] and b = W[unknown, known] v, unknowns in
-    ascending flat index.  A is cut from ``_system_pattern`` straight into
-    canonical CSR arrays; b is summed entry by entry in W's row-major order.
+    The reduced system A x = b, with A = I - W[unknown, unknown] and
+    b = W[unknown, known] v, has each row scaled by its pixel's total D, so
+    the matrix holds the totals on its diagonal and the exact negated raw
+    weights (-1/6, -1/12) off it: symmetric, and positive definite once any
+    pixel is known.  Unknowns run in ascending flat index, so two coupled
+    unknowns lie at most w + 1 apart.  Returns the matrix in LAPACK's lower
+    band storage, ``(kd + 1, n)`` and Fortran-ordered, with kd the largest
+    distance between coupled unknowns, and the right-hand side, the raw
+    weights times the known values summed entry by entry in W's row-major
+    order.
     """
-    csr_matrix, _ = load_solver()
-    rows, cols, vals = _system_pattern(h, w)
+    rows, cols, weights, totals = _neighbor_system(h, w)
     unknown = np.flatnonzero(mflat)
     pos = np.cumsum(mflat) - 1  # index among the unknowns, for masked pixels
     row_in = mflat[rows]
     col_in = mflat[cols]
-    in_a = row_in & col_in
-    a_rows = rows[in_a]
-    indptr = np.append(np.searchsorted(a_rows, unknown), a_rows.size)
-    A = csr_matrix(
-        (vals[in_a], pos[cols[in_a]], indptr), shape=(unknown.size, unknown.size)
-    )
+    below = row_in & col_in & (cols > rows)  # one entry of each coupled pair
+    column = pos[rows[below]]
+    offset = pos[cols[below]] - column
+    band = np.zeros((unknown.size, int(offset.max(initial=0)) + 1))
+    band[:, 0] = totals[unknown]
+    band[column, offset] = -weights[below]
     in_b = row_in & ~col_in
-    b = np.bincount(
-        pos[rows[in_b]],
-        weights=-vals[in_b] * values[cols[in_b]],
-        minlength=unknown.size,
+    rhs = np.bincount(
+        pos[rows[in_b]], weights=weights[in_b] * values[cols[in_b]], minlength=unknown.size
     )
-    return A, b
+    return band.T, rhs
 
 
 def impute_grid(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -170,11 +147,14 @@ def impute_grid(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
     Masked pixels satisfy x_p = sum_q W[p, q] * x_q with unmasked pixels as
     boundary values; each channel is solved independently.  The neighbor
-    system W is built once per grid shape and reused, and each channel's
-    reduced system is cut from it straight into CSR form.  When everything
-    is masked the system is homogeneous and the mean-zero solution (all
-    zeros) is used, with a warning.  The noise of the noisy-linear imputer is
-    not drawn here: the metrics add their pre-drawn noise to the fill.
+    system W is built once per grid shape and reused; each channel's reduced
+    system, scaled to a symmetric positive definite band (``_plane_band``),
+    is solved by LAPACK's banded Cholesky ``dpbsv``.  A plane wider than it
+    is tall is solved transposed, so the band is at most min(h, w) + 2
+    wide.  When everything is masked the system is homogeneous and the
+    mean-zero solution (all zeros) is used, with a warning.  The noise of
+    the noisy-linear imputer is not drawn here: the metrics add their
+    pre-drawn noise to the fill.
 
     The result depends only on the arguments, so the metrics' noisy-linear
     fill may solve its samples in any process (it splits them over forked
@@ -190,25 +170,28 @@ def impute_grid(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
             msk = np.repeat(msk[..., None], feats.shape[2], axis=2)
         else:
             raise DataError("mask shape does not match grid features")
-    h, w, c = feats.shape
-    _, spsolve = load_solver()
-    # C order makes the reshape below a view, so the solves land in ``out``
-    out = np.array(feats, dtype=np.float64, order="C")
-    out_planes = out.reshape(h * w, c)
-    feat_planes = feats.reshape(h * w, c)
-    mask_planes = msk.reshape(h * w, c)
+    dpbsv = load_solver()
+    out = np.array(feats, dtype=np.float64)
 
-    for ch in range(c):
-        mflat = mask_planes[:, ch]
-        n_unknown = np.count_nonzero(mflat)
+    for ch in range(feats.shape[2]):
+        # views into ``out``, so the solves land there
+        plane, mplane = out[..., ch], msk[..., ch]
+        if plane.shape[1] > plane.shape[0]:
+            plane, mplane = plane.T, mplane.T
+        n_unknown = np.count_nonzero(mplane)
         if n_unknown == 0:
             continue
-        if n_unknown == h * w:
+        if n_unknown == plane.size:
             warnings.warn("fully masked grid; using the mean-zero solution")
-            out_planes[:, ch] = 0.0
+            plane[...] = 0.0
             continue
-        A, b = _plane_system(mflat, feat_planes[:, ch], h, w)
-        out_planes[mflat, ch] = spsolve(A, b)
+        band, rhs = _plane_band(mplane.reshape(-1), plane.reshape(-1), *plane.shape)
+        _, x, info = dpbsv(band, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise DataError(
+                f"no Cholesky factor for the masked {plane.shape[0]}x{plane.shape[1]} "
+                f"neighbor system (LAPACK dpbsv info {info})"
+            )
+        plane[mplane] = x
 
     return out[..., 0] if squeeze else out
-

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from soco import (
+    ConfigError,
     LinearStepModel,
     completeness_curve,
+    generate_synthetic,
+    ground_truth_attribution,
     order_based_curve,
     parallel,
     read_curve,
@@ -22,6 +25,7 @@ from soco import (
     write_curve,
 )
 from soco.cli import main
+from soco.metrics import METRICS
 from soco.io import canonical_json
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
@@ -730,4 +734,36 @@ def test_mistyped_metric_option_is_exit_2_without_traceback(tmp_path, metric, ke
     proc = run_cli_process("run", "--config", str(cfg_path))
     assert no_traceback(proc, 2, "config error"), proc.stderr
     assert f"metrics.{metric}.{key}" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+DATA_RULES = [
+    (20, "soundness", {}, "mask ratio 0.99 masks every feature of a 20-feature map"),
+    (50, "soundness", {}, "mask ratio 0.99 masks every feature of a 50-feature map"),
+    (60, "soundness", {"mask_ratios": [0.999, 0.5]},
+     "mask ratio 0.999 masks every feature of a 60-feature map"),
+    (60, "soundness", {"imputer": "noisy_linear"}, "noisy_linear requires grid-shaped samples"),
+    (60, "completeness", {"imputer": "noisy_linear"}, "noisy_linear requires grid-shaped samples"),
+    (60, "insertion", {"imputer": "noisy_linear"}, "noisy_linear requires grid-shaped samples"),
+]
+
+
+@pytest.mark.parametrize(
+    "n_features, metric, options, message", DATA_RULES,
+    ids=[f"d{d}-{metric}-{'-'.join(opts) or 'defaults'}" for d, metric, opts, _ in DATA_RULES],
+)
+def test_an_option_the_data_rules_out_is_exit_2_leaving_no_output(
+    tmp_path, capsys, n_features, metric, options, message
+):
+    # the metric raises the same error when called on the same data
+    dataset = generate_synthetic(12, n_features, seed=3)
+    with pytest.raises(ConfigError) as info:
+        METRICS[metric](LinearStepModel(), dataset, ground_truth_attribution(dataset), **options)
+    assert str(info.value) == message
+    cfg = mistyped(("metrics",), {"deletion": {}, metric: options})
+    cfg["dataset"]["synthetic"]["n_features"] = n_features
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
-"""scipy is loaded only by a process that solves grids, and before it forks.
+"""scipy is loaded only by a process that solves grids, and before it forks;
+the solve needs its LAPACK wrappers, never scipy.sparse.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported scipy itself.
@@ -73,9 +74,12 @@ def test_grid_solving_lanes_inherit_scipy(tmp_path):
         impute_grid = metrics.impute_grid
 
         def logged(features, mask):
+            # LAPACK before the solve, scipy.sparse after it
+            lapack = "scipy.linalg.lapack" in sys.modules
+            filled = impute_grid(features, mask)
             with open("solves.log", "a") as log:
-                log.write(f"{os.getpid()} {'scipy.sparse.linalg' in sys.modules}\\n")
-            return impute_grid(features, mask)
+                log.write(f"{os.getpid()} {lapack} {'scipy.sparse' in sys.modules}\\n")
+            return filled
 
         metrics.impute_grid = logged
         rng = np.random.default_rng(3)
@@ -85,10 +89,12 @@ def test_grid_solving_lanes_inherit_scipy(tmp_path):
         layer = Layer(weight=rng.standard_normal((2, 256)), bias=np.zeros(2))
         model = MlpModel(MlpWeights(layers=(layer,), n_classes=2))
         metrics.road_curve(model, ds, maps, noise_std=0.5)
-        print(os.getpid())
+        print(os.getpid(), "scipy.sparse" in sys.modules)
     """, tmp_path)
-    caller = out.split()[-1]
+    caller, caller_sparse = out.split()[-2:]
     solves = [line.split() for line in (tmp_path / "solves.log").read_text().splitlines()]
-    lanes = {pid for pid, _ in solves}
+    lanes = {pid for pid, _, _ in solves}
     assert len(lanes) == 2 and caller not in lanes
-    assert {loaded for _, loaded in solves} == {"True"}
+    # every lane finds LAPACK loaded at every solve, and no process loads scipy.sparse
+    assert {(lapack, sparse) for _, lapack, sparse in solves} == {("True", "False")}
+    assert caller_sparse == "False"

@@ -358,6 +358,16 @@ def test_road_uses_neighbor_solve_on_grids(rng):
     assert len(curve.points) == 3
 
 
+@pytest.mark.parametrize("metric", ["soundness", "completeness", "deletion", "insertion"])
+def test_noisy_linear_on_tabular_data_fails_before_any_lane_starts(
+    step_model, small_dataset, gt_maps, monkeypatch, metric
+):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(parallel, "run_jobs", mock.Mock(side_effect=AssertionError("a lane started")))
+    with pytest.raises(ConfigError, match="^noisy_linear requires grid-shaped samples$"):
+        metrics.METRICS[metric](step_model, small_dataset, gt_maps, imputer="noisy_linear")
+
+
 # -- auc ---------------------------------------------------------------------------
 
 

@@ -17,11 +17,12 @@ from soco import (
     impute_grid,
     soundness_curve,
 )
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from soco import metrics
-from soco.perturb import _neighbor_system, _plane_system, round_half_away
+from soco import metrics, perturb
+from soco.perturb import _neighbor_system, round_half_away
 
 from per_sample import applied_masks
 
@@ -55,11 +56,12 @@ def dense_neighbor_solve(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def neighbor_system_loops(h: int, w: int):
-    """W's entries pixel by pixel, neighbors in (dr, dc) loop order."""
-    rows, cols, weights = [], [], []
+    """W's entries pixel by pixel, neighbors in (dr, dc) loop order: rows,
+    columns, raw weights, and each pixel's total of raw weights."""
+    rows, cols, weights, totals = [], [], [], []
     for r in range(h):
         for c in range(w):
-            entries = []
+            total = 0.0
             for dr in (-1, 0, 1):
                 for dc in (-1, 0, 1):
                     if dr == 0 and dc == 0:
@@ -67,19 +69,19 @@ def neighbor_system_loops(h: int, w: int):
                     rr, cc = r + dr, c + dc
                     if 0 <= rr < h and 0 <= cc < w:
                         wgt = 1 / 6 if (dr == 0 or dc == 0) else 1 / 12
-                        entries.append((rr * w + cc, wgt))
-            total = sum(wgt for _, wgt in entries)
-            for q, wgt in entries:
-                rows.append(r * w + c)
-                cols.append(q)
-                weights.append(wgt / total)
-    return np.array(rows), np.array(cols), np.array(weights)
+                        rows.append(r * w + c)
+                        cols.append(rr * w + cc)
+                        weights.append(wgt)
+                        total += wgt
+            totals.append(total)
+    return np.array(rows), np.array(cols), np.array(weights), np.array(totals)
 
 
 def plane_system_coo(mflat: np.ndarray, values: np.ndarray, h: int, w: int):
-    """One plane's (A, b) assembled through COO and np.add.at, as impute_grid
-    did before it built CSR arrays directly."""
-    rows, cols, wgts = _neighbor_system(h, w)
+    """One plane's unscaled (A, b), A = I - W[unknown, unknown] and
+    b = W[unknown, known] v, assembled through COO and np.add.at."""
+    rows, cols, raw, totals = _neighbor_system(h, w)
+    wgts = raw / totals[rows]
     unknown = np.flatnonzero(mflat)
     pos = np.full(h * w, -1, dtype=np.int64)
     pos[unknown] = np.arange(unknown.size)
@@ -88,7 +90,6 @@ def plane_system_coo(mflat: np.ndarray, values: np.ndarray, h: int, w: int):
     q = cols[take]
     wq = wgts[take]
     inner = mflat[q]
-    # A x = b with A = I - W[unknown, unknown], b = W[unknown, known] v
     a_rows = np.concatenate([np.arange(unknown.size), r_u[inner]])
     a_cols = np.concatenate([np.arange(unknown.size), pos[q[inner]]])
     a_vals = np.concatenate([np.ones(unknown.size), -wq[inner]])
@@ -96,6 +97,38 @@ def plane_system_coo(mflat: np.ndarray, values: np.ndarray, h: int, w: int):
     b = np.zeros(unknown.size)
     np.add.at(b, r_u[~inner], wq[~inner] * values[q[~inner]])
     return A, b
+
+
+def plane_band_loops(mask: np.ndarray, values: np.ndarray):
+    """One (h, w) plane's system with each row scaled by its pixel's total,
+    built pixel by pixel: LAPACK lower band storage of the matrix, and the
+    right-hand side summed over known neighbors in (dr, dc) loop order.
+    Unknowns run row-major, so the plane must already have w <= h."""
+    h, w = mask.shape
+    unknown = [(r, c) for r in range(h) for c in range(w) if mask[r, c]]
+    index = {pixel: i for i, pixel in enumerate(unknown)}
+    diagonal, below, rhs = [], {}, []
+    for i, (r, c) in enumerate(unknown):
+        total = acc = 0.0
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                rr, cc = r + dr, c + dc
+                if (dr, dc) == (0, 0) or not (0 <= rr < h and 0 <= cc < w):
+                    continue
+                wgt = 1 / 6 if (dr == 0 or dc == 0) else 1 / 12
+                total += wgt
+                if not mask[rr, cc]:
+                    acc += wgt * values[rr, cc]
+                elif index[rr, cc] > i:
+                    below[index[rr, cc], i] = -wgt
+        diagonal.append(total)
+        rhs.append(acc)
+    kd = max((i - j for i, j in below), default=0)
+    band = np.zeros((kd + 1, len(unknown)), order="F")
+    band[0] = diagonal
+    for (i, j), value in below.items():
+        band[i - j, j] = value
+    return band, np.array(rhs)
 
 
 def neighbor_average(values: np.ndarray, r: int, c: int) -> float:
@@ -259,13 +292,19 @@ def test_neighbor_system_matches_loops_in_order(h, w):
 
 
 @pytest.mark.parametrize(
-    "shape", [(1, 1, 1), (1, 5, 1), (5, 1, 1), (7, 13, 2), (28, 28, 1), (32, 32, 3)]
+    "shape",
+    [
+        (1, 1, 1), (1, 5, 1), (5, 1, 1), (7, 13, 2), (28, 28, 1), (32, 32, 3),
+        (3, 40, 1), (40, 3, 2),
+    ],
 )
-def test_plane_system_matches_coo_assembly(shape, rng):
+def test_plane_band_matches_loops(shape, rng):
+    # bit for bit: the band and right-hand side built pixel by pixel, solved
+    # by dpbsv, on each plane turned so that it is no wider than tall
     h, w, c = shape
     single = np.zeros(shape, bool)
     single[h // 2, w // 2] = True
-    masks = [np.zeros(shape, bool), single, np.ones(shape, bool)]
+    masks = [np.zeros(shape, bool), single, ~single, np.ones(shape, bool)]
     masks += [rng.random(shape) < p for p in (0.1, 0.5, 0.9)]
     for mask in masks:
         grid = rng.standard_normal(shape)
@@ -273,19 +312,66 @@ def test_plane_system_matches_coo_assembly(shape, rng):
             warnings.filterwarnings("ignore", message="fully masked grid")
             out = impute_grid(grid, mask)
         for ch in range(c):
-            mflat, values = mask[..., ch].reshape(-1), grid[..., ch].reshape(-1)
-            A, b = _plane_system(mflat, values, h, w)
-            A_coo, b_coo = plane_system_coo(mflat, values, h, w)
-            assert A.shape == A_coo.shape
-            for have, want in zip((A.indptr, A.indices, A.data, b),
-                                  (A_coo.indptr, A_coo.indices, A_coo.data, b_coo)):
-                assert np.array_equal(have, want)
-            want_plane = values.copy()
-            if mflat.all():
-                want_plane[:] = 0.0
-            elif mflat.any():
-                want_plane[mflat] = spsolve(A_coo, b_coo)
-            assert np.array_equal(out[..., ch].reshape(-1), want_plane)
+            m, want = mask[..., ch], grid[..., ch].copy()
+            got = out[..., ch]
+            if w > h:
+                m, want, got = m.T, want.T, got.T
+            if m.all():
+                want[...] = 0.0
+            elif m.any():
+                band, rhs = plane_band_loops(m, want)
+                _, x, info = dpbsv(band, rhs, lower=1)
+                assert info == 0
+                want[m] = x
+            assert np.array_equal(got, want)
+
+
+@st.composite
+def plane_problems(draw):
+    """A plane of up to 32 x 32, with a random mask, one pixel left known,
+    or a single row or column."""
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    kind = draw(st.sampled_from(["random", "all_but_one", "row", "column"]))
+    if kind == "row":
+        h = 1
+    elif kind == "column":
+        w = 1
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "all_but_one":
+        mask = np.ones((h, w), bool)
+        mask[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = False
+    else:
+        mask = rng.random((h, w)) < draw(st.floats(0.0, 1.0))
+    if mask.all():
+        mask.flat[draw(st.integers(0, h * w - 1))] = False
+    return rng.standard_normal((h, w)), mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_problems())
+def test_impute_grid_matches_the_unscaled_sparse_solve(problem):
+    grid, mask = problem
+    h, w = grid.shape
+    mflat, values = mask.reshape(-1), grid.reshape(-1)
+    want = values.copy()
+    if mflat.any():
+        A, b = plane_system_coo(mflat, values, h, w)
+        want[mflat] = spsolve(A, b)
+    got = impute_grid(grid, mask).reshape(-1)
+    assert np.array_equal(got[~mflat], values[~mflat])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_impute_grid_raises_instead_of_filling_when_the_factorisation_fails(monkeypatch, rng):
+    def failing_dpbsv(band, rhs, **_):
+        return band, rhs, 2  # LAPACK's "leading minor 2 is not positive definite"
+
+    monkeypatch.setattr(perturb, "load_solver", lambda: failing_dpbsv)
+    mask = np.zeros((5, 4), bool)
+    mask[1:3, 1:3] = True
+    with pytest.raises(DataError, match=r"dpbsv info 2"):
+        impute_grid(rng.standard_normal((5, 4)), mask)
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (7, 5, 3)])
@@ -343,7 +429,7 @@ def test_impute_grid_single_hole_surrounded_by_ones():
 
 
 def test_impute_grid_matches_dense_solve(rng):
-    # the package solves a sparse reduced system; this rebuilds the full
+    # the package solves a banded reduced system; this rebuilds the full
     # dense one from scratch and compares
     for trial in range(8):
         h, w = rng.integers(2, 8, size=2)
