@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
@@ -63,10 +64,11 @@ from .metrics import (
     align_soundness,
     check_options_fit,
     completeness_curve,
+    fill_kind,
     metric_defaults,
     soundness_curve,
 )
-from .models import ExternalModel, ExternalModelSpec, MlpModel, MlpWeights
+from .models import BridgeProcessFailed, ExternalModel, ExternalModelSpec, MlpModel, MlpWeights
 from .modify import ModScheme, apply_scheme
 from .perturb import load_solver
 from .synthetic import (
@@ -267,11 +269,16 @@ def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
 
     A builtin or MLP model is built here, once, so a bad weights file fails
     before any lane starts, and the lanes share it.  An external model is
-    one server per lane, started on first use and closed when the lane ends.
+    one server per lane, started on first use and closed when the lane ends;
+    a launch command that names no executable fails here, before any lane.
     """
     spec = cfg.model_spec
     if "external" in spec:
         ext_spec = _external_spec(spec["external"])
+        if shutil.which(ext_spec.command[0]) is None:
+            raise BridgeProcessFailed(
+                f"could not launch model server: no executable {ext_spec.command[0]!r}"
+            )
         return lambda: ExternalModel(ext_spec)
     if "builtin" in spec:
         model = LinearStepModel()
@@ -328,14 +335,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
 
     The dataset is built first and each metric's options are checked against
     it (``metrics.check_options_fit``); then every variant's maps and the
-    model are built, and only then is the output directory made, so a config
-    or data error leaves no directory behind.  The (variant, metric) jobs
-    run on up to ``cfg.workers`` lanes, capped at the usable CPUs, longest
-    sweep first (``parallel.run_jobs``).  On grid data scipy is loaded
-    before the lanes fork (``perturb.load_solver``), so no lane imports it
-    itself.  Curve files are deterministic given the master seed, whatever
-    the lane count; the manifest is written last so its presence marks a
-    completed run.
+    model are built (an external model's command must name an executable),
+    and only then is the output directory made, so a config, data or launch
+    error leaves no directory behind.  The (variant, metric) jobs run on up
+    to ``cfg.workers`` lanes, capped at the usable CPUs, longest sweep first
+    (``parallel.run_jobs``).  When a metric fills with the neighbor solve
+    (``metrics.fill_kind``), scipy's LAPACK extension, about 3 MiB, is loaded
+    before the lanes fork (``perturb.load_solver``), so no lane loads it
+    itself; other runs never load scipy.  Curve files are deterministic given
+    the master seed, whatever the lane count; the manifest is written last
+    so its presence marks a completed run.
     """
     out_dir = cfg.output_dir
     digest = cfg.digest()
@@ -358,7 +367,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         for scheme in pipeline:
             maps = apply_scheme(maps, scheme, oracle)
         variant_maps[variant] = maps
-    if dataset.is_grid:
+    if any(
+        fill_kind(metric, options, dataset) == "noisy_linear"
+        for metric, options in cfg.metrics.items()
+    ):
         load_solver()
     make_dir(out_dir)
 

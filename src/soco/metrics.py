@@ -93,17 +93,70 @@ def _mask_counts(mask_ratios: Sequence[float], d: int) -> list[int]:
     return ks
 
 
+def _soundness_options(*, mask_ratios, epsilon, imputer, noise_std, weighting) -> tuple:
+    """Soundness's options after checking their domain: the mask ratios as a
+    strictly descending tuple inside (0, 1), ``epsilon`` as a positive float,
+    a known weighting, and the imputer."""
+    mask_ratios = _descending(mask_ratios, "mask_ratios")
+    epsilon = float(epsilon)
+    if epsilon <= 0:
+        raise ConfigError("epsilon must be positive")
+    if weighting not in WEIGHTINGS:
+        raise ConfigError(f"unknown weighting {weighting!r}")
+    return mask_ratios, epsilon, Imputer(kind=imputer, noise_std=float(noise_std))
+
+
+def _completeness_options(*, thresholds, imputer, noise_std) -> tuple:
+    """Completeness's options after checking their domain: the thresholds as
+    a strictly descending tuple inside (0, 1), and the imputer."""
+    thresholds = _descending(thresholds, "thresholds")
+    return thresholds, Imputer(kind=imputer, noise_std=float(noise_std))
+
+
+def _order_options(*, order, imputer, noise_std, fractions) -> tuple:
+    """The order-based curves' options after checking their domain: a known
+    rank order, the fractions as a strictly ascending array of at least two
+    inside [0, 1], and the imputer."""
+    if order not in RANK_ORDERS:
+        raise ConfigError(f"unknown rank order {order!r}")
+    fr = np.asarray(fractions, dtype=np.float64)
+    if fr.size < 2 or np.any(fr < 0) or np.any(fr > 1) or np.any(np.diff(fr) <= 0):
+        raise ConfigError("fractions must be strictly ascending within [0, 1]")
+    return fr, Imputer(kind=imputer, noise_std=float(noise_std))
+
+
+# each metric's option checker; ROAD's fill is fixed, and checked as the mean
+_OPTION_CHECKS = {
+    "soundness": _soundness_options,
+    "completeness": _completeness_options,
+    "deletion": _order_options,
+    "insertion": _order_options,
+    "road": partial(_order_options, imputer="mean"),
+}
+
+
+def fill_kind(name: str, options: dict, dataset: Dataset) -> str:
+    """The imputer kind metric ``name`` fills with, given its ``options``
+    and ``dataset``: its ``imputer`` option, or ROAD's fixed fill, the
+    neighbor solve on grids and the mean on tabular data."""
+    if name == "road":
+        return "noisy_linear" if dataset.is_grid else "mean"
+    return {**metric_defaults(name), **options}["imputer"]
+
+
 def check_options_fit(name: str, options: dict, dataset: Dataset) -> None:
-    """Apply the rules of metric ``name`` that depend on the data to its
-    ``options`` and ``dataset``: the noisy-linear fill needs grids, and no
-    soundness mask ratio may mask every feature.  The metric applies the same
-    rules itself; ``run_experiment`` calls this before it makes its output
-    directory."""
+    """Apply every rule of metric ``name`` to its ``options``, merged with
+    its defaults, and to ``dataset``: the option domains (``_OPTION_CHECKS``),
+    then the rules that depend on the data: the noisy-linear fill needs
+    grids, and no soundness mask ratio may mask every feature.  The metric
+    applies the same rules itself; ``run_experiment`` calls this before it
+    makes its output directory."""
     opts = {**metric_defaults(name), **options}
-    if opts.get("imputer") == "noisy_linear":
+    _OPTION_CHECKS[name](**opts)
+    if fill_kind(name, options, dataset) == "noisy_linear":
         _require_grid(dataset)
     if "mask_ratios" in opts:
-        _mask_counts(_descending(opts["mask_ratios"], "mask_ratios"), dataset.n_features)
+        _mask_counts(opts["mask_ratios"], dataset.n_features)
 
 
 def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
@@ -219,7 +272,8 @@ def _grid_fills(
     (``parallel.run_jobs``) replays the window's change sets on its rows'
     mask and returns its rows' ``_fill`` at every step.  The chunks of a
     step are joined in row order, so the fill does not depend on the lanes.
-    scipy is loaded before the lanes fork, so that no lane imports it itself.
+    The solver, scipy's LAPACK extension alone (``load_solver``, about
+    3 MiB), is loaded before the lanes fork, so that no lane loads it itself.
     """
     _require_grid(dataset)
     load_solver()
@@ -343,13 +397,10 @@ def soundness_curve(
     equals the previous one's (common when d < 99) repeat that step's
     accuracy without a model call.
     """
-    mask_ratios = _descending(mask_ratios, "mask_ratios")
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"unknown weighting {weighting!r}")
-    imputer = Imputer(kind=imputer, noise_std=float(noise_std))
+    mask_ratios, epsilon, imputer = _soundness_options(
+        mask_ratios=mask_ratios, epsilon=epsilon, imputer=imputer,
+        noise_std=noise_std, weighting=weighting,
+    )
 
     values = _flat_maps(dataset, maps)
     keep = values.sum(axis=1) > 0
@@ -445,8 +496,9 @@ def completeness_curve(
     A threshold that masks the same features as the next higher one repeats
     that step's accuracy without a model call.
     """
-    thresholds = _descending(thresholds, "thresholds")
-    imputer = Imputer(kind=imputer, noise_std=float(noise_std))
+    thresholds, imputer = _completeness_options(
+        thresholds=thresholds, imputer=imputer, noise_std=noise_std
+    )
 
     values = _flat_maps(dataset, maps)
     n, d = values.shape
@@ -497,12 +549,9 @@ def order_based_curve(
     """
     if mode not in ORDER_MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    if order not in RANK_ORDERS:
-        raise ConfigError(f"unknown rank order {order!r}")
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.size < 2 or np.any(fr < 0) or np.any(fr > 1) or np.any(np.diff(fr) <= 0):
-        raise ConfigError("fractions must be strictly ascending within [0, 1]")
-    imputer = Imputer(kind=imputer, noise_std=float(noise_std))
+    fr, imputer = _order_options(
+        order=order, imputer=imputer, noise_std=noise_std, fractions=fractions
+    )
 
     values = _flat_maps(dataset, maps)
     n, d = values.shape
@@ -536,7 +585,7 @@ def road_curve(
 ) -> EvalCurve:
     """Deletion with debiased imputation: the neighbor solve on grids, the
     dataset mean on tabular data where pixel adjacency is undefined."""
-    kind = "noisy_linear" if dataset.is_grid else "mean"
+    kind = fill_kind("road", {}, dataset)
     base = order_based_curve(
         model, dataset, maps, "deletion",
         order=order, imputer=kind, noise_std=noise_std, fractions=fractions, seed=seed,

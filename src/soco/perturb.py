@@ -9,13 +9,16 @@ keeps the masks and the zero and mean fills, updating only the features a
 step changes; ``impute_grid`` solves one grid for the noisy-linear fill.
 ``round_half_away`` turns every ratio into a feature count.
 
-scipy serves only that solve, through LAPACK's banded Cholesky, so it is
-imported on first use (``load_solver``), not with this module.
+scipy serves only that solve, through LAPACK's banded Cholesky: its LAPACK
+extension alone is loaded on first use (``load_solver``), never the
+``scipy.linalg`` package, and not with this module.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import warnings
 from dataclasses import dataclass
 
@@ -57,17 +60,27 @@ class Imputer:
 
 @functools.cache
 def load_solver():
-    """LAPACK's banded Cholesky solver ``dpbsv`` from scipy, imported on the
-    first call.
+    """LAPACK's banded Cholesky solver ``dpbsv``, loaded on the first call.
 
-    Importing scipy.linalg costs about 28 MiB and 0.3-0.45 s, and only the
-    noisy-linear fill needs it.  A process that forks lanes to solve grids
-    calls this before it forks, so that every lane inherits the modules
-    instead of importing them itself.
+    Only scipy's LAPACK extension ``scipy.linalg._flapack`` is loaded, from
+    the directory of the ``scipy.linalg`` package, whose own init (about 280
+    more modules) never runs; the routine is the one
+    ``scipy.linalg.lapack.dpbsv`` names.  After ``import soco`` this costs
+    about 3 MiB and 0.02 s, where importing ``scipy.linalg`` cost about
+    20 MiB and 0.3 s, and only the noisy-linear fill needs it.  A process
+    that forks lanes to solve grids calls this before it forks, so that
+    every lane inherits the solver instead of loading it itself.
     """
-    from scipy.linalg.lapack import dpbsv
-
-    return dpbsv
+    name = "scipy.linalg._flapack"
+    # the package's directory; this imports the top-level scipy only
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
+    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(where, extensions).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension {name} in {where}", name=name, path=where)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dpbsv
 
 
 # 8-neighborhood offsets in the order their entries appear in each row of W

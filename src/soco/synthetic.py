@@ -35,10 +35,16 @@ def generate_synthetic(
     parallelized.  The streams come from ``substreams``: the same generators,
     their seeds derived for all rows in one pass and each built as its row is
     drawn.  Samples with an exactly zero sum are redrawn from the same stream.
+    A size whose feature array cannot be allocated is a ``DataError``.
     """
     if n_samples < 1 or n_features < 1:
         raise DataError("synthetic dataset needs at least one sample and one feature")
-    rows = np.empty((n_samples, n_features), dtype=np.float64)
+    try:
+        rows = np.empty((n_samples, n_features), dtype=np.float64)
+    except (MemoryError, ValueError) as exc:  # numpy's too-big errors
+        raise DataError(
+            f"cannot hold a synthetic dataset of {n_samples} x {n_features} features: {exc}"
+        ) from None
     for i, rng in enumerate(substreams(seed, "data", range(n_samples))):
         x = rng.standard_normal(n_features)
         while x.sum() == 0.0:

@@ -1,13 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soco import (
     ConfigError,
@@ -767,3 +773,153 @@ def test_an_option_the_data_rules_out_is_exit_2_leaving_no_output(
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+DOMAIN_RULES = [
+    ("completeness", {"thresholds": []}, "thresholds must be non-empty"),
+    ("deletion", {"fractions": [0.5]}, "fractions must be strictly ascending within [0, 1]"),
+    ("completeness", {"imputer": "bogus"}, "unknown imputer kind 'bogus'"),
+    ("soundness", {"weighting": "bogus"}, "unknown weighting 'bogus'"),
+    ("deletion", {"order": "bogus"}, "unknown rank order 'bogus'"),
+    ("soundness", {"epsilon": -1}, "epsilon must be positive"),
+    ("completeness", {"noise_std": -1}, "noise_std must be non-negative"),
+    ("road", {"fractions": [0.0, 1.5]}, "fractions must be strictly ascending within [0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "metric, options, message", DOMAIN_RULES,
+    ids=[f"{metric}-{'-'.join(f'{k}={v}' for k, v in opts.items())}"
+         for metric, opts, _ in DOMAIN_RULES],
+)
+def test_an_option_outside_its_domain_is_exit_2_leaving_no_output(
+    tmp_path, metric, options, message
+):
+    # the metric raises the same error when called on the same data
+    dataset = generate_synthetic(12, 60, seed=3)
+    with pytest.raises(ConfigError) as info:
+        METRICS[metric](LinearStepModel(), dataset, ground_truth_attribution(dataset), **options)
+    assert str(info.value) == message
+    cfg = mistyped(("metrics",), {"deletion": {}, metric: options})
+    cfg["dataset"]["synthetic"]["n_features"] = 60
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli_process("run", "--config", str(cfg_path))
+    assert (proc.returncode, proc.stderr) == (2, f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_external_command_that_names_no_executable_is_exit_3_leaving_no_output(tmp_path):
+    missing = str(tmp_path / "no-such-server")
+    cfg = mistyped(("model",), {"external": {"command": [missing, "step"]}})
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli_process("run", "--config", str(cfg_path))
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"model bridge error: could not launch model server: no executable {missing!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+FUZZ_BASE = {
+    "seed": 3,
+    "output_dir": "out",
+    "workers": 2,
+    "dataset": {"synthetic": {"n_samples": 12, "n_features": 10, "seed": 5}},
+    "model": {"builtin": "linear_step"},
+    "maps": {
+        "source": "ground_truth",
+        "variants": {
+            "original": [],
+            "mod": [{
+                "kind": "synth_introduce", "direction": "introduce", "fraction": 0.3,
+                "magnitude": 1.0, "seed": 1, "renormalize": False,
+            }],
+        },
+    },
+    "metrics": {
+        "soundness": {
+            "mask_ratios": [0.5, 0.2], "epsilon": 0.01, "imputer": "mean",
+            "noise_std": 0.0, "weighting": "attribution",
+        },
+        "completeness": {"thresholds": [0.5, 0.1], "imputer": "zero", "noise_std": 0.5},
+        "deletion": {"order": "MoRF", "fractions": [0.0, 0.5, 1.0], "imputer": "zero"},
+        "insertion": {"order": "LeRF"},
+        "road": {"fractions": [0.0, 1.0]},
+    },
+}
+
+
+def config_paths(node, prefix=()):
+    """Every key or list index path into ``node``, outermost first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from config_paths(value, prefix + (key,))
+
+
+DROP = object()
+# wrong types, and values out of range for some key or other; 2**50 rows or
+# features cannot be allocated, so no example takes much memory
+FUZZ_VALUES = [
+    None, True, False, 0, 1, 2, -1, 2**50, 2**64, 0.0, -0.0, 0.5, 1.0, 1.5, -1.0, 1e308,
+    -1e-300, float("nan"), float("inf"), "", "bogus", "noisy_linear", "MoRF", "mean",
+    "synth_remove", "introduce", [], [0.5], [0.5, 0.5], [1.5, 0.5], [0.0, 1.0], [0.9, 0.0],
+    ["a"], [None], [[]], {}, {"x": 1}, {"kind": "synth_remove"},
+]
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(list(config_paths(FUZZ_BASE))),
+        st.sampled_from([DROP] + FUZZ_VALUES),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def holds(node, key) -> bool:
+    return (isinstance(node, dict) and key in node) or (
+        isinstance(node, list) and isinstance(key, int) and key < len(node)
+    )
+
+
+def mutated(mutations) -> dict:
+    """``FUZZ_BASE`` with each (path, value) applied in turn: the value
+    replaces the entry, or ``DROP`` deletes it; a path that an earlier
+    mutation took away is passed over."""
+    cfg = copy.deepcopy(FUZZ_BASE)
+    for path, value in mutations:
+        node = cfg
+        for key in path[:-1]:
+            if not holds(node, key):
+                break
+            node = node[key]
+        else:
+            key = path[-1]
+            if value is DROP and holds(node, key):
+                del node[key]
+            elif value is not DROP and (holds(node, key) or isinstance(node, dict)):
+                node[key] = copy.deepcopy(value)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=MUTATIONS)
+def test_a_mutated_config_exits_cleanly(mutations):
+    # each example runs in its own directory, so a run leaves nothing for the next
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "exp.json"
+        cfg_path.write_text(json.dumps(mutated(mutations)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", str(cfg_path)])
+        assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            assert sorted(os.listdir(tmp)) == ["exp.json"], err.getvalue()

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import warnings
 
 import numpy as np
@@ -372,6 +374,16 @@ def test_impute_grid_raises_instead_of_filling_when_the_factorisation_fails(monk
     mask[1:3, 1:3] = True
     with pytest.raises(DataError, match=r"dpbsv info 2"):
         impute_grid(rng.standard_normal((5, 4)), mask)
+
+
+def test_load_solver_names_the_directory_it_finds_no_lapack_extension_in(monkeypatch, tmp_path):
+    package = importlib.machinery.ModuleSpec("scipy.linalg", None, is_package=True)
+    package.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: package)
+    perturb.load_solver.cache_clear()  # the next caller loads the solver again
+    with pytest.raises(ImportError) as info:
+        perturb.load_solver()
+    assert str(info.value) == f"no LAPACK extension scipy.linalg._flapack in {tmp_path}"
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (7, 5, 3)])

@@ -60,6 +60,14 @@ def test_step_model_boundary_goes_to_class_zero():
     assert probs.tolist() == [[1.0, 0.0]]
 
 
+@pytest.mark.parametrize("n_samples, n_features", [(2**50, 10), (12, 2**50), (2**64, 10)])
+def test_a_dataset_too_large_to_allocate_is_a_data_error(n_samples, n_features):
+    # numpy refuses these at once (no address space holds 2**53 bytes), with
+    # a MemoryError or a ValueError that would otherwise end in a traceback
+    with pytest.raises(DataError, match=f"cannot hold a synthetic dataset of {n_samples} x"):
+        generate_synthetic(n_samples, n_features)
+
+
 def test_step_model_rejects_grids():
     with pytest.raises(DataError, match="tabular model"):
         LinearStepModel().predict_probs(np.zeros((2, 3, 3, 1)))
