@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .analysis import CurveSet, min_pairwise_hausdorff, pairwise_hausdorff
-from .core import ConfigError, DataError, ModelBridgeError, WorkerError
+from .core import ConfigError, DataError, ModelBridgeError, WorkerError, check_count
 from .experiment import evaluate_metric, load_config, run_experiment
 from .io import (
     emit_plot_data,
@@ -33,7 +33,11 @@ from .synthetic import LinearStepModel, generate_synthetic, ground_truth_attribu
 
 
 def _cmd_gen_synthetic(args) -> int:
-    dataset = generate_synthetic(args.n_samples, args.n_features, args.seed)
+    dataset = generate_synthetic(
+        check_count(args.n_samples, "--n-samples"),
+        check_count(args.n_features, "--n-features"),
+        check_count(args.seed, "--seed"),
+    )
     write_dataset(dataset, args.out, format=args.format)
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
@@ -70,6 +74,7 @@ def _cmd_modify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    seed = check_count(args.seed, "--seed")
     # the metric-option flags given; one left out takes the metric's own default
     known = {key for name in METRICS for key in metric_defaults(name)}
     options = {k: v for k, v in vars(args).items() if k in known and v is not None}
@@ -87,7 +92,7 @@ def _cmd_eval(args) -> int:
         if args.mlp_weights:
             raise ConfigError("ground-truth maps are only defined for the builtin model")
         maps = ground_truth_attribution(dataset)
-    curve = evaluate_metric(args.metric, options, model, dataset, maps, args.seed)
+    curve = evaluate_metric(args.metric, options, model, dataset, maps, seed)
     write_curve(curve, args.out)
     print(f"wrote {args.metric} curve ({len(curve.points)} points) to {args.out}")
     return 0

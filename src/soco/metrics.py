@@ -27,8 +27,8 @@ parameters; ``METRICS`` names the functions and ``metric_defaults`` reads them.
 from __future__ import annotations
 
 import inspect
+import mmap
 import warnings
-from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from itertools import chain, pairwise
@@ -267,44 +267,52 @@ def _grid_fills(
     """The noisy-linear fill of each step, as read-only arrays in step order.
 
     The steps are cut into windows of at most ``_WINDOW_BYTES`` of fills, so
-    memory does not grow with the sweep length.  For each window the rows
-    are split into about two chunks per lane, and each chunk job
-    (``parallel.run_jobs``) replays the window's change sets on its rows'
-    mask and returns its rows' ``_fill`` at every step.  The chunks of a
-    step are joined in row order, so the fill does not depend on the lanes.
-    The solver, scipy's LAPACK extension alone (``load_solver``, about
-    3 MiB), is loaded before the lanes fork, so that no lane loads it itself.
+    memory does not grow with the sweep length.  One window's fills live in
+    one array in anonymous shared memory, reused for every window.  The rows
+    are split into one contiguous share per usable lane
+    (``parallel.run_shares``): the caller fills the first share itself while
+    one forked lane fills each other share, so a window forks one process
+    fewer than there are lanes, and none with one lane.  A share replays the
+    window's change sets on its rows' mask and writes its rows' ``_fill`` at
+    every step straight into the shared array, which the lanes inherit
+    across the fork; nothing is sent back but warnings and errors.  Each
+    step's fill is yielded as a read-only view of that array, which the
+    next window overwrites: a consumer uses up one batch before it draws
+    the next.  The fill does not depend on the lanes.  The solver, scipy's
+    LAPACK extension alone (``load_solver``, about 3 MiB), is loaded before
+    the lanes fork, so that no lane loads it itself.
     """
     _require_grid(dataset)
     load_solver()
     n, d = features.shape
     grids = features.reshape((n,) + dataset.feature_shape)
     mask = np.full((n, d), start_masked)  # the mask at the start of a window
-    lanes = parallel.usable_lanes()
-    n_chunks = 1 if lanes == 1 else min(n, 2 * lanes)
-    bounds = [i * n // n_chunks for i in range(n_chunks + 1)]
-    chunks = [slice(lo, hi) for lo, hi in pairwise(bounds)]
+    lanes = min(n, parallel.usable_lanes())
+    bounds = [i * n // lanes for i in range(lanes + 1)]
+    shares = [slice(lo, hi) for lo, hi in pairwise(bounds)]
     window_steps = max(1, _WINDOW_BYTES // (8 * n * d))
+    held = min(window_steps, len(steps))
+    fills = np.frombuffer(mmap.mmap(-1, 8 * held * n * d), dtype=np.float64)
+    fills = fills.reshape((held,) + grids.shape)
+    shown = fills.view()
+    shown.flags.writeable = False
     for start in range(0, len(steps), window_steps):
         window = steps[start : start + window_steps]
 
-        def fill_chunk(rows: slice) -> list:
+        def fill_share(rows: slice) -> None:
             lo, hi = rows.start * d, rows.stop * d
             part = grids[rows]
             part_noise = None if noise is None else noise[rows]
             local = mask[rows].copy()
-            fills = []
-            for idx, masked in window:
+            for step, (idx, masked) in enumerate(window):
                 local.reshape(-1)[idx[(idx >= lo) & (idx < hi)] - lo] = masked
-                fills.append(_fill(part, local.reshape(part.shape), imputer, dataset, part_noise))
-            return fills
+                part_mask = local.reshape(part.shape)
+                fills[step, rows] = _fill(part, part_mask, imputer, dataset, part_noise)
 
-        per_chunk = parallel.run_jobs(lambda: nullcontext(fill_chunk), chunks, lanes)
-        for (idx, masked), parts in zip(window, zip(*per_chunk)):
+        parallel.run_shares(fill_share, shares)
+        for step, (idx, masked) in enumerate(window):
             mask.reshape(-1)[idx] = masked
-            out = np.concatenate(parts)
-            out.flags.writeable = False
-            yield out
+            yield shown[step]
 
 
 def _sweep(
@@ -329,9 +337,11 @@ def _sweep(
 
     Zero and mean fills keep one ``(n, d)`` buffer, the fill of the start
     mask, and rewrite only the changed entries.  The noisy-linear solve
-    depends on the whole mask, so that fill is redone at every step, on
-    lanes when there are CPUs for them (``_grid_fills``); the model still
-    runs here and sees the same arrays as with no lanes at all.
+    depends on the whole mask, so that fill is redone at every step
+    (``_grid_fills``): window by window into one shared array, the caller
+    filling the first row share and one forked lane each other share when
+    there are CPUs for them.  The model still runs here, on read-only views
+    of that array, and sees the same arrays as with no lanes at all.
     """
     repeats: list[int] = []  # the steps each model call answers
 

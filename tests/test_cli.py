@@ -209,6 +209,30 @@ def test_eval_rejects_a_flag_its_metric_does_not_take(workdir, metric, flag, val
     assert not out.exists()
 
 
+NEGATIVE_FLAGS = [
+    ("gen-synthetic", "--n-samples", ()),
+    ("gen-synthetic", "--n-features", ()),
+    ("gen-synthetic", "--seed", ()),
+    ("eval", "--seed", ()),
+    ("eval", "--seed", ("--noise-std", "1")),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, flag, extra", NEGATIVE_FLAGS, ids=[f"{v}{f}{''.join(e)}" for v, f, e in NEGATIVE_FLAGS]
+)
+def test_a_negative_integer_flag_is_exit_2_naming_the_flag(workdir, capsys, verb, flag, extra):
+    out = workdir / "out.soco"
+    args = [verb, "--out", str(out), flag, "-5", *extra]
+    if verb == "eval":
+        args += ["--metric", "soundness", "--dataset", str(workdir / "data.soco")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {flag} must be a non-negative integer, got -5\n"
+    )
+    assert not out.exists()
+
+
 def test_compare_prints_pairwise_and_min(workdir, capsys):
     for name, order in (("a", "MoRF"), ("b", "LeRF")):
         rc = main(

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -9,6 +10,7 @@ from soco import (
     ConfigError,
     MapSet,
     ValidationSettings,
+    experiment,
     generate_synthetic,
     ground_truth_attribution,
     load_config,
@@ -246,6 +248,38 @@ def test_lane_warnings_reach_the_caller(tmp_path):
         "original/deletion": 0,
         "original/soundness": 2,
     }
+
+
+def log_pid(log, function):
+    """``function`` that first appends its process id to ``log``."""
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return function(*args, **kwargs)
+
+    return logged
+
+
+def test_forked_runs_never_run_a_job_in_the_caller(tmp_path, monkeypatch):
+    # the caller holds every result; a job of its own would add the job's
+    # peak memory to it
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    log = tmp_path / "jobs.log"
+    monkeypatch.setattr(experiment, "evaluate_metric", log_pid(log, experiment.evaluate_metric))
+    cfg = base_config(
+        workers=2,
+        maps={"source": "ground_truth", "variants": {"original": [], "again": []}},
+    )
+    run_experiment(parse_config(cfg, base_dir=tmp_path))
+    pids = log.read_text().split()
+    assert len(pids) == 2 and str(os.getpid()) not in pids
+
+    log.unlink()
+    monkeypatch.setattr(experiment, "soundness_curve", log_pid(log, experiment.soundness_curve))
+    run_validation(ValidationSettings(n_samples=40, n_features=100, n_trials=2))
+    pids = log.read_text().split()
+    assert len(pids) == 6 and str(os.getpid()) not in pids
 
 
 def test_evaluate_metric_rejects_unknown(small_dataset, gt_maps, step_model):

@@ -14,6 +14,9 @@ from soco import Dataset, MlpModel, MlpWeights, normalize_attribution
 from soco.metrics import completeness_curve, road_curve, soundness_curve
 from soco.models import Layer
 
+# the noisy-linear fills fork lanes on any machine with two usable CPUs
+pytestmark = pytest.mark.usefixtures("no_leftovers")
+
 N_SAMPLES = 16
 
 

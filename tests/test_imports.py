@@ -107,7 +107,8 @@ def test_a_grid_run_loads_scipy_only_for_the_neighbor_solve(tmp_path):
 
 
 def test_grid_solving_lanes_inherit_scipy(tmp_path):
-    # two lanes are forced, as tests/test_metrics.py does, whatever the CPUs
+    # two lanes are forced, as tests/test_metrics.py does, whatever the CPUs;
+    # then one, for the inline solve count
     out = run_fresh("""
         import os
         import sys
@@ -140,13 +141,19 @@ def test_grid_solving_lanes_inherit_scipy(tmp_path):
         maps = normalize_attribution(np.abs(rng.standard_normal(feats.shape)))
         layer = Layer(weight=rng.standard_normal((2, 256)), bias=np.zeros(2))
         model = MlpModel(MlpWeights(layers=(layer,), n_classes=2))
-        metrics.road_curve(model, ds, maps, noise_std=0.5)
+        laned = metrics.road_curve(model, ds, maps, noise_std=0.5)
+        os.rename("solves.log", "laned.log")
+        parallel._usable_cpus = lambda: 1
+        assert metrics.road_curve(model, ds, maps, noise_std=0.5) == laned
         print(os.getpid(), any(name in sys.modules for name in PACKAGES))
     """, tmp_path)
     caller, caller_packages = out.split()[-2:]
-    solves = [line.split() for line in (tmp_path / "solves.log").read_text().splitlines()]
-    lanes = {pid for pid, _, _ in solves}
-    assert len(lanes) == 2 and caller not in lanes
+    solves = [line.split() for line in (tmp_path / "laned.log").read_text().splitlines()]
+    inline = (tmp_path / "solves.log").read_text().splitlines()
+    # the caller solves its own share and one forked lane the other, as often as inline
+    solvers = {pid for pid, _, _ in solves}
+    assert caller in solvers and len(solvers) == 2
+    assert len(solves) == len(inline) and {line.split()[0] for line in inline} == {caller}
     # every lane inherits the loaded solver, and no process imports a scipy package
     assert {(loaded, packages) for _, loaded, packages in solves} == {("True", "False")}
     assert caller_packages == "False"

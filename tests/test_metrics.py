@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import warnings
 from unittest import mock
@@ -16,6 +17,7 @@ from soco import (
     MapSet,
     MlpModel,
     MlpWeights,
+    WorkerError,
     align_soundness,
     auc,
     completeness_curve,
@@ -364,6 +366,7 @@ def test_noisy_linear_on_tabular_data_fails_before_any_lane_starts(
 ):
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(parallel, "run_jobs", mock.Mock(side_effect=AssertionError("a lane started")))
+    monkeypatch.setattr(parallel, "run_shares", mock.Mock(side_effect=AssertionError("a lane started")))
     with pytest.raises(ConfigError, match="^noisy_linear requires grid-shaped samples$"):
         metrics.METRICS[metric](step_model, small_dataset, gt_maps, imputer="noisy_linear")
 
@@ -761,16 +764,31 @@ def test_grid_fill_on_lanes_matches_inline(rng, monkeypatch, solver_pids, noise_
     assert np.array_equal(got, np.where(masks, serial, feats))
     solver_pids()
 
+    groups = []  # the processes that solve in each run_shares call
+    run_shares = parallel.run_shares
+
+    def grouped(work, shares):
+        try:
+            return run_shares(work, shares)
+        finally:
+            groups.append(solver_pids())
+
+    monkeypatch.setattr(parallel, "run_shares", grouped)
     runs = {}
     for cpus in (1, LANES):
         use_cpus(monkeypatch, cpus)
         model = CountingModel(inner)
-        runs[cpus] = grid_curves(model, ds, maps, imputer), model.batches, solver_pids()
-    inline, inline_batches, inline_pids = runs[1]
-    laned, laned_batches, laned_pids = runs[LANES]
-    assert set(inline_pids) == {os.getpid()}
-    assert len(set(laned_pids)) > 1 and os.getpid() not in laned_pids
-    assert len(laned_pids) == len(inline_pids)
+        groups.clear()
+        runs[cpus] = grid_curves(model, ds, maps, imputer), model.batches, list(groups)
+    inline, inline_batches, inline_groups = runs[1]
+    laned, laned_batches, laned_groups = runs[LANES]
+    # the caller solves its own share; exactly LANES - 1 forked lanes solve the rest
+    caller = os.getpid()
+    assert len(laned_groups) == len(inline_groups) == 4
+    assert all(set(pids) == {caller} for pids in inline_groups)
+    for pids in laned_groups:
+        assert caller in pids and len(set(pids) - {caller}) == LANES - 1
+    assert sum(map(len, laned_groups)) == sum(map(len, inline_groups))
     assert laned == inline
     assert [b.tobytes() for b in laned_batches] == [b.tobytes() for b in inline_batches]
 
@@ -799,9 +817,61 @@ def test_a_lane_error_reaches_the_caller_with_its_type_and_message(rng, monkeypa
 
     monkeypatch.setattr(metrics, "impute_grid", impute)
     use_cpus(monkeypatch, LANES)
+    # the caller fills rows 0-1 itself; sample 4 lies in the last lane's share (rows 4-6)
     with pytest.raises(DataError, match=r"^sample 4 cannot be filled in process \d+$") as info:
         road_curve(model, ds, maps, seed=5)
     assert str(info.value) != f"sample 4 cannot be filled in process {os.getpid()}"
+
+
+@pytest.mark.filterwarnings("ignore:fully masked grid")
+def test_an_error_in_the_callers_own_share_is_raised_after_the_lanes_are_reaped(
+    rng, monkeypatch, tmp_path
+):
+    ds, _, maps, model = pool_problem(rng)
+    feats = ds.feature_matrix()
+    solved = tmp_path / "solved"
+
+    def impute(features, mask):
+        if np.array_equal(features, feats[0]):
+            raise DataError(f"sample 0 cannot be filled in process {os.getpid()}")
+        with open(solved, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return impute_grid(features, mask)
+
+    monkeypatch.setattr(metrics, "impute_grid", impute)
+    use_cpus(monkeypatch, 2)
+    counting = CountingModel(model)
+    with pytest.raises(DataError) as info:
+        road_curve(counting, ds, maps, seed=5)
+    # raised where it happened, not a copy from a lane
+    assert str(info.value) == f"sample 0 cannot be filled in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+    # the forked lane filled its whole share (rows 3-6, ten masked steps each)
+    lanes = [int(pid) for pid in solved.read_text().split() if int(pid) != os.getpid()]
+    assert len(lanes) == 4 * 10 and len(set(lanes)) == 1
+    assert counting.batches == []
+
+
+@pytest.mark.filterwarnings("ignore:fully masked grid")
+def test_a_lane_that_dies_mid_window_raises_worker_error_before_any_batch(
+    rng, monkeypatch
+):
+    ds, _, maps, model = pool_problem(rng)
+    feats = ds.feature_matrix()
+    caller = os.getpid()
+
+    def impute(features, mask):
+        if os.getpid() != caller and np.array_equal(features, feats[5]):
+            os._exit(3)
+        return impute_grid(features, mask)
+
+    monkeypatch.setattr(metrics, "impute_grid", impute)
+    use_cpus(monkeypatch, LANES)
+    counting = CountingModel(model)
+    with pytest.raises(WorkerError, match=r"died \(exit code 3\)"):
+        road_curve(counting, ds, maps, seed=5)
+    assert counting.batches == []
+    assert multiprocessing.active_children() == []
 
 
 def test_lane_grid_fill_warnings_obey_caller_filters(rng, monkeypatch):
@@ -823,26 +893,26 @@ def test_lane_grid_fill_warnings_obey_caller_filters(rng, monkeypatch):
 def test_sweep_windows_of_any_size_give_the_same_bytes(rng, monkeypatch, cpus):
     ds, _, maps, inner = pool_problem(rng)
     use_cpus(monkeypatch, cpus)
-    calls = []
-    run_jobs = parallel.run_jobs
+    calls = []  # the shares of each window's run_shares call, one fork group each
+    run_shares = parallel.run_shares
 
-    def counted(open_lane, jobs, max_lanes):
-        calls.append(len(jobs))
-        return run_jobs(open_lane, jobs, max_lanes)
+    def counted(work, shares):
+        calls.append(len(shares))
+        return run_shares(work, shares)
 
-    monkeypatch.setattr(parallel, "run_jobs", counted)
+    monkeypatch.setattr(parallel, "run_shares", counted)
     options = dict(mask_ratios=COARSE_RATIOS, imputer="noisy_linear", noise_std=0.5)
     model = CountingModel(inner)
     whole = soundness_curve(model, ds, maps, **options, seed=5)
     steps = len(model.batches)
-    assert steps > 2 and len(calls) == 1
+    assert steps > 2 and calls == [cpus]
     one_step = 8 * len(ds) * ds.n_features  # the bytes of one step's fills
     for window, windows in ((one_step, steps), (2 * one_step + 1, -(-steps // 2))):
         monkeypatch.setattr(metrics, "_WINDOW_BYTES", window)
         calls.clear()
         windowed = CountingModel(inner)
         assert soundness_curve(windowed, ds, maps, **options, seed=5) == whole
-        assert len(calls) == windows
+        assert calls == [cpus] * windows
         assert [b.tobytes() for b in windowed.batches] == [b.tobytes() for b in model.batches]
 
 

@@ -203,3 +203,43 @@ def test_jobs_run_inline_without_fork(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert parallel.usable_lanes() == 1
     assert parallel.run_jobs(lambda: nullcontext(pid_of), [0, 1, 2], 2) == [os.getpid()] * 3
+
+
+def share_of(share):
+    warnings.warn(f"share {share} warns", UserWarning)
+    return share, os.getpid()
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_the_caller_runs_the_first_share_and_a_lane_of_its_own_each_other(shares):
+    with pytest.warns(UserWarning) as record:
+        out = parallel.run_shares(share_of, list(range(shares)))
+    assert [share for share, _ in out] == list(range(shares))
+    pids = [pid for _, pid in out]
+    assert pids[0] == os.getpid() and len(set(pids)) == shares
+    assert [str(w.message) for w in record] == [f"share {i} warns" for i in range(shares)]
+
+
+def fail_in_caller(log):
+    def work(share):
+        if share == 0:
+            raise DataError("the caller's share is bad")
+        time.sleep(0.2)
+        with open(log, "a") as handle:
+            handle.write(f"{share}\n")
+        raise DataError(f"share {share} is bad")
+
+    return work
+
+
+def test_the_first_failing_share_is_raised_once_every_lane_is_joined(tmp_path):
+    log = tmp_path / "finished.log"
+    with pytest.raises(DataError, match="^the caller's share is bad$"):
+        parallel.run_shares(fail_in_caller(log), [0, 1, 2])
+    assert multiprocessing.active_children() == []
+    assert sorted(log.read_text().split()) == ["1", "2"]
+
+
+def test_a_share_lane_that_dies_raises_worker_error():
+    with pytest.raises(WorkerError, match=r"died \(exit code 7\) in job 2"):
+        parallel.run_shares(die_on_three, [0, 1, 3])
