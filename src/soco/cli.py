@@ -142,6 +142,17 @@ def _cmd_emit_plot(args) -> int:
     return 0
 
 
+def _flag_named(message: str, args) -> str:
+    """``message`` with the option key it starts with, as the library names
+    it (``noise_std``, ``metrics.soundness.epsilon``), named as the flag
+    that set it (``--noise-std``, ``--epsilon``)."""
+    key, sep, rest = message.partition(" must ")
+    key = key.rpartition(".")[2]
+    if sep and key in vars(args):
+        return f"--{key.replace('_', '-')}{sep}{rest}"
+    return message
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soco", description="Attribution-map faithfulness evaluation."
@@ -220,7 +231,7 @@ def main(argv=None) -> int:
         print(f"model bridge error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_flag_named(str(exc), args)}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -15,6 +15,11 @@ Requests are pipelined: a batch larger than ``batch_limit`` rows is split
 into several requests, and a sweep's consecutive steps are sent without
 waiting for earlier answers, up to ``MAX_IN_FLIGHT`` unanswered requests.
 A server must therefore keep reading while its answers are outstanding.
+The bridge starts no thread: the calling thread writes each request to the
+child's non-blocking stdin and reads its answers from stdout in one ``poll``
+loop, reading while it writes, so neither side blocks the other on a full
+pipe.  ``timeout_s`` bounds sending a request as well as waiting for an
+answer.  This needs POSIX pipes, as forked lanes need ``fork``.
 
 Each request line is byte for byte ``json.dumps`` of the request above.  It
 is rendered as an edit of the last request sent in the same slot (the same
@@ -25,10 +30,12 @@ the bridge keeps at most ``ENCODE_CELLS`` cells for this, about 7 MiB.
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
 import subprocess
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
@@ -45,7 +52,7 @@ STOP_TIMEOUT_S = 2.0  # how long a closed server may take to exit before it is k
 
 
 class BridgeTimeout(ModelBridgeError):
-    """No response arrived within the configured request timeout."""
+    """The server took no request, or sent no response, within the request timeout."""
 
 
 class BridgeMalformed(ModelBridgeError):
@@ -184,23 +191,6 @@ class ExternalModelSpec:
             raise ConfigError("batch limit must be at least 1")
 
 
-_EOF = object()
-
-
-class _Reader(threading.Thread):
-    """Pumps child stdout lines into a queue so waits can time out."""
-
-    def __init__(self, stream, out: "queue.Queue") -> None:
-        super().__init__(daemon=True)
-        self._stream = stream
-        self._out = out
-
-    def run(self) -> None:
-        for line in self._stream:
-            self._out.put(line)
-        self._out.put(_EOF)
-
-
 def _render(values: np.ndarray) -> list[str]:
     """The JSON text of each float64 in ``values``, in one ``json.dumps`` call."""
     # a float's JSON text never contains ", ", so the list splits cleanly
@@ -261,7 +251,7 @@ class _Request(NamedTuple):
     batch: int  # index of the batch within one predict_probs_many call
     start: int
     stop: int
-    line: str  # the encoded request, kept for re-issue after a restart
+    line: bytes  # the encoded request, kept for re-issue after a restart
 
 
 class ExternalModel:
@@ -277,8 +267,8 @@ class ExternalModel:
         self.spec = spec
         self._lock = threading.Lock()
         self._proc: Optional[subprocess.Popen] = None
-        self._reader: Optional[_Reader] = None
-        self._queue: "queue.Queue" = queue.Queue()
+        self._lines: deque = deque()  # complete answer lines not yet taken
+        self._partial = bytearray()  # the bytes read after the last newline
         self._encoder = _RequestEncoder()
         self._next_id = 0
         self._restarted = False
@@ -288,42 +278,33 @@ class ExternalModel:
     def _launch(self) -> None:
         try:
             self._proc = subprocess.Popen(
-                list(self.spec.command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                list(self.spec.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as exc:
             raise BridgeProcessFailed(f"could not launch model server: {exc}") from exc
-        self._queue = queue.Queue()
-        self._reader = _Reader(self._proc.stdout, self._queue)
-        self._reader.start()
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._lines = deque()
+        self._partial = bytearray()
 
     def _stop(self) -> None:
-        """Close the child's pipes and reap it, killing it if it lingers.
-
-        The reader returns at the end of the child's output, which comes when
-        the child exits, so the join is the wait; ``proc.wait`` then has the
-        rest of ``STOP_TIMEOUT_S``, and a child that outlasts it is killed.
-        """
+        """Close the child's pipes and reap it, killing it if it lingers.  Its
+        output ends when it exits, so reading to that end is the wait."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        proc.stdin.close()  # holds no buffered bytes, so this cannot fail on a dead child
+        poller = select.poll()
+        poller.register(proc.stdout, select.POLLIN)
         deadline = time.monotonic() + STOP_TIMEOUT_S
-        try:
-            proc.stdin.close()
-        except OSError:
-            pass
-        self._reader.join(timeout=STOP_TIMEOUT_S)
+        while (left := deadline - time.monotonic()) > 0 and poller.poll(left * 1000):
+            if not os.read(proc.stdout.fileno(), 1 << 16):
+                break
         try:
             proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-            self._reader.join(timeout=STOP_TIMEOUT_S)
-        if not self._reader.is_alive():  # a grandchild may still hold the pipe
-            proc.stdout.close()
+        proc.stdout.close()
 
     def _ensure_running(self) -> None:
         if self._proc is None:
@@ -354,31 +335,55 @@ class ExternalModel:
 
     # -- protocol -----------------------------------------------------------
 
-    def _write(self, line: str) -> bool:
-        """Send one request line; False when the child is gone."""
-        try:
-            self._proc.stdin.write(line)
-            self._proc.stdin.flush()
-        except OSError:
-            return False
+    def _pump(self, out: bytes = b"") -> bool:
+        """Write all of ``out``, or with no ``out`` wait for an answer line,
+        reading the child's output into ``_lines`` all the while; False when
+        the child is gone.  Either raises ``BridgeTimeout`` after ``timeout_s``."""
+        deadline = time.monotonic() + self.spec.timeout_s
+        view = memoryview(out)
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        poller = select.poll()
+        poller.register(stdout, select.POLLIN)
+        if view:
+            poller.register(stdin, select.POLLOUT)
+        while view if out else not self._lines:
+            left = deadline - time.monotonic()
+            if left <= 0 or not (ready := poller.poll(left * 1000)):
+                what = "request not taken" if view else "no response"
+                raise BridgeTimeout(f"{what} within {self.spec.timeout_s}s")
+            for fd, _ in ready:
+                if fd == stdout:
+                    chunk = os.read(stdout, 1 << 16)
+                    if not chunk:
+                        return False
+                    self._partial += chunk  # amortised, so a long line costs linear time
+                    if b"\n" in chunk:
+                        *lines, self._partial = self._partial.split(b"\n")
+                        self._lines.extend(lines)
+                else:
+                    try:
+                        view = view[os.write(stdin, view) :]
+                    except BrokenPipeError:
+                        return False
         return True
 
     def _restart(self, pending: dict[int, _Request]) -> None:
         """Restart a dead child (once) and re-send every unanswered request."""
         self._handle_death()  # raises when the restart is already spent
         for req_id in sorted(pending):
-            if not self._write(pending[req_id].line):
+            if not self._pump(pending[req_id].line):
                 raise BridgeProcessFailed(
                     f"model server died again (exit code {self._proc.poll()}); giving up"
                 )
 
-    def _parse(self, line: str) -> tuple[int, list]:
+    def _parse(self, line: bytes) -> tuple[int, list]:
         try:
             obj = json.loads(line)
             req_id = int(obj["id"])
             probs = obj["probs"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise BridgeMalformed(f"bad response line: {line[:200]!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # bad JSON or UTF-8 included
+            text = line[:200].decode(errors="replace")
+            raise BridgeMalformed(f"bad response line: {text!r}") from exc
         if not isinstance(probs, list):
             raise BridgeMalformed("probs must be a list of per-sample vectors")
         return req_id, probs
@@ -401,18 +406,11 @@ class ExternalModel:
         return arr
 
     def _receive(self, pending: dict[int, _Request], outs: list) -> None:
-        """Wait for one response and store it in its batch's output."""
-        try:
-            item = self._queue.get(timeout=self.spec.timeout_s)
-        except queue.Empty:
-            raise BridgeTimeout(
-                f"no response within {self.spec.timeout_s}s "
-                f"({len(pending)} request(s) outstanding)"
-            ) from None
-        if item is _EOF:
+        """Take one response, reading it if none is buffered, into its batch's output."""
+        if not self._lines and not self._pump():
             self._restart(pending)
             return
-        req_id, probs = self._parse(item)
+        req_id, probs = self._parse(self._lines.popleft())
         if req_id not in pending:
             raise BridgeUnknownId(f"response for unknown request id {req_id}")
         req = pending.pop(req_id)
@@ -451,9 +449,9 @@ class ExternalModel:
                         stop = min(start + self.spec.batch_limit, rows.shape[0])
                         req_id = self._next_id
                         self._next_id += 1
-                        line = self._encoder.encode(req_id, rows[start:stop], start)
+                        line = self._encoder.encode(req_id, rows[start:stop], start).encode()
                         pending[req_id] = _Request(len(outs) - 1, start, stop, line)
-                        if not self._write(line):
+                        if not self._pump(line):
                             self._restart(pending)
                 while pending:
                     self._receive(pending, outs)

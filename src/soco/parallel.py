@@ -24,16 +24,17 @@ collecting them.
 With one lane or one job ``run_jobs`` runs the jobs inline, in order.
 ``usable_lanes`` allows only one inside a lane, so that lanes never fork
 lanes and a run never has more lanes than CPUs; while another Python thread
-is alive (such as a started model bridge's reader), since forking a process
-that runs threads is unsafe; and without the ``fork`` start method.  Either
-way a job's warnings are recorded where it runs and re-issued in the
-caller, in job order, and the first failed job in job order raises its
-exception in the caller; from a lane it arrives as a copy, with its type
-and message.  An exception raised by ``open_lane()`` in a lane is the
-outcome of the lane's first job.  A lane that dies without reporting its
-job raises ``WorkerError``.  No lane outlives ``run_jobs`` or
+is alive, since forking a process that runs threads is unsafe; and without
+the ``fork`` start method.  Either way a job's warnings are recorded where
+it runs and re-issued in the caller, in job order, and the first failed job
+in job order raises its exception in the caller; from a lane it arrives as
+a copy, with its type and message.  An exception raised by ``open_lane()``
+in a lane is the outcome of the lane's first job.  A lane that dies without
+reporting its job raises ``WorkerError``.  No lane outlives ``run_jobs`` or
 ``run_shares``: both join every lane before they re-issue a warning or
-raise.
+raise.  So a lane forked while a model server is open, which inherits the
+server's pipe ends and never uses them, holds them only for the call: a
+server closed after it sees the end of its input.
 
 The lanes are forked, not spawned, so that a lane starts without
 re-importing soco or receiving a copy of the state.

@@ -66,7 +66,7 @@ def rng():
 def no_leftovers():
     """Every call in the test leaves no child process and no extra thread.
 
-    Modules whose code forks lanes or starts bridge threads use it for every
+    Modules whose code forks lanes or starts model servers use it for every
     test (``pytestmark``), so a leftover fails the test that left it.
     """
     threads = threading.active_count()

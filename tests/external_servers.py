@@ -4,7 +4,7 @@ Run as: python3 external_servers.py MODE [ARG] [--pid-dir DIR]
 
 With ``--pid-dir DIR`` the server first creates an empty file named after
 its process id in DIR, so a test can check that every server it caused to
-start has been reaped.
+start has been reaped (``unreaped(DIR)`` lists those still there).
 
 Modes:
     uniform        answer each request with uniform probabilities, in order
@@ -15,13 +15,19 @@ Modes:
     shuffle        buffer two requests, answer them in reversed order with
                    probabilities derived from each row's first value
     malformed      answer the first request with a non-JSON line
+    notutf8        answer the first request with a line holding the byte 0xff,
+                   which is not UTF-8
     badprobs       answer with probabilities summing to 1.5
     ragged         answer with probability rows of unequal length
     nonnumeric     answer with an object where a probability belongs
     crash-once ARG exit(1) on the first request unless the sentinel file ARG
                    exists (it is created before crashing), then act uniform
+    half-crash-once ARG
+                   as crash-once, but first write half an answer line,
+                   with no newline
     always-crash   exit(1) immediately
     silent         read requests, never answer
+    stall          read nothing, sleep 30 s and exit
     linger         act uniform, but keep running for 30 s once stdin closes
     record ARG     append every request line, as received, to the file ARG,
                    then answer it as uniform does
@@ -36,6 +42,20 @@ import os
 import signal
 import sys
 import time
+from pathlib import Path
+
+
+def unreaped(pid_dir) -> list:
+    """Pids of the servers recorded in ``pid_dir`` that still exist (running
+    or unreaped)."""
+    alive = []
+    for entry in Path(pid_dir).iterdir():
+        try:
+            os.kill(int(entry.name), 0)
+        except ProcessLookupError:
+            continue
+        alive.append(int(entry.name))
+    return alive
 
 
 def _read_line():
@@ -77,12 +97,15 @@ def main() -> None:
     mode = args[0]
     if mode == "always-crash":
         sys.exit(1)
-    if mode == "crash-once":
+    if mode in ("crash-once", "half-crash-once"):
         sentinel = args[1]
         if not os.path.exists(sentinel):
             with open(sentinel, "w") as handle:
                 handle.write("crashed\n")
             _read()  # consume one request so the caller is mid-wait
+            if mode == "half-crash-once":
+                sys.stdout.write('{"id": 0, "pro')
+                sys.stdout.flush()
             sys.exit(1)
         mode = "uniform"
 
@@ -109,6 +132,12 @@ def main() -> None:
         sys.stdout.flush()
         while True:
             _read()
+    elif mode == "notutf8":
+        _read()
+        sys.stdout.buffer.write(b'{"id": 0, "probs": [[0.5, 0.5]], "note": "\xff"}\n')
+        sys.stdout.flush()
+        while True:
+            _read()
     elif mode == "badprobs":
         while True:
             req = _read()
@@ -125,6 +154,8 @@ def main() -> None:
         for line in sys.stdin:
             req = json.loads(line)
             _reply(req["id"], _uniform(req))
+        time.sleep(30)
+    elif mode == "stall":
         time.sleep(30)
     elif mode == "silent":
         while True:

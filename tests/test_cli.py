@@ -34,6 +34,8 @@ from soco.cli import main
 from soco.metrics import METRICS
 from soco.io import canonical_json
 
+from external_servers import unreaped
+
 pytestmark = pytest.mark.usefixtures("no_leftovers")
 
 SERVER = str(Path(__file__).parent / "external_servers.py")
@@ -230,6 +232,33 @@ def test_a_negative_integer_flag_is_exit_2_naming_the_flag(workdir, capsys, verb
     assert capsys.readouterr().err == (
         f"config error: {flag} must be a non-negative integer, got -5\n"
     )
+    assert not out.exists()
+
+
+FLAG_DOMAINS = [
+    ("eval", "--epsilon", "nan", "--epsilon must be a finite real number, got nan"),
+    ("eval", "--noise-std", "-1", "--noise-std must be non-negative"),
+    ("eval", "--epsilon", "0", "--epsilon must be positive"),
+    ("modify", "--seed", "-1", "--seed must be a non-negative integer, got -1"),
+    ("modify", "--fraction", "2", "--fraction must lie in [0, 1]"),
+    ("modify", "--magnitude", "nan", "--magnitude must be a finite real number, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value, message", FLAG_DOMAINS, ids=[f"{v}{f}={x}" for v, f, x, _ in FLAG_DOMAINS]
+)
+def test_a_flag_outside_its_domain_is_exit_2_naming_the_flag(
+    workdir, capsys, verb, flag, value, message
+):
+    out = workdir / "out.soco"
+    args = [verb, "--out", str(out), flag, value]
+    if verb == "eval":
+        args += ["--metric", "soundness", "--dataset", str(workdir / "data.soco")]
+    else:
+        args += ["--maps", str(workdir / "maps.soco"), "--kind", "synth_remove"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -442,6 +471,28 @@ def no_traceback(proc, code: int, prefix: str) -> bool:
     return proc.returncode == code and "Traceback" not in proc.stderr and prefix in proc.stderr
 
 
+def test_run_answer_that_is_not_utf8_is_exit_3_leaving_no_server(tmp_path):
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    cfg = {
+        "seed": 0,
+        "output_dir": "out",
+        "dataset": {"synthetic": {"n_samples": 4, "n_features": 10}},
+        "model": {"external": {
+            "command": [sys.executable, SERVER, "notutf8", "--pid-dir", str(pids)],
+            "timeout_s": 5.0,
+        }},
+        "maps": {"source": "ground_truth", "variants": {"original": []}},
+        "metrics": {"deletion": {"fractions": [0.0, 1.0]}},
+    }
+    cfg_path = tmp_path / "ext.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli_process("run", "--config", str(cfg_path))
+    assert no_traceback(proc, 3, "model bridge error: bad response line"), proc.stderr
+    assert len(list(pids.iterdir())) == 1
+    assert unreaped_servers(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "verb, payload",
     [
@@ -591,14 +642,7 @@ def lane_config(workdir, workers, mode, maps="maps.soco", out="out"):
 
 def unreaped_servers(workdir) -> list:
     """Pids of recorded servers that still exist (running or unreaped)."""
-    alive = []
-    for entry in (workdir / "pids").iterdir():
-        try:
-            os.kill(int(entry.name), 0)
-        except ProcessLookupError:
-            continue
-        alive.append(int(entry.name))
-    return alive
+    return unreaped(workdir / "pids")
 
 
 @needs_two_cpus

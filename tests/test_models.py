@@ -4,6 +4,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +17,21 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from soco import (
     ConfigError,
     DataError,
+    Dataset,
     ExternalModel,
     ExternalModelSpec,
     LinearStepModel,
     MlpModel,
     MlpWeights,
     mlp_predict,
+    normalize_attribution,
+    road_curve,
+    write_curve,
 )
+from soco import metrics, parallel
 from soco.models import (
     MAX_IN_FLIGHT,
+    STOP_TIMEOUT_S,
     BridgeBadProbs,
     BridgeMalformed,
     BridgeProcessFailed,
@@ -31,6 +39,9 @@ from soco.models import (
     Layer,
     _RequestEncoder,
 )
+from soco.perturb import impute_grid
+
+from external_servers import unreaped
 
 SERVER = str(Path(__file__).parent / "external_servers.py")
 
@@ -190,6 +201,15 @@ def test_bridge_rejects_malformed_response():
             model.predict_probs(np.ones((2, 2)))
 
 
+def test_bridge_rejects_an_answer_that_is_not_utf8():
+    # the answer is malformed at once, not after the request timeout
+    with ExternalModel(server_spec("notutf8", timeout_s=10.0)) as model:
+        started = time.monotonic()
+        with pytest.raises(BridgeMalformed, match="bad response line: '{\"id\": 0"):
+            model.predict_probs(np.ones((1, 2)))
+        assert time.monotonic() - started < 5.0
+
+
 def test_bridge_rejects_bad_probabilities():
     with ExternalModel(server_spec("badprobs")) as model:
         with pytest.raises(BridgeBadProbs, match="sum to 1"):
@@ -206,6 +226,16 @@ def test_bridge_rejects_probabilities_that_are_not_a_matrix(mode):
 def test_bridge_restarts_crashed_server_once(tmp_path):
     sentinel = str(tmp_path / "crashed")
     with ExternalModel(server_spec("crash-once", sentinel)) as model:
+        probs = model.predict_probs(np.ones((3, 2)))
+        assert model._restarted
+    np.testing.assert_allclose(probs, 0.5)
+    assert Path(sentinel).exists()
+
+
+def test_bridge_restarts_a_server_that_dies_mid_line(tmp_path):
+    # half an answer line and then end of file is a crash, not a malformed answer
+    sentinel = str(tmp_path / "crashed")
+    with ExternalModel(server_spec("half-crash-once", sentinel)) as model:
         probs = model.predict_probs(np.ones((3, 2)))
         assert model._restarted
     np.testing.assert_allclose(probs, 0.5)
@@ -287,6 +317,19 @@ def test_bridge_times_out_on_silence():
             model.predict_probs_many(np.ones((2, 2)) for _ in range(2 * MAX_IN_FLIGHT))
 
 
+def test_bridge_times_out_sending_to_a_server_that_reads_nothing(tmp_path, no_leftovers):
+    # the request outgrows the pipe buffer, so only a bounded send returns
+    timeout = 1.0
+    spec = server_spec("stall", "--pid-dir", str(tmp_path), timeout_s=timeout)
+    started = time.monotonic()
+    with ExternalModel(spec) as model:
+        with pytest.raises(BridgeTimeout, match="request not taken"):
+            model.predict_probs(np.ones((64, 3072)))
+    assert time.monotonic() - started < timeout + STOP_TIMEOUT_S + 2.0
+    assert len(list(tmp_path.iterdir())) == 1
+    assert unreaped(tmp_path) == []
+
+
 def test_bridge_pipelines_consecutive_batches():
     # shuffle answers only after reading two requests, so a bridge that waited
     # for each one-chunk batch's answer before sending the next would time
@@ -328,6 +371,48 @@ def test_bridge_skips_answers_to_an_abandoned_call():
         # the first call's answer is still on its way and must not be taken
         # for this call's
         np.testing.assert_array_equal(model.predict_probs(np.ones((3, 2))), 0.5)
+
+
+@pytest.mark.filterwarnings("ignore:fully masked grid")
+def test_grid_fill_forks_lanes_while_a_bridge_is_open(tmp_path, monkeypatch, no_leftovers):
+    rng = np.random.default_rng(12)
+    feats = rng.standard_normal((12, 6, 5, 2))
+    ds = Dataset(feats, (feats.sum(axis=(1, 2, 3)) > 0).astype(int), n_classes=2)
+    maps = normalize_attribution(np.abs(feats))
+    log = tmp_path / "solver.pids"
+
+    def impute(features, mask):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return impute_grid(features, mask)
+
+    threads = []  # the live threads at each run_shares call
+    run_shares = parallel.run_shares
+
+    def counted(work, shares):
+        threads.append(threading.active_count())
+        return run_shares(work, shares)
+
+    monkeypatch.setattr(metrics, "impute_grid", impute)
+    monkeypatch.setattr(parallel, "run_shares", counted)
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+        with ExternalModel(server_spec("step", "--pid-dir", str(pids))) as model:
+            curve = road_curve(model, ds, maps, order="MoRF", seed=3)
+            proc = model._proc
+        # the lanes are joined, so none holds the server's stdin: it exits
+        # on its own as the bridge closes, and is not killed
+        assert proc.returncode == 0
+        assert threading.active_count() == 1
+        write_curve(curve, tmp_path / f"{cpus}.curve.json")
+        solvers = {int(pid) for pid in log.read_text().split()}
+        log.unlink()
+        assert os.getpid() in solvers and len(solvers - {os.getpid()}) == cpus - 1
+    assert threads == [1, 1]
+    assert (tmp_path / "1.curve.json").read_bytes() == (tmp_path / "2.curve.json").read_bytes()
+    assert len(list(pids.iterdir())) == 2 and unreaped(pids) == []
 
 
 SPECIAL_FLOATS = (
