@@ -48,7 +48,6 @@ from .io import (
 )
 from .metrics import (
     align_soundness,
-    auc,
     completeness_curve,
     order_based_curve,
     road_curve,
@@ -100,7 +99,6 @@ __all__ = [
     "aggregate_trials",
     "align_soundness",
     "apply_scheme",
-    "auc",
     "completeness_curve",
     "emit_plot_data",
     "generate_synthetic",

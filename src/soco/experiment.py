@@ -46,7 +46,7 @@ import numpy as np
 from . import parallel
 from ._version import __version__
 from .analysis import aggregate_trials
-from .core import ConfigError, Dataset, EvalCurve, MapSet, Model, check_count, check_real
+from .core import ConfigError, Dataset, EvalCurve, MapSet, Model, check_count
 from .io import (
     atomic_write,
     canonical_json,
@@ -62,10 +62,9 @@ from .metrics import (
     DEFAULT_THRESHOLDS,
     METRICS,
     align_soundness,
-    check_options_fit,
+    check_options,
     completeness_curve,
     fill_kind,
-    metric_defaults,
     soundness_curve,
 )
 from .models import BridgeProcessFailed, ExternalModel, ExternalModelSpec, MlpModel, MlpWeights
@@ -95,25 +94,6 @@ def _check_string(value, where: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{where} must be a string, got {value!r}")
     return value
-
-
-def _check_metric_options(name: str, options: dict) -> None:
-    """Check metric ``name``'s option keys, and each value against the type
-    of its default: a string, a list of finite reals, or a finite real."""
-    where = f"metrics.{name}"
-    defaults = metric_defaults(name)
-    _check_keys(options, set(defaults), where)
-    for key, value in options.items():
-        default, at = defaults[key], f"{where}.{key}"
-        if isinstance(default, str):
-            _check_string(value, at)
-        elif isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{at} must be a list of finite real numbers, got {value!r}")
-            for i, item in enumerate(value):
-                check_real(item, f"{at}[{i}]")
-        else:
-            check_real(value, at)
 
 
 @dataclass(frozen=True)
@@ -225,7 +205,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
     if not isinstance(metrics, dict) or not metrics:
         raise ConfigError("nothing to run")
     for name, options in metrics.items():
-        _check_metric_options(name, options)
+        check_options(name, options)
 
     return ExperimentConfig(
         raw=raw,
@@ -253,15 +233,16 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
 
 
 def _external_spec(ext: dict) -> ExternalModelSpec:
-    """The ``model.external`` entry as a spec, its field types checked."""
+    """The ``model.external`` entry as a spec; an error names its key."""
     command = ext.get("command")
     if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
         raise ConfigError("model.external.command must be a list of strings")
-    return ExternalModelSpec(
-        command=tuple(command),
-        timeout_s=check_real(ext.get("timeout_s", 30.0), "model.external.timeout_s"),
-        batch_limit=check_count(ext.get("batch_limit", 64), "model.external.batch_limit"),
-    )
+    try:
+        return ExternalModelSpec(
+            tuple(command), ext.get("timeout_s", 30.0), ext.get("batch_limit", 64)
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"model.external.{exc}") from None
 
 
 def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
@@ -306,9 +287,9 @@ def evaluate_metric(
     maps: MapSet,
     seed: int,
 ) -> EvalCurve:
-    """Run one named metric with its option dict, whose keys and value types
-    are checked first."""
-    _check_metric_options(name, options)
+    """Run one named metric with its option dict, checked first
+    (``metrics.check_options``)."""
+    options = check_options(name, options, dataset)
     return METRICS[name](model, dataset, maps, seed=seed, **options)
 
 
@@ -323,18 +304,18 @@ class RunManifest:
     skipped: dict  # "variant/metric" -> skipped sample count
 
 
-def _sweep_length(metric: str, options: dict) -> int:
-    """The steps of one metric's sweep, the cost by which jobs are ordered."""
-    defaults = metric_defaults(metric)
-    axis = next(k for k in ("mask_ratios", "thresholds", "fractions") if k in defaults)
-    return len(options.get(axis, defaults[axis]))
+def _sweep_length(options: dict) -> int:
+    """The steps of a metric's sweep, given its checked options: the cost by
+    which jobs are ordered."""
+    axis = next(k for k in ("mask_ratios", "thresholds", "fractions") if k in options)
+    return len(options[axis])
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute every (variant, metric) pair and write curves plus a manifest.
 
     The dataset is built first and each metric's options are checked against
-    it (``metrics.check_options_fit``); then every variant's maps and the
+    it (``metrics.check_options``); then every variant's maps and the
     model are built (an external model's command must name an executable),
     and only then is the output directory made, so a config, data or launch
     error leaves no directory behind.  The (variant, metric) jobs run on up
@@ -350,8 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     digest = cfg.digest()
 
     dataset = _build_dataset(cfg)
-    for metric, options in cfg.metrics.items():
-        check_options_fit(metric, options, dataset)
+    options = {metric: check_options(metric, opts, dataset) for metric, opts in cfg.metrics.items()}
     open_model = _model_opener(cfg)
     if cfg.map_source == "ground_truth":
         base_maps = ground_truth_attribution(dataset)
@@ -367,10 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         for scheme in pipeline:
             maps = apply_scheme(maps, scheme, oracle)
         variant_maps[variant] = maps
-    if any(
-        fill_kind(metric, options, dataset) == "noisy_linear"
-        for metric, options in cfg.metrics.items()
-    ):
+    if any(fill_kind(metric, opts, dataset) == "noisy_linear" for metric, opts in options.items()):
         load_solver()
     make_dir(out_dir)
 
@@ -378,7 +355,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         variant, metric = job
         started = time.perf_counter()
         curve = evaluate_metric(
-            metric, cfg.metrics[metric], model, dataset, variant_maps[variant], cfg.seed
+            metric, options[metric], model, dataset, variant_maps[variant], cfg.seed
         )
         return curve, time.perf_counter() - started
 
@@ -389,7 +366,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
 
     jobs = sorted(
         ((variant, metric) for variant in variant_maps for metric in sorted(cfg.metrics)),
-        key=lambda job: -_sweep_length(job[1], cfg.metrics[job[1]]),
+        key=lambda job: -_sweep_length(options[job[1]]),
     )
     outputs: dict = {variant: {} for variant in variant_maps}
     timings: dict = {}
@@ -472,8 +449,11 @@ def run_validation(
     The (trial, method) jobs run on the usable CPUs (``parallel.run_jobs``);
     each draws only from its own streams, so the result does not depend on
     the CPU count.  Returns aggregate orderings; optionally writes
-    per-method summaries under ``out_dir``.
+    per-method summaries under ``out_dir``.  ``n_trials`` must be at least
+    two, so that each method has a spread to aggregate.
     """
+    if check_count(settings.n_trials, "n_trials") < 2:
+        raise ConfigError(f"n_trials must be at least 2, got {settings.n_trials}")
     dataset = generate_synthetic(settings.n_samples, settings.n_features, settings.seed)
     model = LinearStepModel()
     gt = ground_truth_attribution(dataset)
@@ -524,9 +504,7 @@ def run_validation(
         for level, value in levels:
             aligned[method][level].append(value)
         completeness_curves[method].append(original_completeness if c_curve is None else c_curve)
-    clean_accuracy = (
-        float(original_completeness.meta["clean_accuracy"]) if settings.n_trials else None
-    )
+    clean_accuracy = float(original_completeness.meta["clean_accuracy"])
 
     grid = sorted(settings.thresholds)
     summary_soundness = {

@@ -22,6 +22,8 @@ completeness.
 
 A metric's options and their defaults are its function's keyword-only
 parameters; ``METRICS`` names the functions and ``metric_defaults`` reads them.
+Each option has one rule, by name, the same in every metric that takes it;
+``check_options`` applies the rules for every caller.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from .core import (
     MapSet,
     Model,
     accuracy_from_probs,
+    check_real,
     predict_many,
 )
-from .perturb import Imputer, impute_grid, load_solver, round_half_away
+from .perturb import IMPUTER_KINDS, Imputer, impute_grid, load_solver, round_half_away
 from .rng import substream
 
 DEFAULT_MASK_RATIOS = tuple(round(0.99 - 0.01 * i, 2) for i in range(99))
@@ -62,17 +65,65 @@ ORDER_MODES = ("deletion", "insertion")
 RANK_ORDERS = ("MoRF", "LeRF")
 
 
-def _descending(values: Sequence[float], name: str) -> tuple:
-    """``values`` as a tuple, after checking they descend strictly inside (0, 1)."""
-    values = tuple(values)
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigError(f"{name} must be non-empty")
-    if np.any(arr <= 0) or np.any(arr >= 1):
-        raise ConfigError(f"{name} must lie strictly inside (0, 1)")
-    if np.any(np.diff(arr) >= 0):
-        raise ConfigError(f"{name} must be strictly descending")
+def _reals(value, at: str) -> tuple:
+    """``value`` as a tuple of floats if it is a list, tuple or 1-D array of
+    finite reals."""
+    if not isinstance(value, (list, tuple)) and not (
+        isinstance(value, np.ndarray) and value.ndim == 1
+    ):
+        raise ConfigError(f"{at} must be a list of finite real numbers, got {value!r}")
+    return tuple(check_real(item, f"{at}[{i}]") for i, item in enumerate(value))
+
+
+def _descending(value, at: str) -> tuple:
+    """Mask ratios or thresholds: a non-empty list strictly descending inside (0, 1)."""
+    values = _reals(value, at)
+    if not values or not all(a > b for a, b in pairwise((1.0, *values, 0.0))):
+        raise ConfigError(f"{at} must be a non-empty list strictly descending inside (0, 1)")
     return values
+
+
+def _ascending(value, at: str) -> tuple:
+    """Fractions: at least two, strictly ascending within [0, 1]."""
+    values = _reals(value, at)
+    if len(values) < 2 or not (
+        0 <= values[0] and values[-1] <= 1 and all(a < b for a, b in pairwise(values))
+    ):
+        raise ConfigError(f"{at} must be at least two values strictly ascending within [0, 1]")
+    return values
+
+
+def _positive(value, at: str) -> float:
+    value = check_real(value, at)
+    if value <= 0:
+        raise ConfigError(f"{at} must be positive")
+    return value
+
+
+def _non_negative(value, at: str) -> float:
+    value = check_real(value, at)
+    if value < 0:
+        raise ConfigError(f"{at} must be non-negative")
+    return value
+
+
+def _one_of(choices: tuple, value, at: str) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{at} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+# each option's rule, by name, so an option has the same rule in every metric
+_RULES = {
+    "mask_ratios": _descending,
+    "thresholds": _descending,
+    "fractions": _ascending,
+    "epsilon": _positive,
+    "noise_std": _non_negative,
+    "imputer": partial(_one_of, IMPUTER_KINDS),
+    "weighting": partial(_one_of, WEIGHTINGS),
+    "order": partial(_one_of, RANK_ORDERS),
+}
 
 
 def _require_grid(dataset: Dataset) -> None:
@@ -93,70 +144,41 @@ def _mask_counts(mask_ratios: Sequence[float], d: int) -> list[int]:
     return ks
 
 
-def _soundness_options(*, mask_ratios, epsilon, imputer, noise_std, weighting) -> tuple:
-    """Soundness's options after checking their domain: the mask ratios as a
-    strictly descending tuple inside (0, 1), ``epsilon`` as a positive float,
-    a known weighting, and the imputer."""
-    mask_ratios = _descending(mask_ratios, "mask_ratios")
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"unknown weighting {weighting!r}")
-    return mask_ratios, epsilon, Imputer(kind=imputer, noise_std=float(noise_std))
-
-
-def _completeness_options(*, thresholds, imputer, noise_std) -> tuple:
-    """Completeness's options after checking their domain: the thresholds as
-    a strictly descending tuple inside (0, 1), and the imputer."""
-    thresholds = _descending(thresholds, "thresholds")
-    return thresholds, Imputer(kind=imputer, noise_std=float(noise_std))
-
-
-def _order_options(*, order, imputer, noise_std, fractions) -> tuple:
-    """The order-based curves' options after checking their domain: a known
-    rank order, the fractions as a strictly ascending array of at least two
-    inside [0, 1], and the imputer."""
-    if order not in RANK_ORDERS:
-        raise ConfigError(f"unknown rank order {order!r}")
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.size < 2 or np.any(fr < 0) or np.any(fr > 1) or np.any(np.diff(fr) <= 0):
-        raise ConfigError("fractions must be strictly ascending within [0, 1]")
-    return fr, Imputer(kind=imputer, noise_std=float(noise_std))
-
-
-# each metric's option checker; ROAD's fill is fixed, and checked as the mean
-_OPTION_CHECKS = {
-    "soundness": _soundness_options,
-    "completeness": _completeness_options,
-    "deletion": _order_options,
-    "insertion": _order_options,
-    "road": partial(_order_options, imputer="mean"),
-}
-
-
 def fill_kind(name: str, options: dict, dataset: Dataset) -> str:
-    """The imputer kind metric ``name`` fills with, given its ``options``
-    and ``dataset``: its ``imputer`` option, or ROAD's fixed fill, the
-    neighbor solve on grids and the mean on tabular data."""
+    """The imputer kind metric ``name`` fills with, given its checked
+    ``options`` (``check_options``) and ``dataset``: its ``imputer`` option,
+    or ROAD's fixed fill, the neighbor solve on grids and the mean on
+    tabular data."""
     if name == "road":
         return "noisy_linear" if dataset.is_grid else "mean"
-    return {**metric_defaults(name), **options}["imputer"]
+    return options["imputer"]
 
 
-def check_options_fit(name: str, options: dict, dataset: Dataset) -> None:
-    """Apply every rule of metric ``name`` to its ``options``, merged with
-    its defaults, and to ``dataset``: the option domains (``_OPTION_CHECKS``),
-    then the rules that depend on the data: the noisy-linear fill needs
-    grids, and no soundness mask ratio may mask every feature.  The metric
-    applies the same rules itself; ``run_experiment`` calls this before it
-    makes its output directory."""
-    opts = {**metric_defaults(name), **options}
-    _OPTION_CHECKS[name](**opts)
-    if fill_kind(name, options, dataset) == "noisy_linear":
-        _require_grid(dataset)
-    if "mask_ratios" in opts:
-        _mask_counts(opts["mask_ratios"], dataset.n_features)
+def check_options(name: str, options: dict, dataset: Optional[Dataset] = None) -> dict:
+    """Metric ``name``'s ``options`` merged with its defaults, each checked by
+    its option's rule (``_RULES``) and given in the form the metric uses:
+    lists as tuples of floats, reals as floats.  An error names the option as
+    ``metrics.<name>.<key>``.  With a ``dataset``, the rules that depend on
+    the data apply too: the noisy-linear fill needs grids, and no mask ratio
+    may mask every feature.  The metric functions, ``soco run`` and
+    ``soco eval`` all check their options here."""
+    where = f"metrics.{name}"
+    defaults = metric_defaults(name)
+    if not isinstance(options, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(options) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    checked = {
+        key: _RULES[key](value, f"{where}.{key}")
+        for key, value in {**defaults, **options}.items()
+    }
+    if dataset is not None:
+        if fill_kind(name, checked, dataset) == "noisy_linear":
+            _require_grid(dataset)
+        if "mask_ratios" in checked:
+            _mask_counts(checked["mask_ratios"], dataset.n_features)
+    return checked
 
 
 def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
@@ -282,7 +304,6 @@ def _grid_fills(
     LAPACK extension alone (``load_solver``, about 3 MiB), is loaded before
     the lanes fork, so that no lane loads it itself.
     """
-    _require_grid(dataset)
     load_solver()
     n, d = features.shape
     grids = features.reshape((n,) + dataset.feature_shape)
@@ -407,10 +428,12 @@ def soundness_curve(
     equals the previous one's (common when d < 99) repeat that step's
     accuracy without a model call.
     """
-    mask_ratios, epsilon, imputer = _soundness_options(
-        mask_ratios=mask_ratios, epsilon=epsilon, imputer=imputer,
-        noise_std=noise_std, weighting=weighting,
-    )
+    opts = check_options("soundness", {
+        "mask_ratios": mask_ratios, "epsilon": epsilon, "imputer": imputer,
+        "noise_std": noise_std, "weighting": weighting,
+    }, dataset)
+    mask_ratios, epsilon = opts["mask_ratios"], opts["epsilon"]
+    imputer = Imputer(imputer, opts["noise_std"])
 
     values = _flat_maps(dataset, maps)
     keep = values.sum(axis=1) > 0
@@ -450,7 +473,7 @@ def soundness_curve(
             q = float(np.mean((included - false_mass) / included))
         else:
             q = ((d - k) - false_card) / (d - k)
-        sweep.append((float(m), s_m, q))
+        sweep.append((m, s_m, q))
         s_prev = s_m
         k_prev = k
 
@@ -506,9 +529,10 @@ def completeness_curve(
     A threshold that masks the same features as the next higher one repeats
     that step's accuracy without a model call.
     """
-    thresholds, imputer = _completeness_options(
-        thresholds=thresholds, imputer=imputer, noise_std=noise_std
-    )
+    opts = check_options("completeness", {
+        "thresholds": thresholds, "imputer": imputer, "noise_std": noise_std,
+    }, dataset)
+    thresholds, imputer = opts["thresholds"], Imputer(imputer, opts["noise_std"])
 
     values = _flat_maps(dataset, maps)
     n, d = values.shape
@@ -519,7 +543,7 @@ def completeness_curve(
         model, dataset, features, labels, imputer, noise,
         *_threshold_steps(values, thresholds),
     )
-    pts = sorted((float(t), s_0 - s_t) for t, s_t in zip(thresholds, s_ts))
+    pts = sorted((t, s_0 - s_t) for t, s_t in zip(thresholds, s_ts))
     return EvalCurve(
         metric_kind="completeness",
         x_axis="attribution_threshold",
@@ -559,9 +583,10 @@ def order_based_curve(
     """
     if mode not in ORDER_MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    fr, imputer = _order_options(
-        order=order, imputer=imputer, noise_std=noise_std, fractions=fractions
-    )
+    opts = check_options(mode, {
+        "order": order, "imputer": imputer, "noise_std": noise_std, "fractions": fractions,
+    }, dataset)
+    fractions, imputer = opts["fractions"], Imputer(imputer, opts["noise_std"])
 
     values = _flat_maps(dataset, maps)
     n, d = values.shape
@@ -569,7 +594,7 @@ def order_based_curve(
     labels = dataset.labels()
     noise = _predrawn_noise(dataset, imputer, seed, np.ones(n, dtype=bool))
     ranking = _order(-values if order == "MoRF" else values)
-    ks = [round_half_away(float(f) * d) for f in fr]
+    ks = [round_half_away(f * d) for f in fractions]
 
     accs = _sweep(
         model, dataset, features, labels, imputer, noise,
@@ -578,7 +603,7 @@ def order_based_curve(
     return EvalCurve(
         metric_kind=mode,
         x_axis="masked_fraction",
-        points=tuple((float(f), s) for f, s in zip(fr, accs)),
+        points=tuple(zip(fractions, accs)),
         meta={"order": order, "imputer": imputer.kind, "noise_std": imputer.noise_std},
     )
 
@@ -595,10 +620,12 @@ def road_curve(
 ) -> EvalCurve:
     """Deletion with debiased imputation: the neighbor solve on grids, the
     dataset mean on tabular data where pixel adjacency is undefined."""
-    kind = fill_kind("road", {}, dataset)
+    opts = check_options("road", {
+        "order": order, "fractions": fractions, "noise_std": noise_std,
+    }, dataset)
     base = order_based_curve(
         model, dataset, maps, "deletion",
-        order=order, imputer=kind, noise_std=noise_std, fractions=fractions, seed=seed,
+        imputer=fill_kind("road", opts, dataset), seed=seed, **opts,
     )
     return replace(base, metric_kind="road")
 
@@ -624,13 +651,3 @@ def metric_defaults(name: str) -> dict:
         for p in params
         if p.kind is p.KEYWORD_ONLY and p.name not in ("mode", "seed")
     }
-
-
-def auc(curve: EvalCurve) -> float:
-    """Trapezoidal area under the curve, normalized by the x span."""
-    xs, ys = curve.xs(), curve.ys()
-    if xs.size < 2:
-        raise DataError("curve too short for an area")
-    if np.any(np.diff(xs) == 0):
-        raise DataError("duplicate x values")
-    return float(np.trapezoid(ys, xs) / (xs[-1] - xs[0]))

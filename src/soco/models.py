@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import ConfigError, DataError, ModelBridgeError, batch_features
+from .core import ConfigError, DataError, ModelBridgeError, batch_features, check_count, check_real
 
 ACTIVATIONS = ("relu", "identity")
 PROB_SUM_TOL = 1e-6
@@ -184,11 +184,11 @@ class ExternalModelSpec:
 
     def __post_init__(self) -> None:
         if not self.command:
-            raise ConfigError("external model needs a launch command")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout must be positive")
-        if self.batch_limit < 1:
-            raise ConfigError("batch limit must be at least 1")
+            raise ConfigError("command must name the server to launch")
+        if check_real(self.timeout_s, "timeout_s") <= 0:
+            raise ConfigError("timeout_s must be positive")
+        if check_count(self.batch_limit, "batch_limit") < 1:
+            raise ConfigError("batch_limit must be at least 1")
 
 
 def _render(values: np.ndarray) -> list[str]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError
+from .core import ConfigError, DataError, check_real
 
 IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
 
@@ -54,7 +54,7 @@ class Imputer:
     def __post_init__(self) -> None:
         if self.kind not in IMPUTER_KINDS:
             raise ConfigError(f"unknown imputer kind {self.kind!r}")
-        if self.noise_std < 0:
+        if check_real(self.noise_std, "noise_std") < 0:
             raise ConfigError("noise_std must be non-negative")
 
 

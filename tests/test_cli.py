@@ -31,7 +31,9 @@ from soco import (
     write_curve,
 )
 from soco.cli import main
-from soco.metrics import METRICS
+from soco.experiment import evaluate_metric
+from soco.metrics import METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
+from soco.perturb import IMPUTER_KINDS
 from soco.io import canonical_json
 
 from external_servers import unreaped
@@ -844,14 +846,20 @@ def test_an_option_the_data_rules_out_is_exit_2_leaving_no_output(
 
 
 DOMAIN_RULES = [
-    ("completeness", {"thresholds": []}, "thresholds must be non-empty"),
-    ("deletion", {"fractions": [0.5]}, "fractions must be strictly ascending within [0, 1]"),
-    ("completeness", {"imputer": "bogus"}, "unknown imputer kind 'bogus'"),
-    ("soundness", {"weighting": "bogus"}, "unknown weighting 'bogus'"),
-    ("deletion", {"order": "bogus"}, "unknown rank order 'bogus'"),
-    ("soundness", {"epsilon": -1}, "epsilon must be positive"),
-    ("completeness", {"noise_std": -1}, "noise_std must be non-negative"),
-    ("road", {"fractions": [0.0, 1.5]}, "fractions must be strictly ascending within [0, 1]"),
+    ("completeness", {"thresholds": []},
+     "metrics.completeness.thresholds must be a non-empty list strictly descending inside (0, 1)"),
+    ("deletion", {"fractions": [0.5]},
+     "metrics.deletion.fractions must be at least two values strictly ascending within [0, 1]"),
+    ("completeness", {"imputer": "bogus"},
+     "metrics.completeness.imputer must be one of ['zero', 'mean', 'noisy_linear'], got 'bogus'"),
+    ("soundness", {"weighting": "bogus"},
+     "metrics.soundness.weighting must be one of ['attribution', 'cardinality'], got 'bogus'"),
+    ("deletion", {"order": "bogus"},
+     "metrics.deletion.order must be one of ['MoRF', 'LeRF'], got 'bogus'"),
+    ("soundness", {"epsilon": -1}, "metrics.soundness.epsilon must be positive"),
+    ("completeness", {"noise_std": -1}, "metrics.completeness.noise_std must be non-negative"),
+    ("road", {"fractions": [0.0, 1.5]},
+     "metrics.road.fractions must be at least two values strictly ascending within [0, 1]"),
 ]
 
 
@@ -875,6 +883,89 @@ def test_an_option_outside_its_domain_is_exit_2_leaving_no_output(
     proc = run_cli_process("run", "--config", str(cfg_path))
     assert (proc.returncode, proc.stderr) == (2, f"config error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+NOT_REAL = st.sampled_from([None, True, "0.5", {}, [0.5]])
+
+
+def is_real(value) -> bool:
+    return isinstance(value, float) and np.isfinite(value)
+
+
+def holds_reals(value) -> bool:
+    return isinstance(value, list) and all(is_real(v) for v in value)
+
+
+def descends(value) -> bool:
+    return holds_reals(value) and len(value) > 0 and all(0 < v < 1 for v in value) and all(
+        b < a for a, b in zip(value, value[1:])
+    )
+
+
+def ascends(value) -> bool:
+    return holds_reals(value) and len(value) > 1 and all(0 <= v <= 1 for v in value) and all(
+        b > a for a, b in zip(value, value[1:])
+    )
+
+
+def breaking(valid):
+    """Values that break a list rule: not a list, an item that is not a
+    finite real, or finite reals outside the rule's domain."""
+    item = st.one_of(st.floats(0, 1), FINITE, NON_FINITE, st.sampled_from([None, True, "0.2"]))
+    return st.one_of(
+        st.sampled_from([None, True, 0.5, "0.5", {}]),
+        st.lists(item, max_size=4).filter(lambda v: not valid(v)),
+    )
+
+
+def not_one_of(choices):
+    return st.one_of(
+        st.sampled_from([1, None, True, [choices[0]]]),
+        st.text(max_size=12).filter(lambda v: v not in choices),
+    )
+
+
+# for each option, values its rule rejects: a wrong type, a non-finite
+# value, or a value outside its domain
+BAD_VALUES = {
+    "mask_ratios": breaking(descends),
+    "thresholds": breaking(descends),
+    "fractions": breaking(ascends),
+    "epsilon": st.one_of(NOT_REAL, NON_FINITE, st.floats(max_value=0.0, allow_nan=False)),
+    "noise_std": st.one_of(NOT_REAL, NON_FINITE, st.floats(max_value=-1e-12, allow_nan=False)),
+    "imputer": not_one_of(IMPUTER_KINDS),
+    "weighting": not_one_of(WEIGHTINGS),
+    "order": not_one_of(RANK_ORDERS),
+}
+OPTIONS = [(metric, key) for metric in METRICS for key in metric_defaults(metric)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_bad_option_is_the_same_config_error_on_every_path(data):
+    metric, key = data.draw(st.sampled_from(OPTIONS))
+    value = data.draw(BAD_VALUES[key])
+    dataset = generate_synthetic(12, 60, seed=3)
+    call = (LinearStepModel(), dataset, ground_truth_attribution(dataset))
+    with pytest.raises(ConfigError) as info:
+        METRICS[metric](*call, **{key: value})
+    message = str(info.value)
+    assert message.startswith(f"metrics.{metric}.{key}"), message
+    with pytest.raises(ConfigError) as info:
+        evaluate_metric(metric, {key: value}, *call, 0)
+    assert str(info.value) == message
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = mistyped(("metrics",), {metric: {key: value}})
+        cfg["dataset"]["synthetic"]["n_features"] = 60
+        cfg_path = Path(tmp) / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", str(cfg_path)])
+        assert (rc, err.getvalue()) == (2, f"config error: {message}\n")
+        assert os.listdir(tmp) == ["exp.json"]
 
 
 def test_an_external_command_that_names_no_executable_is_exit_3_leaving_no_output(tmp_path):

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,6 +281,13 @@ def test_forked_runs_never_run_a_job_in_the_caller(tmp_path, monkeypatch):
     run_validation(ValidationSettings(n_samples=40, n_features=100, n_trials=2))
     pids = log.read_text().split()
     assert len(pids) == 6 and str(os.getpid()) not in pids
+
+
+@pytest.mark.parametrize("n_trials", [0, 1])
+def test_validation_with_fewer_than_two_trials_starts_no_job(monkeypatch, n_trials):
+    monkeypatch.setattr(parallel, "run_jobs", mock.Mock(side_effect=AssertionError("a job ran")))
+    with pytest.raises(ConfigError, match=f"^n_trials must be at least 2, got {n_trials}$"):
+        run_validation(ValidationSettings(n_samples=40, n_features=100, n_trials=n_trials))
 
 
 def test_evaluate_metric_rejects_unknown(small_dataset, gt_maps, step_model):

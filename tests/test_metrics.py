@@ -19,7 +19,6 @@ from soco import (
     MlpWeights,
     WorkerError,
     align_soundness,
-    auc,
     completeness_curve,
     normalize_attribution,
     order_based_curve,
@@ -371,27 +370,9 @@ def test_noisy_linear_on_tabular_data_fails_before_any_lane_starts(
         metrics.METRICS[metric](step_model, small_dataset, gt_maps, imputer="noisy_linear")
 
 
-# -- auc ---------------------------------------------------------------------------
-
-
-def test_auc_examples():
-    const = EvalCurve("deletion", "masked_fraction", ((0.0, 1.0), (1.0, 1.0)))
-    assert auc(const) == pytest.approx(1.0)
-    line = EvalCurve("deletion", "masked_fraction", ((0.0, 0.0), (1.0, 1.0)))
-    assert auc(line) == pytest.approx(0.5)
-    tri = EvalCurve("deletion", "masked_fraction", ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
-    assert auc(tri) == pytest.approx(0.5)
-
-
-def test_auc_normalizes_by_span():
-    c = EvalCurve("deletion", "masked_fraction", ((0.2, 1.0), (0.6, 1.0)))
-    assert auc(c) == pytest.approx(1.0)
-
-
-def test_auc_needs_two_points():
-    single = EvalCurve("deletion", "masked_fraction", ((0.5, 1.0),))
-    with pytest.raises(DataError):
-        auc(single)
+def test_every_option_has_a_rule():
+    names = metrics.METRICS
+    assert set(metrics._RULES) == {key for name in names for key in metrics.metric_defaults(name)}
 
 
 # -- the incremental sweep against the literal per-step computation ----------------

@@ -567,3 +567,17 @@ def test_spec_validation():
         ExternalModelSpec(command=("x",), timeout_s=0.0)
     with pytest.raises(ConfigError):
         ExternalModelSpec(command=("x",), batch_limit=0)
+
+
+SPEC_TYPES = [
+    ("timeout_s", float("nan"), "a finite real number"),
+    ("timeout_s", float("inf"), "a finite real number"),
+    ("batch_limit", 2.5, "a non-negative integer"),
+    ("batch_limit", True, "a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize("field, value, kind", SPEC_TYPES)
+def test_spec_field_of_the_wrong_type_is_a_config_error(field, value, kind):
+    with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got {value!r}$"):
+        ExternalModelSpec(command=("x",), **{field: value})

@@ -511,6 +511,11 @@ class TestImputerDispatch:
         with pytest.raises(ConfigError):
             Imputer(noise_std=-1.0)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), "1.0", None])
+    def test_noise_std_must_be_a_finite_real(self, noise_std):
+        with pytest.raises(ConfigError, match="^noise_std must be a finite real number"):
+            Imputer(noise_std=noise_std)
+
     def test_zero_and_mean_on_tabular(self):
         ds = generate_synthetic(10, 4, seed=0)
         x = ds.feature_matrix()[:1]
