@@ -61,7 +61,7 @@ from .models import (
     mlp_predict,
 )
 from .modify import ModScheme, apply_scheme
-from .perturb import Imputer, impute_grid
+from .perturb import impute_grid
 from .rng import substream, substreams
 from .synthetic import (
     LinearStepModel,
@@ -82,7 +82,6 @@ __all__ = [
     "ExperimentConfig",
     "ExternalModel",
     "ExternalModelSpec",
-    "Imputer",
     "LinearStepModel",
     "MlpModel",
     "MlpWeights",

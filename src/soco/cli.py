@@ -25,10 +25,9 @@ from .io import (
     write_dataset,
     write_maps,
 )
-from .metrics import METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
+from .metrics import IMPUTER_KINDS, METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
 from .models import MlpModel, MlpWeights
 from .modify import DIRECTIONS, SCHEME_KINDS, ModScheme, apply_scheme
-from .perturb import IMPUTER_KINDS
 from .synthetic import LinearStepModel, generate_synthetic, ground_truth_attribution, oracle_info
 
 

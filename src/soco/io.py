@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -30,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import DataError, Dataset, EvalCurve, MapSet
+from .core import ConfigError, DataError, Dataset, EvalCurve, MapSet
 
 MAGIC = b"SOCO"
 VERSION = 1
@@ -143,14 +144,36 @@ def _json_container(blob: bytes, kind: str) -> dict:
     return payload
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_field(payload: dict, key: str, dtype) -> np.ndarray:
-    """One field of a JSON container as a rectangular numeric array."""
+    """One field of a JSON container as a rectangular array of ``dtype``.
+
+    An ``np.int64`` field holds JSON integers that fit int64, any other
+    field JSON numbers; booleans and strings are neither, and nothing is
+    rounded or parsed on the way in.
+    """
     if key not in payload:
         raise DataError(f"JSON {payload['kind']} file missing field {key!r}")
+    value = payload[key]
+    integers = dtype is np.int64
+    what = "integers that fit int64" if integers else "numbers"
     try:
-        return np.asarray(payload[key], dtype=dtype)
-    except (TypeError, ValueError):
-        raise DataError(f"field {key!r} is not a rectangular numeric array") from None
+        parsed = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):
+        parsed = None
+    # numpy parses Python ints beyond int64 as uint64 or objects, floats as
+    # "f", strings as "U"; a bool among numbers is promoted, so look for one
+    if (
+        parsed is None
+        or (parsed.size and parsed.dtype.kind not in ("i" if integers else "iuf"))
+        or any(isinstance(item, bool) for item in np.asarray(value, dtype=object).flat)
+    ):
+        raise DataError(f"field {key!r} must be a rectangular array of JSON {what}")
+    return parsed.astype(dtype)
 
 
 # -- datasets ----------------------------------------------------------------
@@ -187,7 +210,7 @@ def read_dataset(path: _PathLike) -> Dataset:
         payload = _json_container(blob, "dataset")
         n_classes = _json_field(payload, "n_classes", np.int64)
         if n_classes.ndim:
-            raise DataError("field 'n_classes' is not a number")
+            raise DataError("field 'n_classes' must be one JSON integer")
         ids = _json_field(payload, "sample_ids", np.int64) if "sample_ids" in payload else None
         return Dataset(
             _json_field(payload, "features", np.float32),
@@ -201,7 +224,7 @@ def read_dataset(path: _PathLike) -> Dataset:
     (n_classes,) = cur.unpack("H")
     labels = np.frombuffer(cur.take(4 * n), dtype="<u4").astype(np.int64)
     ids = np.frombuffer(cur.take(4 * n), dtype="<u4").astype(np.int64)
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: a product past int64 must not wrap around
     feats = np.frombuffer(cur.take(4 * count), dtype="<f4").reshape(dims)
     return Dataset(feats, labels, n_classes, ids)
 
@@ -246,7 +269,7 @@ def read_maps(path: _PathLike, dataset: Optional[Dataset] = None) -> MapSet:
         dims = _check_header(cur, KIND_MAPS)
         (digest_len,) = cur.unpack("B")
         digest = cur.take(digest_len).decode()
-        count = int(np.prod(dims))
+        count = math.prod(dims)
         values = np.frombuffer(cur.take(4 * count), dtype="<f4").reshape(dims)
     maps = MapSet(values)
     if dataset is not None:
@@ -277,20 +300,35 @@ def write_curve(curve: EvalCurve, path: _PathLike) -> None:
 
 
 def read_curve(path: _PathLike) -> EvalCurve:
+    """A curve file as written by ``write_curve``; any malformed field is a
+    data error that names the file."""
     try:
         payload = json.loads(_read_file(path).decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise DataError(f"not a curve file: {path}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"curve file {path} must hold an object")
+    for key in ("metric_kind", "x_axis", "points"):
+        if key not in payload:
+            raise DataError(f"curve file {path} missing field {key!r}")
+    points = payload["points"]
+    if not isinstance(points, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in points
+    ):
+        raise DataError(f"curve file {path}: 'points' must be a list of [x, y] number pairs")
+    config_digest, meta = payload.get("config_digest", ""), payload.get("meta", {})
+    if not isinstance(config_digest, str) or not isinstance(meta, dict):
+        raise DataError(f"curve file {path}: 'config_digest' must be a string, 'meta' an object")
     try:
         return EvalCurve(
             metric_kind=payload["metric_kind"],
             x_axis=payload["x_axis"],
-            points=tuple((p[0], p[1]) for p in payload["points"]),
-            config_digest=payload.get("config_digest", ""),
-            meta=payload.get("meta", {}),
+            points=tuple((x, y) for x, y in points),
+            config_digest=config_digest,
+            meta=meta,
         )
-    except KeyError as exc:
-        raise DataError(f"curve file missing field {exc}") from None
+    except (ConfigError, DataError, OverflowError) as exc:
+        raise DataError(f"curve file {path}: {exc}") from None
 
 
 # -- plot data ---------------------------------------------------------------

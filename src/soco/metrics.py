@@ -50,7 +50,7 @@ from .core import (
     check_real,
     predict_many,
 )
-from .perturb import IMPUTER_KINDS, Imputer, impute_grid, load_solver, round_half_away
+from .perturb import impute_grid, load_solver, round_half_away
 from .rng import substream
 
 DEFAULT_MASK_RATIOS = tuple(round(0.99 - 0.01 * i, 2) for i in range(99))
@@ -60,6 +60,7 @@ DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(11))
 # the most bytes of noisy-linear fills that one window of a sweep holds
 _WINDOW_BYTES = 64 << 20
 
+IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
 WEIGHTINGS = ("attribution", "cardinality")
 ORDER_MODES = ("deletion", "insertion")
 RANK_ORDERS = ("MoRF", "LeRF")
@@ -200,51 +201,18 @@ def _order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, axis=1, kind="stable")
 
 
-def _predrawn_noise(
-    dataset: Dataset, imputer: Imputer, seed: int, keep: np.ndarray
-) -> Optional[np.ndarray]:
-    """Noise drawn once per metric run and reused at every sweep step.
+def _predrawn_noise(dataset: Dataset, noise_std: float, seed: int) -> Optional[np.ndarray]:
+    """Noise drawn once per metric run and reused at every sweep step, one
+    value per feature of every sample, or None when ``noise_std`` is zero.
 
     Sharing the draw across steps keeps accuracy trajectories monotone in
     the included set instead of jittering point to point, and makes results
     independent of sweep order and worker scheduling.
     """
-    if imputer.noise_std == 0.0:
+    if noise_std == 0.0:
         return None
     rng = substream(seed, "noise")
-    full = imputer.noise_std * rng.standard_normal(
-        (len(dataset),) + dataset.feature_shape
-    )
-    return full[keep]
-
-
-def _constant_fill(imputer: Imputer, dataset: Dataset):
-    """The value a zero or mean imputer puts in place of a masked feature."""
-    return 0.0 if imputer.kind == "zero" else dataset.feature_means
-
-
-def _fill(
-    features: np.ndarray,
-    masks: np.ndarray,
-    imputer: Imputer,
-    dataset: Dataset,
-    noise: Optional[np.ndarray],
-) -> np.ndarray:
-    """Features with every masked entry replaced by its fill plus noise.
-
-    The noisy-linear fill runs ``impute_grid`` on each sample that has a
-    masked entry, one after another; a sample with none comes back as it is.
-    """
-    if imputer.kind == "noisy_linear":
-        _require_grid(dataset)
-        fill = np.array(features, dtype=np.float64)
-        for i in np.flatnonzero(masks.reshape(len(masks), -1).any(axis=1)):
-            fill[i] = impute_grid(features[i], masks[i])
-    else:
-        fill = _constant_fill(imputer, dataset)
-    if noise is not None:
-        fill = fill + noise
-    return np.where(masks, fill, features)
+    return noise_std * rng.standard_normal((len(dataset),) + dataset.feature_shape)
 
 
 def _rank_steps(order: np.ndarray, ks: Sequence[int], mask_prefix: bool):
@@ -280,7 +248,6 @@ def _threshold_steps(values: np.ndarray, thresholds: Sequence[float]):
 
 def _grid_fills(
     features: np.ndarray,
-    imputer: Imputer,
     dataset: Dataset,
     noise: Optional[np.ndarray],
     start_masked: bool,
@@ -295,14 +262,16 @@ def _grid_fills(
     (``parallel.run_shares``): the caller fills the first share itself while
     one forked lane fills each other share, so a window forks one process
     fewer than there are lanes, and none with one lane.  A share replays the
-    window's change sets on its rows' mask and writes its rows' ``_fill`` at
-    every step straight into the shared array, which the lanes inherit
-    across the fork; nothing is sent back but warnings and errors.  Each
-    step's fill is yielded as a read-only view of that array, which the
-    next window overwrites: a consumer uses up one batch before it draws
-    the next.  The fill does not depend on the lanes.  The solver, scipy's
-    LAPACK extension alone (``load_solver``, about 3 MiB), is loaded before
-    the lanes fork, so that no lane loads it itself.
+    window's change sets on its rows' mask and, at every step, writes its
+    rows straight into the shared array, which the lanes inherit across the
+    fork: the features, then ``impute_grid``'s solve for each row with a
+    masked entry, then the noise on the masked entries alone.  Nothing is
+    sent back but warnings and errors.  Each step's fill is yielded as a
+    read-only view of that array, which the next window overwrites: a
+    consumer uses up one batch before it draws the next.  The fill does not
+    depend on the lanes.  The solver, scipy's LAPACK extension alone
+    (``load_solver``, about 3 MiB), is loaded before the lanes fork, so that
+    no lane loads it itself.
     """
     load_solver()
     n, d = features.shape
@@ -325,10 +294,15 @@ def _grid_fills(
             part = grids[rows]
             part_noise = None if noise is None else noise[rows]
             local = mask[rows].copy()
+            part_mask = local.reshape(part.shape)
             for step, (idx, masked) in enumerate(window):
                 local.reshape(-1)[idx[(idx >= lo) & (idx < hi)] - lo] = masked
-                part_mask = local.reshape(part.shape)
-                fills[step, rows] = _fill(part, part_mask, imputer, dataset, part_noise)
+                out = fills[step, rows]
+                out[...] = part
+                for i in np.flatnonzero(local.any(axis=1)):
+                    out[i] = impute_grid(part[i], part_mask[i])
+                if part_noise is not None:
+                    np.add(out, part_noise, out=out, where=part_mask)
 
         parallel.run_shares(fill_share, shares)
         for step, (idx, masked) in enumerate(window):
@@ -341,7 +315,7 @@ def _sweep(
     dataset: Dataset,
     features: np.ndarray,
     labels: np.ndarray,
-    imputer: Imputer,
+    kind: str,
     noise: Optional[np.ndarray],
     start_masked: bool,
     changes: Iterable[tuple[np.ndarray, bool]],
@@ -356,9 +330,11 @@ def _sweep(
     model as one lazy iterable of read-only arrays (``predict_many``), so a
     pipelining model can overlap them.
 
-    Zero and mean fills keep one ``(n, d)`` buffer, the fill of the start
-    mask, and rewrite only the changed entries.  The noisy-linear solve
-    depends on the whole mask, so that fill is redone at every step
+    ``kind`` is the fill, one of ``IMPUTER_KINDS``, and ``noise`` the
+    pre-drawn noise that masked entries get on top of it, or None.  Zero and
+    mean fills keep one ``(n, d)`` buffer, the fill of the start mask, and
+    rewrite only the changed entries.  The noisy-linear solve depends on the
+    whole mask, so that fill is redone at every step
     (``_grid_fills``): window by window into one shared array, the caller
     filling the first row share and one forked lane each other share when
     there are CPUs for them.  The model still runs here, on read-only views
@@ -374,13 +350,13 @@ def _sweep(
                 repeats.append(1)
                 yield idx, masked
 
-    if imputer.kind == "noisy_linear":
+    if kind == "noisy_linear":
         steps = list(fresh_steps())
-        batches = _grid_fills(features, imputer, dataset, noise, start_masked, steps)
+        batches = _grid_fills(features, dataset, noise, start_masked, steps)
     else:
         shape = (len(features),) + dataset.feature_shape
-        # _fill of an all-True mask, without np.where's 1-2 ms on 1000 x 200
-        filled = np.broadcast_to(_constant_fill(imputer, dataset), shape)
+        # every entry filled, without np.where's 1-2 ms on 1000 x 200
+        filled = np.broadcast_to(0.0 if kind == "zero" else dataset.feature_means, shape)
         if noise is not None:
             filled = filled + noise
         filled = filled.reshape(-1)
@@ -433,7 +409,6 @@ def soundness_curve(
         "noise_std": noise_std, "weighting": weighting,
     }, dataset)
     mask_ratios, epsilon = opts["mask_ratios"], opts["epsilon"]
-    imputer = Imputer(imputer, opts["noise_std"])
 
     values = _flat_maps(dataset, maps)
     keep = values.sum(axis=1) > 0
@@ -447,7 +422,9 @@ def soundness_curve(
     n, d = values.shape
     features = dataset.feature_matrix()[keep].reshape(n, d)
     labels = dataset.labels()[keep]
-    noise = _predrawn_noise(dataset, imputer, seed, keep)
+    noise = _predrawn_noise(dataset, opts["noise_std"], seed)
+    if noise is not None:
+        noise = noise[keep]
 
     order = _order(values)
     sorted_vals = np.take_along_axis(values, order, axis=1)
@@ -457,7 +434,7 @@ def soundness_curve(
     ks = _mask_counts(mask_ratios, d)
 
     accs = _sweep(
-        model, dataset, features, labels, imputer, noise, *_rank_steps(order, ks, True)
+        model, dataset, features, labels, opts["imputer"], noise, *_rank_steps(order, ks, True)
     )
     sweep: list[tuple[float, float, float]] = []
     false_mass = np.zeros(n)
@@ -491,8 +468,8 @@ def soundness_curve(
             "n_samples": n,
             "weighting": weighting,
             "epsilon": epsilon,
-            "imputer": imputer.kind,
-            "noise_std": imputer.noise_std,
+            "imputer": opts["imputer"],
+            "noise_std": opts["noise_std"],
         },
     )
 
@@ -532,15 +509,15 @@ def completeness_curve(
     opts = check_options("completeness", {
         "thresholds": thresholds, "imputer": imputer, "noise_std": noise_std,
     }, dataset)
-    thresholds, imputer = opts["thresholds"], Imputer(imputer, opts["noise_std"])
+    thresholds = opts["thresholds"]
 
     values = _flat_maps(dataset, maps)
     n, d = values.shape
     features = dataset.feature_matrix().reshape(n, d)
     labels = dataset.labels()
-    noise = _predrawn_noise(dataset, imputer, seed, np.ones(n, dtype=bool))
+    noise = _predrawn_noise(dataset, opts["noise_std"], seed)
     s_0, *s_ts = _sweep(
-        model, dataset, features, labels, imputer, noise,
+        model, dataset, features, labels, opts["imputer"], noise,
         *_threshold_steps(values, thresholds),
     )
     pts = sorted((t, s_0 - s_t) for t, s_t in zip(thresholds, s_ts))
@@ -550,8 +527,8 @@ def completeness_curve(
         points=tuple(pts),
         meta={
             "clean_accuracy": s_0,
-            "imputer": imputer.kind,
-            "noise_std": imputer.noise_std,
+            "imputer": opts["imputer"],
+            "noise_std": opts["noise_std"],
         },
     )
 
@@ -586,25 +563,25 @@ def order_based_curve(
     opts = check_options(mode, {
         "order": order, "imputer": imputer, "noise_std": noise_std, "fractions": fractions,
     }, dataset)
-    fractions, imputer = opts["fractions"], Imputer(imputer, opts["noise_std"])
+    fractions = opts["fractions"]
 
     values = _flat_maps(dataset, maps)
     n, d = values.shape
     features = dataset.feature_matrix().reshape(n, d)
     labels = dataset.labels()
-    noise = _predrawn_noise(dataset, imputer, seed, np.ones(n, dtype=bool))
+    noise = _predrawn_noise(dataset, opts["noise_std"], seed)
     ranking = _order(-values if order == "MoRF" else values)
     ks = [round_half_away(f * d) for f in fractions]
 
     accs = _sweep(
-        model, dataset, features, labels, imputer, noise,
+        model, dataset, features, labels, opts["imputer"], noise,
         *_rank_steps(ranking, ks, mode == "deletion"),
     )
     return EvalCurve(
         metric_kind=mode,
         x_axis="masked_fraction",
         points=tuple(zip(fractions, accs)),
-        meta={"order": order, "imputer": imputer.kind, "noise_std": imputer.noise_std},
+        meta={"order": order, "imputer": opts["imputer"], "noise_std": opts["noise_std"]},
     )
 
 

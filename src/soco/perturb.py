@@ -1,12 +1,12 @@
-"""Imputation settings and the grid neighbor solve.
+"""The grid neighbor solve behind the noisy-linear fill, and ratio rounding.
 
-An ``Imputer`` says how the metrics fill masked features: with zeros, with
-dataset means, or by solving the grid neighbor-average linear system
-(masked pixels become weighted averages of their 8-neighbors, direct
-neighbors weighted twice as heavily as diagonal ones), optionally plus
-Gaussian noise on the imputed entries only.  The metrics' sweep engine
-keeps the masks and the zero and mean fills, updating only the features a
-step changes; ``impute_grid`` solves one grid for the noisy-linear fill.
+The metrics fill masked features with zeros, with dataset means, or by
+solving the grid neighbor-average linear system (masked pixels become
+weighted averages of their 8-neighbors, direct neighbors weighted twice as
+heavily as diagonal ones), optionally plus Gaussian noise on the imputed
+entries only; the metric options ``imputer`` and ``noise_std`` choose the
+fill.  The metrics' sweep engine keeps the masks, the zero and mean fills
+and the noise; ``impute_grid`` solves one grid for the noisy-linear fill.
 ``round_half_away`` turns every ratio into a feature count.
 
 scipy serves only that solve, through LAPACK's banded Cholesky: its LAPACK
@@ -20,13 +20,10 @@ import functools
 import importlib.machinery
 import importlib.util
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, check_real
-
-IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
+from .core import ConfigError, DataError
 
 # 8-neighborhood weights before border renormalization
 _DIRECT_W = 1.0 / 6.0
@@ -38,24 +35,6 @@ def round_half_away(x: float) -> int:
     if x < 0:
         raise ConfigError(f"negative count {x}")
     return int(np.floor(x + 0.5))
-
-
-@dataclass(frozen=True)
-class Imputer:
-    """How masked features get filled.
-
-    noise_std is the standard deviation of Gaussian noise added to imputed
-    entries (never to unmasked ones); zero disables the noise entirely.
-    """
-
-    kind: str = "mean"
-    noise_std: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in IMPUTER_KINDS:
-            raise ConfigError(f"unknown imputer kind {self.kind!r}")
-        if check_real(self.noise_std, "noise_std") < 0:
-            raise ConfigError("noise_std must be non-negative")
 
 
 @functools.cache

@@ -5,13 +5,16 @@ functions as the package wrote them one sample or one map at a time, each
 map a plain array of any shape (``apply_scheme`` is renamed
 ``apply_scheme_per_map``), each stream built by its own ``substream`` call.  Tests
 check the batched code in ``soco`` against them; nothing in the package
-imports this module.  ``applied_masks`` replays the metrics' change sets.
+imports this module.  ``applied_masks`` replays the metrics' change sets,
+and ``swept_fill`` reads the filled batch that the metrics' sweep engine
+hands the model.
 """
 
 from typing import Optional, Sequence
 
 import numpy as np
 
+from soco import metrics
 from soco.core import ConfigError, DataError
 from soco.modify import (
     PARTIAL_INTRODUCE_BAND,
@@ -60,6 +63,29 @@ def applied_masks(start_masked: bool, changes, size: int) -> list:
         mask[idx] = masked
         out.append(mask.copy())
     return out
+
+
+class RecordingModel:
+    """A model that keeps a copy of every batch it is given and predicts class 0."""
+
+    def __init__(self):
+        self.batches = []
+
+    def predict_probs(self, batch):
+        self.batches.append(np.array(batch))
+        return np.ones((len(batch), 1))
+
+
+def swept_fill(kind: str, dataset, features: np.ndarray, masks, noise=None) -> np.ndarray:
+    """The batch that ``metrics._sweep`` hands the model for ``(n, d)``
+    ``features`` with the entries of ``masks`` masked, filled by ``kind``
+    plus ``noise`` (an ``(n, d)`` draw, or None)."""
+    model = RecordingModel()
+    step = (np.flatnonzero(masks), True)
+    labels = np.zeros(len(features), dtype=np.int64)
+    metrics._sweep(model, dataset, features, labels, kind, noise, False, [step])
+    (batch,) = model.batches
+    return batch
 
 
 def rank_features(attr_map: np.ndarray) -> np.ndarray:

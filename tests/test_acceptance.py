@@ -15,7 +15,6 @@ from soco import (
     CurveSet,
     Dataset,
     EvalCurve,
-    Imputer,
     LinearStepModel,
     MapSet,
     ModScheme,
@@ -39,7 +38,7 @@ from soco import (
 from soco import metrics
 from soco.perturb import round_half_away
 
-from per_sample import applied_masks, mask_by_ratio
+from per_sample import applied_masks, mask_by_ratio, swept_fill
 
 SMALL_RATIOS = tuple(round(0.9 - 0.1 * i, 1) for i in range(9))  # 0.9 .. 0.1
 
@@ -518,10 +517,9 @@ def test_a8_determinism_and_worker_invariance(tmp_path, record_criterion):
 def test_a9_mask_properties(record_criterion):
     # the masks and the fill are the metrics' own: the masks come from
     # applying the change sets of metrics._rank_steps and _threshold_steps in
-    # order, and the mean fill is metrics._fill
+    # order, and the mean fill is the batch metrics._sweep hands the model
     record = record_criterion
     rng = np.random.default_rng(99)
-    imputer = Imputer(kind="mean", noise_std=0.5)
     violations = 0
     for case in range(10_000):
         d = int(rng.integers(3, 41))
@@ -557,7 +555,9 @@ def test_a9_mask_properties(record_criterion):
         # the second row sets the dataset's means apart from the sample
         dataset = Dataset(np.concatenate([feats, rng.standard_normal((1, d))]), [0, 1], 2)
         noise = 0.5 * substream(9, "noise", case).standard_normal((1, d))
-        out = metrics._fill(feats, mask, imputer, dataset, noise)
-        if not np.array_equal(out[~mask], feats[~mask]):
+        out = swept_fill("mean", dataset, feats, mask, noise)
+        if not np.array_equal(out[~mask], feats[~mask]) or not np.array_equal(
+            out[mask], (dataset.feature_means + noise)[mask]
+        ):
             violations += 1
     record("A9", violations == 0, f"{violations} violations over 10000 cases (need 0)")

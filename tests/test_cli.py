@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -32,9 +33,8 @@ from soco import (
 )
 from soco.cli import main
 from soco.experiment import evaluate_metric
-from soco.metrics import METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
-from soco.perturb import IMPUTER_KINDS
-from soco.io import canonical_json
+from soco.metrics import IMPUTER_KINDS, METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
+from soco.io import MAGIC, canonical_json
 
 from external_servers import unreaped
 
@@ -521,6 +521,105 @@ def test_malformed_json_container_is_exit_4_without_traceback(tmp_path, verb, pa
     proc = run_cli_process(*args, "--out", str(tmp_path / "out.soco"))
     assert no_traceback(proc, 4, "data error"), proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+WELL_FORMED = {
+    "dataset": {"kind": "dataset", "features": [[1.0, -2.0, 0.5], [3.0, 4.0, -1.0]],
+                "labels": [0, 1], "n_classes": 2, "sample_ids": [7, 9]},
+    "maps": {"kind": "maps", "values": [[1.0, 0.5, 0.0], [0.25, 1.0, 0.5]]},
+    "curve": {"metric_kind": "deletion", "x_axis": "masked_fraction",
+              "points": [[0.0, 1.0], [1.0, 0.5]]},
+}
+
+
+def huge_container(kind: int, fields: bytes) -> bytes:
+    """A container of ``kind`` (1 dataset, 2 maps) whose dims multiply past
+    int64, with a few payload bytes after its header ``fields``."""
+    dims = (1, 2**32 - 1, 2**32 - 1, 2)
+    return MAGIC + struct.pack("<HBB4I", 1, kind, len(dims), *dims) + fields + bytes(16)
+
+
+def malformed(role: str, **fields) -> tuple:
+    return role, {**WELL_FORMED[role], **fields}
+
+
+# each file the readers must refuse, by the role it plays: a dataset or
+# maps given to ``eval``, or a curve given to ``compare`` and ``emit-plot``
+MALFORMED = {
+    "labels-fractional": malformed("dataset", labels=[0.5, 1.7]),
+    "labels-bool": malformed("dataset", labels=[False, True]),
+    "labels-numeric-string": malformed("dataset", labels=["0", "1"]),
+    "labels-past-int64": malformed("dataset", labels=[0, 2**63]),
+    "n-classes-fractional": malformed("dataset", n_classes=2.9),
+    "n-classes-past-int64": malformed("dataset", n_classes=2**70),
+    "sample-ids-fractional": malformed("dataset", sample_ids=[0.5, 1.5]),
+    "features-bool-among-numbers": malformed(
+        "dataset", features=[[True, -2.0, 0.5], [3.0, 4.0, -1.0]]),
+    "features-numeric-string": malformed(
+        "dataset", features=[["0.5", -2.0, 0.5], [3.0, 4.0, -1.0]]),
+    "dataset-dims-past-int64": ("dataset", huge_container(1, struct.pack("<HII", 2, 0, 0))),
+    "values-bool": malformed("maps", values=[[True, 0.5, 0.0], [0.25, 1.0, 0.5]]),
+    "values-numeric-string": malformed("maps", values=[["1", 0.5, 0.0], [0.25, 1.0, 0.5]]),
+    "maps-dims-past-int64": ("maps", huge_container(2, struct.pack("<B", 0))),
+    "point-of-one-number": malformed("curve", points=[[0.0], [1.0, 0.5]]),
+    "points-string": malformed("curve", points="0.0,1.0"),
+    "points-null": malformed("curve", points=None),
+    "points-nested": malformed("curve", points=[[[0.0], [1.0]], [1.0, 0.5]]),
+    "points-bool": malformed("curve", points=[[0.0, True], [1.0, False]]),
+    "curve-top-level-list": ("curve", [WELL_FORMED["curve"]]),
+    "unknown-metric-kind": malformed("curve", metric_kind="oracle"),
+}
+
+
+def verb_args(verb: str, role: str, path: Path, tmp_path: Path) -> list:
+    """The arguments that make ``verb`` read ``path`` in ``role``, the
+    other inputs well-formed."""
+    good = {}
+    for other, payload in WELL_FORMED.items():
+        good[other] = tmp_path / f"good.{other}.json"
+        good[other].write_text(json.dumps(payload))
+    good[role] = path
+    out = str(tmp_path / "out.json")
+    if verb == "eval":
+        return ["eval", "--metric", "deletion", "--dataset", str(good["dataset"]),
+                "--maps", str(good["maps"]), "--out", out]
+    if verb == "compare":
+        return ["compare", str(good["curve"]), str(tmp_path / "good.curve.json")]
+    return ["emit-plot", "--curve", str(good["curve"]), "--out", out]
+
+
+VERBS = {"dataset": ("eval",), "maps": ("eval",), "curve": ("compare", "emit-plot")}
+
+
+def test_well_formed_files_pass_every_verb(tmp_path):
+    # the control for the table below: its files differ from these in one field
+    for role, verbs in VERBS.items():
+        for verb in verbs:
+            path = tmp_path / f"good.{role}.json"
+            assert main(verb_args(verb, role, path, tmp_path)) == 0
+    ds = read_dataset(tmp_path / "good.dataset.json")
+    assert ds.feature_matrix().tolist() == WELL_FORMED["dataset"]["features"]
+    assert ds.labels().tolist() == [0, 1] and ds.sample_ids.tolist() == [7, 9]
+    assert ds.n_classes == 2
+
+
+@pytest.mark.parametrize(
+    "case, verb",
+    [(case, verb) for case, (role, _) in MALFORMED.items() for verb in VERBS[role]],
+)
+def test_a_malformed_file_is_a_data_error_on_every_verb(tmp_path, capsys, case, verb):
+    # in process, a raw traceback would be an exception escaping main
+    role, content = MALFORMED[case]
+    bad = tmp_path / f"bad.{role}"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(json.dumps(content))
+    assert main(verb_args(verb, role, bad, tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err, err
+    assert role != "curve" or str(bad) in err  # a curve error names its file
+    assert not (tmp_path / "out.json").exists()
 
 
 BAD_WEIGHTS = {

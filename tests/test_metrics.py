@@ -13,7 +13,6 @@ from soco import (
     DataError,
     Dataset,
     EvalCurve,
-    Imputer,
     MapSet,
     MlpModel,
     MlpWeights,
@@ -378,11 +377,11 @@ def test_every_option_has_a_rule():
 # -- the incremental sweep against the literal per-step computation ----------------
 
 
-def three_pass_fill(features, masks, imputer, dataset, noise):
+def three_pass_fill(features, masks, kind, dataset, noise):
     """The fill as written before the sweep engine: where, noise * masks, add."""
-    if imputer.kind == "zero":
+    if kind == "zero":
         filled = np.where(masks, 0.0, features)
-    elif imputer.kind == "mean":
+    elif kind == "mean":
         filled = np.where(masks, dataset.feature_means, features)
     else:
         filled = np.stack(
@@ -393,17 +392,17 @@ def three_pass_fill(features, masks, imputer, dataset, noise):
     return filled
 
 
-def literal_accuracy(model, dataset, features, labels, masks, imputer, noise):
+def literal_accuracy(model, dataset, features, labels, masks, kind, noise):
     masks = masks.reshape(features.shape)
-    filled = three_pass_fill(features, masks, imputer, dataset, noise)
+    filled = three_pass_fill(features, masks, kind, dataset, noise)
     return accuracy_from_probs(model.predict_probs(filled), labels)
 
 
-def literal_noise(dataset, imputer, seed):
-    if imputer.noise_std == 0.0:
+def literal_noise(dataset, noise_std, seed):
+    if noise_std == 0.0:
         return None
     shape = (len(dataset),) + dataset.feature_shape
-    return imputer.noise_std * substream(seed, "noise").standard_normal(shape)
+    return noise_std * substream(seed, "noise").standard_normal(shape)
 
 
 def literal_ranks(values, descending=False):
@@ -414,9 +413,9 @@ def literal_ranks(values, descending=False):
     return ranks
 
 
-def imputer_options(imputer):
-    """An ``Imputer`` as the metrics' keyword options."""
-    return {"imputer": imputer.kind, "noise_std": imputer.noise_std}
+def fill_options(kind, noise_std=0.0):
+    """A fill as the metrics' keyword options ``imputer`` and ``noise_std``."""
+    return {"imputer": kind, "noise_std": noise_std}
 
 
 def literal_soundness(
@@ -424,13 +423,12 @@ def literal_soundness(
     epsilon=0.01, weighting="attribution",
 ):
     """(points, sweep) with the mask ranks < k and a full refill at every ratio."""
-    imputer = Imputer(imputer, noise_std)
     values = maps.values.reshape(len(maps), -1)
     keep = values.sum(axis=1) > 0
     values = values[keep]
     features = dataset.feature_matrix()[keep]
     labels = dataset.labels()[keep]
-    noise = literal_noise(dataset, imputer, seed)
+    noise = literal_noise(dataset, noise_std, seed)
     noise = None if noise is None else noise[keep]
     n, d = values.shape
     ranks = literal_ranks(values)
@@ -460,10 +458,9 @@ def literal_soundness(
 def literal_completeness(
     model, dataset, maps, seed, *, imputer, noise_std, thresholds=DEFAULT_THRESHOLDS
 ):
-    imputer = Imputer(imputer, noise_std)
     values = maps.values.reshape(len(maps), -1)
     features, labels = dataset.feature_matrix(), dataset.labels()
-    noise = literal_noise(dataset, imputer, seed)
+    noise = literal_noise(dataset, noise_std, seed)
     s_0 = accuracy_from_probs(model.predict_probs(features), labels)
     return tuple(
         (t, s_0 - literal_accuracy(model, dataset, features, labels, values > t, imputer, noise))
@@ -471,10 +468,11 @@ def literal_completeness(
     )
 
 
-def literal_order_curve(model, dataset, maps, mode, order, imputer, fractions, seed):
+def literal_order_curve(model, dataset, maps, mode, order, fill, fractions, seed):
     values = maps.values.reshape(len(maps), -1)
     features, labels = dataset.feature_matrix(), dataset.labels()
-    noise = literal_noise(dataset, imputer, seed)
+    imputer = fill["imputer"]
+    noise = literal_noise(dataset, fill["noise_std"], seed)
     ranks = literal_ranks(values, descending=(order == "MoRF"))
     points = []
     for f in fractions:
@@ -518,14 +516,14 @@ class PipelinedModel:
         return [self.inner.predict_probs(b) for b in self.batches]
 
 
-def literal_step_inputs(dataset, features, ranks, ks, mask_prefix, imputer, noise):
+def literal_step_inputs(dataset, features, ranks, ks, mask_prefix, kind, noise):
     """The literal filled input of each distinct cut-off, in sweep order."""
     distinct = [k for i, k in enumerate(ks) if i == 0 or k != ks[i - 1]]
     shape = features.shape
     out = []
     for k in distinct:
         masks = (ranks < k) if mask_prefix else ~(ranks < k)
-        out.append(three_pass_fill(features, masks.reshape(shape), imputer, dataset, noise))
+        out.append(three_pass_fill(features, masks.reshape(shape), kind, dataset, noise))
     return out
 
 
@@ -559,20 +557,20 @@ def sweep_problems(draw):
     layer = Layer(weight=rng.standard_normal((n_classes, d)), bias=rng.standard_normal(n_classes))
     model = MlpModel(MlpWeights(layers=(layer,), n_classes=n_classes))
     noise_std = draw(st.sampled_from((0.0, 0.5)))
-    imputer = Imputer(kind=draw(st.sampled_from(kinds)), noise_std=noise_std)
-    return ds, maps, model, imputer, draw(st.integers(0, 1000))
+    fill = fill_options(draw(st.sampled_from(kinds)), noise_std)
+    return ds, maps, model, fill, draw(st.integers(0, 1000))
 
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_problems())
 def test_sweep_engine_matches_literal_per_step_fill(problem):
     check_sweep_engine(*problem)
-    if problem[3].kind == "noisy_linear":
+    if problem[3]["imputer"] == "noisy_linear":
         with mock.patch.object(parallel, "_usable_cpus", lambda: LANES):
             check_sweep_engine(*problem)
 
 
-def check_sweep_engine(ds, maps, inner, imputer, seed):
+def check_sweep_engine(ds, maps, inner, fill, seed):
     d = ds.n_features
     # every default ratio that leaves a feature unmasked: for d < 99 many collide
     ratios = tuple(m for m in DEFAULT_MASK_RATIOS if round_half_away(m * d) < d)
@@ -581,9 +579,9 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
         values = maps.values.reshape(len(maps), -1)
         keep = values.sum(axis=1) > 0
         features = ds.feature_matrix()
-        noise = literal_noise(ds, imputer, seed)
+        kind, noise = fill["imputer"], literal_noise(ds, fill["noise_std"], seed)
         for weighting in WEIGHTINGS:
-            options = dict(mask_ratios=ratios, weighting=weighting, **imputer_options(imputer))
+            options = dict(mask_ratios=ratios, weighting=weighting, **fill)
             model = CountingModel(inner)
             curve = soundness_curve(model, ds, maps, **options, seed=seed)
             pipelined = PipelinedModel(inner)
@@ -598,17 +596,16 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
             assert_same_inputs(
                 pipelined.batches,
                 literal_step_inputs(
-                    ds, features[keep], literal_ranks(values[keep]), ks, True, imputer,
+                    ds, features[keep], literal_ranks(values[keep]), ks, True, kind,
                     None if noise is None else noise[keep],
                 ),
             )
 
-        options = imputer_options(imputer)
         model = CountingModel(inner)
-        curve = completeness_curve(model, ds, maps, **options, seed=seed)
-        assert curve.points == literal_completeness(inner, ds, maps, seed, **options)
+        curve = completeness_curve(model, ds, maps, **fill, seed=seed)
+        assert curve.points == literal_completeness(inner, ds, maps, seed, **fill)
         pipelined = PipelinedModel(inner)
-        assert completeness_curve(pipelined, ds, maps, **options, seed=seed) == curve
+        assert completeness_curve(pipelined, ds, maps, **fill, seed=seed) == curve
         # one model call per distinct masked set, the clean inputs' empty set first
         sets = [np.zeros(values.shape, dtype=bool)] + [values > t for t in DEFAULT_THRESHOLDS]
         distinct = [m for i, m in enumerate(sets) if i == 0 or not np.array_equal(m, sets[i - 1])]
@@ -617,7 +614,7 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
         assert_same_inputs(pipelined.batches, model.batches)
         assert_same_inputs(
             pipelined.batches,
-            [three_pass_fill(features, m.reshape(features.shape), imputer, ds, noise)
+            [three_pass_fill(features, m.reshape(features.shape), kind, ds, noise)
              for m in distinct],
         )
 
@@ -628,16 +625,16 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
                     model = CountingModel(inner)
                     curve = order_based_curve(
                         model, ds, maps, mode, order=order, fractions=fractions, seed=seed,
-                        **imputer_options(imputer),
+                        **fill,
                     )
                     want = literal_order_curve(
-                        inner, ds, maps, mode, order, imputer, fractions, seed
+                        inner, ds, maps, mode, order, fill, fractions, seed
                     )
                     assert curve.points == want
                     pipelined = PipelinedModel(inner)
                     assert order_based_curve(
                         pipelined, ds, maps, mode, order=order, fractions=fractions, seed=seed,
-                        **imputer_options(imputer),
+                        **fill,
                     ) == curve
                     ks = [round_half_away(f * d) for f in fractions]
                     assert len(model.batches) == len(set(ks))
@@ -645,7 +642,7 @@ def check_sweep_engine(ds, maps, inner, imputer, seed):
                     assert_same_inputs(
                         pipelined.batches,
                         literal_step_inputs(
-                            ds, features, ranks, ks, mode == "deletion", imputer, noise
+                            ds, features, ranks, ks, mode == "deletion", kind, noise
                         ),
                     )
 
@@ -719,15 +716,14 @@ def solver_pids(tmp_path, monkeypatch):
     return read
 
 
-def grid_curves(model, ds, maps, imputer):
-    """ROAD in both orders, then completeness and soundness, with ``imputer``."""
+def grid_curves(model, ds, maps, fill):
+    """ROAD in both orders, then completeness and soundness, with ``fill``."""
     curves = [
-        road_curve(model, ds, maps, order=order, noise_std=imputer.noise_std, seed=5)
+        road_curve(model, ds, maps, order=order, noise_std=fill["noise_std"], seed=5)
         for order in RANK_ORDERS
     ]
-    options = imputer_options(imputer)
-    curves.append(completeness_curve(model, ds, maps, **options, seed=5))
-    return curves + [soundness_curve(model, ds, maps, mask_ratios=COARSE_RATIOS, **options, seed=5)]
+    curves.append(completeness_curve(model, ds, maps, **fill, seed=5))
+    return curves + [soundness_curve(model, ds, maps, mask_ratios=COARSE_RATIOS, **fill, seed=5)]
 
 
 @pytest.mark.filterwarnings("ignore:fully masked grid")
@@ -735,10 +731,13 @@ def grid_curves(model, ds, maps, imputer):
 def test_grid_fill_on_lanes_matches_inline(rng, monkeypatch, solver_pids, noise_std):
     ds, masks, maps, inner = pool_problem(rng)
     feats = ds.feature_matrix()
-    imputer = Imputer(kind="noisy_linear", noise_std=noise_std)
-    noise = literal_noise(ds, imputer, seed=5)
+    fill = fill_options("noisy_linear", noise_std)
+    noise = literal_noise(ds, noise_std, seed=5)
 
-    got = metrics._fill(feats, masks, imputer, ds, noise)
+    # one step that masks ``masks``, through the window fill the sweep runs
+    step = (np.flatnonzero(masks), True)
+    fills = metrics._grid_fills(feats.reshape(len(ds), -1), ds, noise, False, [step])
+    got = np.array(next(fills))
     serial = np.stack([impute_grid(f, m) for f, m in zip(feats, masks)])
     if noise is not None:
         serial = serial + noise
@@ -760,7 +759,7 @@ def test_grid_fill_on_lanes_matches_inline(rng, monkeypatch, solver_pids, noise_
         use_cpus(monkeypatch, cpus)
         model = CountingModel(inner)
         groups.clear()
-        runs[cpus] = grid_curves(model, ds, maps, imputer), model.batches, list(groups)
+        runs[cpus] = grid_curves(model, ds, maps, fill), model.batches, list(groups)
     inline, inline_batches, inline_groups = runs[1]
     laned, laned_batches, laned_groups = runs[LANES]
     # the caller solves its own share; exactly LANES - 1 forked lanes solve the rest
@@ -776,12 +775,11 @@ def test_grid_fill_on_lanes_matches_inline(rng, monkeypatch, solver_pids, noise_
     *roads, completeness, soundness = laned
     for order, curve in zip(RANK_ORDERS, roads):
         assert curve.points == literal_order_curve(
-            inner, ds, maps, "deletion", order, imputer, DEFAULT_FRACTIONS, 5
+            inner, ds, maps, "deletion", order, fill, DEFAULT_FRACTIONS, 5
         )
-    options = imputer_options(imputer)
-    assert completeness.points == literal_completeness(inner, ds, maps, 5, **options)
+    assert completeness.points == literal_completeness(inner, ds, maps, 5, **fill)
     assert soundness.points == literal_soundness(
-        inner, ds, maps, 5, mask_ratios=COARSE_RATIOS, **options
+        inner, ds, maps, 5, mask_ratios=COARSE_RATIOS, **fill
     )[0]
 
 

@@ -12,7 +12,6 @@ from soco import (
     ConfigError,
     DataError,
     Dataset,
-    Imputer,
     MapSet,
     completeness_curve,
     generate_synthetic,
@@ -26,7 +25,7 @@ from scipy.sparse.linalg import spsolve
 from soco import metrics, perturb
 from soco.perturb import _neighbor_system, round_half_away
 
-from per_sample import applied_masks
+from per_sample import applied_masks, swept_fill
 
 # -- reference implementations (kept deliberately naive) ----------------------
 
@@ -260,7 +259,7 @@ def test_round_half_away():
 def mean_fill(features, masks):
     """The metrics' mean fill of a tabular batch, with the batch's own means."""
     ds = Dataset(features, np.zeros(len(features)), n_classes=2)
-    return metrics._fill(features, np.asarray(masks), Imputer(kind="mean"), ds, None)
+    return swept_fill("mean", ds, features, masks)
 
 
 def test_impute_tabular_examples():
@@ -392,7 +391,7 @@ def test_load_solver_names_the_directory_it_finds_no_lapack_extension_in(monkeyp
 def test_impute_grid_ignores_memory_layout(shape, layout, noise_std, rng):
     # the solved planes are written through a view of the output; an input
     # that is not C-ordered must not turn that view into a discarded copy.
-    # Checked through the metrics' noisy-linear fill, which adds its
+    # Checked through the metrics' noisy-linear fill too, which adds its
     # pre-drawn noise to the solve.
     if layout == "fortran":
         grid = np.asfortranarray(rng.standard_normal(shape))
@@ -408,22 +407,30 @@ def test_impute_grid_ignores_memory_layout(shape, layout, noise_std, rng):
     if len(shape) == 3:
         mask[..., -1] = True  # a fully masked plane as well
     assert not grid.flags.c_contiguous and not mask.flags.c_contiguous
-    grid_set = Dataset(np.zeros((1, 2, 2, 1)), [0], n_classes=2)  # says "grid" to the fill
-    noise = noise_std * np.random.default_rng(3).standard_normal((1,) + grid.shape)
-    imputer = Imputer(kind="noisy_linear", noise_std=noise_std)
+    sample = grid.shape if grid.ndim == 3 else grid.shape + (1,)
+    grid_set = Dataset(np.zeros((1,) + sample), [0], n_classes=2)  # gives the fill its shape
+    noise = noise_std * np.random.default_rng(3).standard_normal((1,) + sample)
+    if noise_std == 0.0:
+        noise = None
+
+    def grid_fill(grid, mask):
+        """The noisy-linear fill of one step that masks ``mask``."""
+        step = (np.flatnonzero(mask), True)
+        fills = metrics._grid_fills(grid.reshape(1, -1), grid_set, noise, False, [step])
+        return next(fills)[0].reshape(grid.shape)
+
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="fully masked grid")
         got = impute_grid(grid, mask)
         want = impute_grid(np.ascontiguousarray(grid), np.ascontiguousarray(mask))
-        got_fill = metrics._fill(grid[None], mask[None], imputer, grid_set, noise)
-        want_fill = metrics._fill(
-            np.ascontiguousarray(grid)[None], np.ascontiguousarray(mask)[None],
-            imputer, grid_set, noise,
-        )
+        got_fill = grid_fill(grid, mask)
+        want_fill = grid_fill(np.ascontiguousarray(grid), np.ascontiguousarray(mask))
     assert np.array_equal(got, want)
     assert not np.array_equal(got[mask], grid[mask])
     assert np.array_equal(got_fill, want_fill)
-    assert np.array_equal(got_fill[0][~mask], grid[~mask])
+    assert np.array_equal(got_fill[~mask], grid[~mask])
+    with_noise = want if noise is None else want + noise.reshape(grid.shape)
+    assert np.array_equal(got_fill[mask], with_noise[mask])
 
 
 def test_impute_grid_constant_field_fixed_point(rng):
@@ -489,46 +496,35 @@ def test_noise_only_on_masked_positions(rng):
     mask = np.zeros((1, 10), bool)
     mask[0, :4] = True
     ds = Dataset(np.zeros((2, 10)), [0, 1], n_classes=2)
-    noise = metrics._predrawn_noise(ds, Imputer(noise_std=0.5), 3, np.array([True, False]))
-    out = metrics._fill(x, mask, Imputer(kind="mean", noise_std=0.5), ds, noise)
+    noise = metrics._predrawn_noise(ds, 0.5, 3)[[True, False]]
+    out = swept_fill("mean", ds, x, mask, noise)
     assert np.array_equal(out[~mask], x[~mask])
-    assert not np.array_equal(out[mask], np.zeros(4))
+    assert np.array_equal(out[mask], noise[mask])  # the means are all zero
+    assert np.count_nonzero(out[mask]) == 4
 
 
 def test_noise_determinism():
     ds = Dataset(np.zeros((3, 6)), [0, 1, 0], n_classes=2)
-    keep = np.array([True, False, True])
-    a = metrics._predrawn_noise(ds, Imputer(noise_std=1.0), 9, keep)
-    b = metrics._predrawn_noise(ds, Imputer(noise_std=1.0), 9, keep)
-    assert a.shape == (2, 6) and np.array_equal(a, b)
-    assert metrics._predrawn_noise(ds, Imputer(noise_std=0.0), 9, keep) is None
+    a = metrics._predrawn_noise(ds, 1.0, 9)
+    b = metrics._predrawn_noise(ds, 1.0, 9)
+    assert a.shape == (3, 6) and np.array_equal(a, b)
+    assert metrics._predrawn_noise(ds, 0.0, 9) is None
 
 
 class TestImputerDispatch:
-    def test_kinds_validated(self):
-        with pytest.raises(ConfigError):
-            Imputer(kind="oracle")
-        with pytest.raises(ConfigError):
-            Imputer(noise_std=-1.0)
-
-    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), "1.0", None])
-    def test_noise_std_must_be_a_finite_real(self, noise_std):
-        with pytest.raises(ConfigError, match="^noise_std must be a finite real number"):
-            Imputer(noise_std=noise_std)
-
     def test_zero_and_mean_on_tabular(self):
         ds = generate_synthetic(10, 4, seed=0)
         x = ds.feature_matrix()[:1]
         mask = np.array([[True, False, True, False]])
-        zero = metrics._fill(x, mask, Imputer(kind="zero"), ds, None)
+        zero = swept_fill("zero", ds, x, mask)
         assert zero[0, 0] == 0.0 and zero[0, 2] == 0.0
-        mean = metrics._fill(x, mask, Imputer(kind="mean"), ds, None)
-        assert mean[0, 0] == ds.feature_means[0]
+        assert zero[0, 1] == x[0, 1] and zero[0, 3] == x[0, 3]
+        mean = swept_fill("mean", ds, x, mask)
+        assert mean[0, 0] == ds.feature_means[0] and mean[0, 2] == ds.feature_means[2]
         assert mean[0, 1] == x[0, 1]
 
-    def test_noisy_linear_rejects_tabular(self):
+    def test_noisy_linear_rejects_tabular(self, step_model):
         ds = generate_synthetic(5, 4, seed=0)
-        with pytest.raises(ConfigError):
-            metrics._fill(
-                ds.feature_matrix(), np.ones((5, 4), bool), Imputer(kind="noisy_linear"), ds, None
-            )
+        maps = MapSet(np.ones((5, 4)), normalized=True)
+        with pytest.raises(ConfigError, match="noisy_linear requires grid"):
+            completeness_curve(step_model, ds, maps, imputer="noisy_linear")
