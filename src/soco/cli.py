@@ -14,8 +14,8 @@ from pathlib import Path
 
 from ._version import __version__
 from .analysis import CurveSet, min_pairwise_hausdorff, pairwise_hausdorff
-from .core import ConfigError, DataError, ModelBridgeError, WorkerError, check_count
-from .experiment import evaluate_metric, load_config, run_experiment
+from .core import ConfigError, DataError, ModelBridgeError, WorkerError
+from .experiment import SCHEME_KEYS, load_config, run_experiment
 from .io import (
     emit_plot_data,
     read_curve,
@@ -31,13 +31,15 @@ from .modify import DIRECTIONS, SCHEME_KINDS, ModScheme, apply_scheme
 from .synthetic import LinearStepModel, generate_synthetic, ground_truth_attribution, oracle_info
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given, by their library names.  A
+    flag left out is not passed, so it takes the library's own default."""
+    return {key: value for key, value in vars(args).items() if key in names}
+
+
 def _cmd_gen_synthetic(args) -> int:
-    dataset = generate_synthetic(
-        check_count(args.n_samples, "--n-samples"),
-        check_count(args.n_features, "--n-features"),
-        check_count(args.seed, "--seed"),
-    )
-    write_dataset(dataset, args.out, format=args.format)
+    dataset = generate_synthetic(**_given(args, ("n_samples", "n_features", "seed")))
+    write_dataset(dataset, args.out, **_given(args, ("format",)))
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
@@ -45,53 +47,41 @@ def _cmd_gen_synthetic(args) -> int:
 def _cmd_attribute(args) -> int:
     dataset = read_dataset(args.dataset)
     maps = ground_truth_attribution(dataset)
-    write_maps(maps, args.out, dataset=dataset, format=args.format)
+    write_maps(maps, args.out, dataset=dataset, **_given(args, ("format",)))
     print(f"wrote {len(maps)} ground-truth maps to {args.out}")
     return 0
 
 
 def _cmd_modify(args) -> int:
-    dataset = read_dataset(args.dataset) if args.dataset else None
+    dataset = read_dataset(args.dataset) if vars(args).get("dataset") else None
     maps = read_maps(args.maps, dataset)
-    scheme = ModScheme(
-        kind=args.kind,
-        direction=args.direction,
-        magnitude=args.magnitude,
-        fraction=args.fraction,
-        seed=args.seed,
-        renormalize=args.renormalize,
-    )
+    scheme = ModScheme(**_given(args, SCHEME_KEYS))
     oracle = None
     if scheme.kind == "synth_introduce":
         if dataset is None:
             raise ConfigError("synth_introduce needs --dataset for oracle information")
         oracle = oracle_info(dataset)
     out = apply_scheme(maps, scheme, oracle)
-    write_maps(out, args.out, dataset=dataset, format=args.format)
+    write_maps(out, args.out, dataset=dataset, **_given(args, ("format",)))
     print(f"wrote {len(out)} modified maps to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    seed = check_count(args.seed, "--seed")
-    # the metric-option flags given; one left out takes the metric's own default
-    known = {key for name in METRICS for key in metric_defaults(name)}
-    options = {k: v for k, v in vars(args).items() if k in known and v is not None}
+    options = _given(args, {key for name in METRICS for key in metric_defaults(name)})
     unknown = sorted(set(options) - set(metric_defaults(args.metric)))
     if unknown:
         raise ConfigError(f"--metric {args.metric} takes no --{unknown[0].replace('_', '-')}")
     dataset = read_dataset(args.dataset)
-    if args.mlp_weights:
-        model = MlpModel(MlpWeights.from_json(args.mlp_weights))
-    else:
-        model = LinearStepModel()
-    if args.maps:
+    weights = vars(args).get("mlp_weights")
+    model = MlpModel(MlpWeights.from_json(weights)) if weights else LinearStepModel()
+    if vars(args).get("maps"):
         maps = read_maps(args.maps, dataset)
     else:
-        if args.mlp_weights:
+        if weights:
             raise ConfigError("ground-truth maps are only defined for the builtin model")
         maps = ground_truth_attribution(dataset)
-    curve = evaluate_metric(args.metric, options, model, dataset, maps, seed)
+    curve = METRICS[args.metric](model, dataset, maps, **options, **_given(args, ("seed",)))
     write_curve(curve, args.out)
     print(f"wrote {args.metric} curve ({len(curve.points)} points) to {args.out}")
     return 0
@@ -117,7 +107,7 @@ def _cmd_compare(args) -> int:
         path = Path(raw)
         curves[_curve_label(path, set(curves))] = read_curve(path)
     curve_set = CurveSet(curves)
-    if args.min_hausdorff:
+    if vars(args).get("min_hausdorff"):
         print(f"{min_pairwise_hausdorff(curve_set):.9f}")
         return 0
     for (a, b), dist in sorted(pairwise_hausdorff(curve_set).items()):
@@ -136,7 +126,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_emit_plot(args) -> int:
-    emit_plot_data(read_curve(args.curve), args.out, format=args.format)
+    emit_plot_data(read_curve(args.curve), args.out, **_given(args, ("format",)))
     print(f"wrote plot data to {args.out}")
     return 0
 
@@ -144,7 +134,8 @@ def _cmd_emit_plot(args) -> int:
 def _flag_named(message: str, args) -> str:
     """``message`` with the option key it starts with, as the library names
     it (``noise_std``, ``metrics.soundness.epsilon``), named as the flag
-    that set it (``--noise-std``, ``--epsilon``)."""
+    that set it (``--noise-std``, ``--epsilon``); only a flag that was
+    given is in ``args``."""
     key, sep, rest = message.partition(" must ")
     key = key.rpartition(".")[2]
     if sep and key in vars(args):
@@ -153,40 +144,45 @@ def _flag_named(message: str, args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``soco`` parser.  No verb's flag has a default: a flag left out is
+    absent from the parsed arguments and passes nothing, so the library's
+    signature supplies the default."""
     parser = argparse.ArgumentParser(
         prog="soco", description="Attribution-map faithfulness evaluation."
     )
     parser.add_argument("--version", action="version", version=f"soco {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("gen-synthetic", help="generate the synthetic dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-samples", type=int, default=1000)
-    p.add_argument("--n-features", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("binary", "json"), default="binary")
-    p.set_defaults(func=_cmd_gen_synthetic)
+    def verb(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("attribute", help="write ground-truth attribution maps")
+    p = verb("gen-synthetic", _cmd_gen_synthetic, "generate the synthetic dataset")
+    p.add_argument("--out", required=True)
+    p.add_argument("--n-samples", type=int)
+    p.add_argument("--n-features", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--format", choices=("binary", "json"))
+
+    p = verb("attribute", _cmd_attribute, "write ground-truth attribution maps")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("binary", "json"), default="binary")
-    p.set_defaults(func=_cmd_attribute)
+    p.add_argument("--format", choices=("binary", "json"))
 
-    p = sub.add_parser("modify", help="apply a modification scheme to maps")
+    p = verb("modify", _cmd_modify, "apply a modification scheme to maps")
     p.add_argument("--maps", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", required=True, choices=SCHEME_KINDS)
-    p.add_argument("--direction", choices=DIRECTIONS, default="remove")
-    p.add_argument("--magnitude", type=float, default=-1.0)
-    p.add_argument("--fraction", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--direction", choices=DIRECTIONS)
+    p.add_argument("--magnitude", type=float)
+    p.add_argument("--fraction", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--renormalize", action="store_true")
     p.add_argument("--dataset", help="required for synth_introduce; validates alignment")
-    p.add_argument("--format", choices=("binary", "json"), default="binary")
-    p.set_defaults(func=_cmd_modify)
+    p.add_argument("--format", choices=("binary", "json"))
 
-    p = sub.add_parser("eval", help="evaluate one metric")
+    p = verb("eval", _cmd_eval, "evaluate one metric")
     p.add_argument("--metric", required=True, choices=tuple(METRICS))
     p.add_argument("--dataset", required=True)
     p.add_argument("--maps", help="map file; omitted = ground truth")
@@ -197,27 +193,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float)
     p.add_argument("--weighting", choices=WEIGHTINGS)
     p.add_argument("--order", choices=RANK_ORDERS)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_eval)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("compare", help="Hausdorff distances between curves")
+    p = verb("compare", _cmd_compare, "Hausdorff distances between curves")
     p.add_argument("curves", nargs="+")
     p.add_argument(
         "--min-hausdorff",
         action="store_true",
         help="print only the minimum pairwise distance",
     )
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("run", help="run a full experiment config")
+    p = verb("run", _cmd_run, "run a full experiment config")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("emit-plot", help="export a curve as CSV or JSON columns")
+    p = verb("emit-plot", _cmd_emit_plot, "export a curve as CSV or JSON columns")
     p.add_argument("--curve", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_emit_plot)
+    p.add_argument("--format", choices=("csv", "json"))
 
     return parser
 

@@ -8,7 +8,7 @@ experiments stop meaning what their configs say.
       "seed": 7,
       "output_dir": "out",
       "workers": 1,
-      "dataset": {"synthetic": {"n_samples": 1000, "n_features": 200}},
+      "dataset": {"synthetic": {"n_samples": 500}},
       "model": {"builtin": "linear_step"},
       "maps": {
         "source": "ground_truth",
@@ -25,8 +25,11 @@ experiments stop meaning what their configs say.
 
 ``dataset.path`` / ``maps.source: <file>`` load container files instead;
 ``model`` alternatives are ``{"mlp_weights": <file>}`` and ``{"external":
-{"command": [...], "timeout_s": 30, "batch_limit": 64}}``.  Each variant is
-a pipeline of modification schemes applied to the base maps in order.
+{"command": [...]}}``, which may also set ``timeout_s`` and ``batch_limit``.
+Each variant is a pipeline of modification schemes applied to the base maps
+in order.  A key left out is not passed on, so it takes the default of the
+library call it feeds: ``generate_synthetic`` (whose ``seed`` is the run's
+seed), ``ExternalModelSpec``, ``ModScheme`` or the metric function.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import re
 import shutil
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, ContextManager, Optional, Union
@@ -46,7 +49,7 @@ import numpy as np
 from . import parallel
 from ._version import __version__
 from .analysis import aggregate_trials
-from .core import ConfigError, Dataset, EvalCurve, MapSet, Model, check_count
+from .core import ConfigError, Dataset, Model, check_count
 from .io import (
     atomic_write,
     canonical_json,
@@ -71,6 +74,8 @@ from .models import BridgeProcessFailed, ExternalModel, ExternalModelSpec, MlpMo
 from .modify import ModScheme, apply_scheme
 from .perturb import load_solver
 from .synthetic import (
+    DEFAULT_N_FEATURES,
+    DEFAULT_N_SAMPLES,
     LinearStepModel,
     generate_synthetic,
     ground_truth_attribution,
@@ -79,7 +84,7 @@ from .synthetic import (
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-SCHEME_KEYS = {"kind", "direction", "magnitude", "fraction", "seed", "renormalize"}
+SCHEME_KEYS = {field.name for field in fields(ModScheme)}
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -103,7 +108,7 @@ class ExperimentConfig:
     output_dir: Path
     workers: int
     dataset_spec: dict
-    model_spec: dict
+    model_spec: dict  # the model entry, an external one as its ExternalModelSpec
     map_source: str  # "ground_truth" or a file path
     variants: dict  # name -> tuple of ModScheme
     metrics: dict  # metric name -> raw option dict
@@ -148,8 +153,6 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
             {"n_samples", "n_features", "seed"},
             "dataset.synthetic",
         )
-        for key, value in dataset_spec["synthetic"].items():
-            check_count(value, f"dataset.synthetic.{key}")
     else:
         if not (base_dir / _check_string(dataset_spec["path"], "dataset.path")).exists():
             raise ConfigError(f"dataset file not found: {dataset_spec['path']}")
@@ -170,7 +173,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
             {"command", "timeout_s", "batch_limit"},
             "model.external",
         )
-        _external_spec(model_spec["external"])
+        model_spec = {"external": _external_spec(model_spec["external"])}
 
     maps_spec = raw.get("maps", {"source": "ground_truth"})
     _check_keys(maps_spec, {"source", "variants"}, "maps")
@@ -192,9 +195,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
             if "kind" not in entry:
                 raise ConfigError(f"scheme in variant {name!r} needs a kind")
             try:
-                schemes.append(ModScheme(seed=entry.get("seed", seed), **{
-                    k: v for k, v in entry.items() if k != "seed"
-                }))
+                schemes.append(ModScheme(**{"seed": seed, **entry}))
             except ConfigError as exc:
                 raise ConfigError(f"variant {name!r}: {exc}") from None
         variants[name] = tuple(schemes)
@@ -238,9 +239,7 @@ def _external_spec(ext: dict) -> ExternalModelSpec:
     if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
         raise ConfigError("model.external.command must be a list of strings")
     try:
-        return ExternalModelSpec(
-            tuple(command), ext.get("timeout_s", 30.0), ext.get("batch_limit", 64)
-        )
+        return ExternalModelSpec(**{**ext, "command": tuple(command)})
     except ConfigError as exc:
         raise ConfigError(f"model.external.{exc}") from None
 
@@ -255,7 +254,7 @@ def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
     """
     spec = cfg.model_spec
     if "external" in spec:
-        ext_spec = _external_spec(spec["external"])
+        ext_spec = spec["external"]
         if shutil.which(ext_spec.command[0]) is None:
             raise BridgeProcessFailed(
                 f"could not launch model server: no executable {ext_spec.command[0]!r}"
@@ -269,28 +268,13 @@ def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The run's dataset; a synthetic one's error names its key."""
     if "synthetic" in cfg.dataset_spec:
-        opts = cfg.dataset_spec["synthetic"]
-        return generate_synthetic(
-            n_samples=opts.get("n_samples", 1000),
-            n_features=opts.get("n_features", 200),
-            seed=opts.get("seed", cfg.seed),
-        )
+        try:
+            return generate_synthetic(**{"seed": cfg.seed, **cfg.dataset_spec["synthetic"]})
+        except ConfigError as exc:
+            raise ConfigError(f"dataset.synthetic.{exc}") from None
     return read_dataset(cfg.base_dir / cfg.dataset_spec["path"])
-
-
-def evaluate_metric(
-    name: str,
-    options: dict,
-    model: Model,
-    dataset: Dataset,
-    maps: MapSet,
-    seed: int,
-) -> EvalCurve:
-    """Run one named metric with its option dict, checked first
-    (``metrics.check_options``)."""
-    options = check_options(name, options, dataset)
-    return METRICS[name](model, dataset, maps, seed=seed, **options)
 
 
 @dataclass(frozen=True)
@@ -354,8 +338,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     def evaluate(model: Model, job: tuple) -> tuple:
         variant, metric = job
         started = time.perf_counter()
-        curve = evaluate_metric(
-            metric, options[metric], model, dataset, variant_maps[variant], cfg.seed
+        curve = METRICS[metric](
+            model, dataset, variant_maps[variant], seed=cfg.seed, **options[metric]
         )
         return curve, time.perf_counter() - started
 
@@ -403,8 +387,8 @@ class ValidationSettings:
     """The synthetic validation pipeline, with defaults frozen after the
     ordering-stability sweep (scripts/sweep_modifications.py)."""
 
-    n_samples: int = 1000
-    n_features: int = 200
+    n_samples: int = DEFAULT_N_SAMPLES
+    n_features: int = DEFAULT_N_FEATURES
     seed: int = 7
     n_trials: int = 100
     remove_fraction: float = 0.3

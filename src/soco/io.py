@@ -37,6 +37,8 @@ MAGIC = b"SOCO"
 VERSION = 1
 KIND_DATASET = 1
 KIND_MAPS = 2
+MAX_CLASSES = 0xFFFF  # n_classes is a u16 in the container and the digest
+MAX_SAMPLE_ID = 0xFFFFFFFF  # sample ids are u32 in the container
 
 _PathLike = Union[str, Path]
 
@@ -179,10 +181,20 @@ def _json_field(payload: dict, key: str, dtype) -> np.ndarray:
 # -- datasets ----------------------------------------------------------------
 
 
+def _check_n_classes(n_classes: int) -> None:
+    if n_classes > MAX_CLASSES:
+        raise DataError(f"n_classes must be at most {MAX_CLASSES} in a container, got {n_classes}")
+
+
 def write_dataset(dataset: Dataset, path: _PathLike, format: str = "binary") -> None:
+    """Write ``dataset`` as a container or a JSON file.  A field outside its
+    container range, ``n_classes`` above 65535 or, in the binary container,
+    a sample id outside [0, 2**32), is a ``DataError`` raised before
+    anything is written; JSON holds any int64 id."""
+    _check_n_classes(dataset.n_classes)
     feats = dataset.feature_matrix().astype(np.float32)
     labels = dataset.labels()
-    ids = dataset.sample_ids.astype(np.uint32)
+    ids = dataset.sample_ids
     if format == "json":
         payload = {
             "kind": "dataset",
@@ -195,12 +207,15 @@ def write_dataset(dataset: Dataset, path: _PathLike, format: str = "binary") -> 
         return
     if format != "binary":
         raise DataError(f"unknown format {format!r}")
+    outside = ids[(ids < 0) | (ids > MAX_SAMPLE_ID)]
+    if outside.size:
+        raise DataError(f"sample_ids must lie in [0, 2**32) in a container, got {outside[0]}")
     dims = (len(dataset),) + dataset.feature_shape
     head = MAGIC + struct.pack("<HBB", VERSION, KIND_DATASET, len(dims))
     head += struct.pack("<" + "I" * len(dims), *dims)
     head += struct.pack("<H", dataset.n_classes)
     head += labels.astype(np.uint32).tobytes()
-    head += ids.tobytes()
+    head += ids.astype(np.uint32).tobytes()
     atomic_write(path, head + feats.tobytes())
 
 
@@ -211,6 +226,7 @@ def read_dataset(path: _PathLike) -> Dataset:
         n_classes = _json_field(payload, "n_classes", np.int64)
         if n_classes.ndim:
             raise DataError("field 'n_classes' must be one JSON integer")
+        _check_n_classes(int(n_classes))
         ids = _json_field(payload, "sample_ids", np.int64) if "sample_ids" in payload else None
         return Dataset(
             _json_field(payload, "features", np.float32),

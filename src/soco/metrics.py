@@ -47,6 +47,7 @@ from .core import (
     MapSet,
     Model,
     accuracy_from_probs,
+    check_count,
     check_real,
     predict_many,
 )
@@ -207,8 +208,10 @@ def _predrawn_noise(dataset: Dataset, noise_std: float, seed: int) -> Optional[n
 
     Sharing the draw across steps keeps accuracy trajectories monotone in
     the included set instead of jittering point to point, and makes results
-    independent of sweep order and worker scheduling.
+    independent of sweep order and worker scheduling.  ``seed`` is checked
+    even when there is no noise, so every metric refuses a bad seed.
     """
+    check_count(seed, "seed")
     if noise_std == 0.0:
         return None
     rng = substream(seed, "noise")

@@ -306,23 +306,6 @@ class ExternalModel:
             proc.wait()
         proc.stdout.close()
 
-    def _ensure_running(self) -> None:
-        if self._proc is None:
-            self._launch()
-            return
-        if self._proc.poll() is not None:
-            self._handle_death()
-
-    def _handle_death(self) -> None:
-        code = self._proc.poll() if self._proc else None
-        if self._restarted:
-            raise BridgeProcessFailed(
-                f"model server died again (exit code {code}); giving up"
-            )
-        self._restarted = True
-        self._stop()
-        self._launch()
-
     def close(self) -> None:
         with self._lock:
             self._stop()
@@ -368,13 +351,18 @@ class ExternalModel:
         return True
 
     def _restart(self, pending: dict[int, _Request]) -> None:
-        """Restart a dead child (once) and re-send every unanswered request."""
-        self._handle_death()  # raises when the restart is already spent
+        """Restart a dead child and re-send every unanswered request; a child
+        that dies after the bridge's one restart is a hard failure."""
+        if self._restarted:
+            raise BridgeProcessFailed(
+                f"model server died again (exit code {self._proc.poll()}); giving up"
+            )
+        self._restarted = True
+        self._stop()
+        self._launch()
         for req_id in sorted(pending):
             if not self._pump(pending[req_id].line):
-                raise BridgeProcessFailed(
-                    f"model server died again (exit code {self._proc.poll()}); giving up"
-                )
+                return self._restart(pending)  # raises: the one restart is spent
 
     def _parse(self, line: bytes) -> tuple[int, list]:
         try:
@@ -434,7 +422,10 @@ class ExternalModel:
         answer of that call can reach the next one.
         """
         with self._lock:
-            self._ensure_running()
+            if self._proc is None:
+                self._launch()
+            elif self._proc.poll() is not None:
+                self._restart({})
             pending: dict[int, _Request] = {}
             outs: list[np.ndarray] = []
             try:

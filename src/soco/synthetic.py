@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, Dataset, MapSet, batch_features, normalize_attribution
+from .core import (
+    ConfigError,
+    DataError,
+    Dataset,
+    MapSet,
+    batch_features,
+    check_count,
+    normalize_attribution,
+)
 from .rng import substreams
 
 DEFAULT_N_SAMPLES = 1000
@@ -35,10 +43,14 @@ def generate_synthetic(
     parallelized.  The streams come from ``substreams``: the same generators,
     their seeds derived for all rows in one pass and each built as its row is
     drawn.  Samples with an exactly zero sum are redrawn from the same stream.
-    A size whose feature array cannot be allocated is a ``DataError``.
+    A count that is not a positive integer, or a seed that is not a
+    non-negative one, is a ``ConfigError`` naming its parameter; a size whose
+    feature array cannot be allocated is a ``DataError``.
     """
-    if n_samples < 1 or n_features < 1:
-        raise DataError("synthetic dataset needs at least one sample and one feature")
+    for key, count in (("n_samples", n_samples), ("n_features", n_features)):
+        if check_count(count, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {count}")
+    check_count(seed, "seed")
     try:
         rows = np.empty((n_samples, n_features), dtype=np.float64)
     except (MemoryError, ValueError) as exc:  # numpy's too-big errors

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -19,21 +20,23 @@ from hypothesis import strategies as st
 from soco import (
     ConfigError,
     LinearStepModel,
-    completeness_curve,
+    ModScheme,
+    apply_scheme,
+    emit_plot_data,
     generate_synthetic,
     ground_truth_attribution,
-    order_based_curve,
+    oracle_info,
     parallel,
     read_curve,
     read_dataset,
     read_maps,
-    road_curve,
-    soundness_curve,
     write_curve,
+    write_dataset,
+    write_maps,
 )
-from soco.cli import main
-from soco.experiment import evaluate_metric
+from soco.cli import build_parser, main
 from soco.metrics import IMPUTER_KINDS, METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
+from soco.modify import SCHEME_KINDS
 from soco.io import MAGIC, canonical_json
 
 from external_servers import unreaped
@@ -158,12 +161,47 @@ def test_eval_deletion_on_modified_maps(workdir):
     assert read_curve(workdir / "del.curve.json").metric_kind == "deletion"
 
 
-def library_curve(metric, model, dataset, maps):
-    """``metric`` through its library function, with no options."""
-    if metric in ("deletion", "insertion"):
-        return order_based_curve(model, dataset, maps, metric)
-    fn = {"soundness": soundness_curve, "completeness": completeness_curve, "road": road_curve}
-    return fn[metric](model, dataset, maps)
+def test_no_flag_of_any_verb_has_a_default():
+    # a flag left out must pass nothing, so the library signature's default holds
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [
+        f"{verb} {action.option_strings[0]}"
+        for verb, parser in verbs.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.default is not argparse.SUPPRESS
+    ] == []
+
+
+def test_flags_left_out_take_the_library_defaults(workdir):
+    cli, lib = workdir / "cli", workdir / "lib"
+    assert main(["gen-synthetic", "--out", str(cli)]) == 0
+    write_dataset(generate_synthetic(), lib)
+    assert cli.read_bytes() == lib.read_bytes()
+
+    dataset = read_dataset(workdir / "data.soco")
+    write_maps(ground_truth_attribution(dataset), lib, dataset=dataset)
+    assert lib.read_bytes() == (workdir / "maps.soco").read_bytes()  # the fixture's `attribute`
+
+    curve = workdir / "c.json"
+    maps = read_maps(workdir / "maps.soco")
+    write_curve(METRICS["deletion"](LinearStepModel(), dataset, maps), curve)
+    assert main(["emit-plot", "--curve", str(curve), "--out", str(cli)]) == 0
+    emit_plot_data(read_curve(curve), lib)
+    assert cli.read_bytes() == lib.read_bytes()
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_modify_with_only_a_kind_applies_the_library_scheme(workdir, kind):
+    dataset = read_dataset(workdir / "data.soco")
+    cli, lib = workdir / "cli.soco", workdir / "lib.soco"
+    assert main([
+        "modify", "--maps", str(workdir / "maps.soco"), "--out", str(cli), "--kind", kind,
+        "--dataset", str(workdir / "data.soco"),
+    ]) == 0
+    oracle = oracle_info(dataset) if kind == "synth_introduce" else None
+    maps = apply_scheme(read_maps(workdir / "maps.soco"), ModScheme(kind=kind), oracle)
+    write_maps(maps, lib, dataset=dataset)
+    assert cli.read_bytes() == lib.read_bytes()
 
 
 def without_digest(path):
@@ -180,7 +218,7 @@ def test_library_eval_and_run_share_each_metric_default(workdir, metric):
     # on `soco eval` and an empty option object in a `soco run` config
     dataset = read_dataset(workdir / "data.soco")
     maps = read_maps(workdir / "maps.soco", dataset)
-    write_curve(library_curve(metric, LinearStepModel(), dataset, maps), workdir / "lib.json")
+    write_curve(METRICS[metric](LinearStepModel(), dataset, maps), workdir / "lib.json")
     assert main([
         "eval", "--metric", metric, "--dataset", str(workdir / "data.soco"),
         "--maps", str(workdir / "maps.soco"), "--out", str(workdir / "eval.json"),
@@ -194,7 +232,7 @@ def test_library_eval_and_run_share_each_metric_default(workdir, metric):
     (workdir / "exp.json").write_text(json.dumps(cfg))
     assert main(["run", "--config", str(workdir / "exp.json")]) == 0
     run_curve = workdir / "out" / f"original.{metric}.curve.json"
-    assert without_digest(workdir / "eval.json") == without_digest(workdir / "lib.json")
+    assert (workdir / "eval.json").read_bytes() == (workdir / "lib.json").read_bytes()
     assert without_digest(run_curve) == without_digest(workdir / "lib.json")
 
 
@@ -244,6 +282,8 @@ FLAG_DOMAINS = [
     ("modify", "--seed", "-1", "--seed must be a non-negative integer, got -1"),
     ("modify", "--fraction", "2", "--fraction must lie in [0, 1]"),
     ("modify", "--magnitude", "nan", "--magnitude must be a finite real number, got nan"),
+    ("gen-synthetic", "--n-samples", "0", "--n-samples must be at least 1, got 0"),
+    ("gen-synthetic", "--n-features", "0", "--n-features must be at least 1, got 0"),
 ]
 
 
@@ -257,7 +297,7 @@ def test_a_flag_outside_its_domain_is_exit_2_naming_the_flag(
     args = [verb, "--out", str(out), flag, value]
     if verb == "eval":
         args += ["--metric", "soundness", "--dataset", str(workdir / "data.soco")]
-    else:
+    elif verb == "modify":
         args += ["--maps", str(workdir / "maps.soco"), "--kind", "synth_remove"]
     assert main(args) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -552,6 +592,7 @@ MALFORMED = {
     "labels-past-int64": malformed("dataset", labels=[0, 2**63]),
     "n-classes-fractional": malformed("dataset", n_classes=2.9),
     "n-classes-past-int64": malformed("dataset", n_classes=2**70),
+    "n-classes-past-u16": malformed("dataset", n_classes=70000),
     "sample-ids-fractional": malformed("dataset", sample_ids=[0.5, 1.5]),
     "features-bool-among-numbers": malformed(
         "dataset", features=[[True, -2.0, 0.5], [3.0, 4.0, -1.0]]),
@@ -821,6 +862,8 @@ MISTYPED = [
     (("dataset", "synthetic", "n_samples"), True, "dataset.synthetic.n_samples"),
     (("dataset", "synthetic", "n_features"), 1.5, "dataset.synthetic.n_features"),
     (("dataset", "synthetic", "n_features"), True, "dataset.synthetic.n_features"),
+    (("dataset", "synthetic", "n_samples"), 0, "dataset.synthetic.n_samples must be at least 1"),
+    (("dataset", "synthetic", "n_features"), 0, "dataset.synthetic.n_features must be at least 1"),
     (("dataset", "synthetic", "seed"), 1.5, "dataset.synthetic.seed"),
     (("dataset", "synthetic", "seed"), True, "dataset.synthetic.seed"),
     (("dataset", "synthetic", "seed"), -1, "dataset.synthetic.seed"),
@@ -1052,9 +1095,6 @@ def test_a_bad_option_is_the_same_config_error_on_every_path(data):
         METRICS[metric](*call, **{key: value})
     message = str(info.value)
     assert message.startswith(f"metrics.{metric}.{key}"), message
-    with pytest.raises(ConfigError) as info:
-        evaluate_metric(metric, {key: value}, *call, 0)
-    assert str(info.value) == message
     with tempfile.TemporaryDirectory() as tmp:
         cfg = mistyped(("metrics",), {metric: {key: value}})
         cfg["dataset"]["synthetic"]["n_features"] = 60

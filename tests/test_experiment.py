@@ -1,7 +1,9 @@
+import functools
 import json
 import multiprocessing
 import os
 import pickle
+import sys
 from unittest import mock
 
 import numpy as np
@@ -22,9 +24,9 @@ from soco import (
     write_dataset,
     write_maps,
 )
-from soco.experiment import evaluate_metric
-from soco.metrics import metric_defaults
+from soco.metrics import METRICS, metric_defaults
 from soco.io import dataset_digest
+from soco.models import ExternalModelSpec
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
 
@@ -95,7 +97,7 @@ def test_each_metric_takes_exactly_its_option_keys(metric):
 
 def test_integer_options_are_written_as_floats(small_dataset, gt_maps, step_model):
     options = {"noise_std": 1, "epsilon": 1, "mask_ratios": [0.5]}
-    curve = evaluate_metric("soundness", options, step_model, small_dataset, gt_maps, 0)
+    curve = METRICS["soundness"](step_model, small_dataset, gt_maps, **options)
     assert curve.meta["noise_std"] == 1.0 and isinstance(curve.meta["noise_std"], float)
     assert isinstance(curve.meta["epsilon"], float)
 
@@ -161,6 +163,19 @@ def test_scheme_seed_defaults_to_master_seed():
         )
     )
     assert cfg.variants["x"][0].seed == 3
+
+
+def test_config_keys_left_out_take_the_library_defaults():
+    command = [sys.executable, "server.py"]
+    cfg = parse_config(base_config(model={"external": {"command": command}}))
+    assert cfg.model_spec["external"] == ExternalModelSpec(tuple(command))
+    given = {"command": command, "timeout_s": 5, "batch_limit": 3}
+    cfg = parse_config(base_config(model={"external": given}))
+    assert cfg.model_spec["external"] == ExternalModelSpec(tuple(command), 5, 3)
+    # a synthetic dataset's seed is the run's seed unless given
+    cfg = parse_config(base_config(dataset={"synthetic": {}}))
+    dataset = experiment._build_dataset(cfg)
+    assert dataset_digest(dataset) == dataset_digest(generate_synthetic(seed=3))
 
 
 def test_load_config_rejects_broken_json(tmp_path):
@@ -254,6 +269,7 @@ def test_lane_warnings_reach_the_caller(tmp_path):
 def log_pid(log, function):
     """``function`` that first appends its process id to ``log``."""
 
+    @functools.wraps(function)  # keeps the signature that metric_defaults reads
     def logged(*args, **kwargs):
         with open(log, "a") as handle:
             handle.write(f"{os.getpid()}\n")
@@ -267,7 +283,7 @@ def test_forked_runs_never_run_a_job_in_the_caller(tmp_path, monkeypatch):
     # peak memory to it
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     log = tmp_path / "jobs.log"
-    monkeypatch.setattr(experiment, "evaluate_metric", log_pid(log, experiment.evaluate_metric))
+    monkeypatch.setitem(METRICS, "deletion", log_pid(log, METRICS["deletion"]))
     cfg = base_config(
         workers=2,
         maps={"source": "ground_truth", "variants": {"original": [], "again": []}},
@@ -288,11 +304,6 @@ def test_validation_with_fewer_than_two_trials_starts_no_job(monkeypatch, n_tria
     monkeypatch.setattr(parallel, "run_jobs", mock.Mock(side_effect=AssertionError("a job ran")))
     with pytest.raises(ConfigError, match=f"^n_trials must be at least 2, got {n_trials}$"):
         run_validation(ValidationSettings(n_samples=40, n_features=100, n_trials=n_trials))
-
-
-def test_evaluate_metric_rejects_unknown(small_dataset, gt_maps, step_model):
-    with pytest.raises(ConfigError, match="unknown metric"):
-        evaluate_metric("fidelity", {}, step_model, small_dataset, gt_maps, 0)
 
 
 def test_mlp_weights_model_config(tmp_path, rng):
@@ -346,10 +357,8 @@ def test_validation_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, seed
         assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
 
 
-def test_evaluate_metric_checks_option_types(small_dataset, gt_maps, step_model):
+def test_metric_functions_check_option_types(small_dataset, gt_maps, step_model):
     with pytest.raises(ConfigError, match=r"metrics.soundness.mask_ratios\[1\]"):
-        evaluate_metric(
-            "soundness", {"mask_ratios": [0.5, "0.2"]}, step_model, small_dataset, gt_maps, 0
-        )
+        METRICS["soundness"](step_model, small_dataset, gt_maps, mask_ratios=[0.5, "0.2"])
     with pytest.raises(ConfigError, match="metrics.deletion.noise_std"):
-        evaluate_metric("deletion", {"noise_std": True}, step_model, small_dataset, gt_maps, 0)
+        METRICS["deletion"](step_model, small_dataset, gt_maps, noise_std=True)

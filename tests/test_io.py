@@ -43,6 +43,27 @@ def maps_for(dataset, rng):
 # -- dataset containers --------------------------------------------------------
 
 
+@pytest.mark.parametrize("ids, bad", [([-1, 5], -1), ([0, 2**32], 2**32)])
+def test_the_binary_container_refuses_sample_ids_outside_u32(tmp_path, ids, bad):
+    dataset = Dataset(np.ones((2, 3)), [0, 1], 2, sample_ids=ids)
+    with pytest.raises(DataError) as info:
+        write_dataset(dataset, tmp_path / "d.soco")
+    assert str(info.value) == f"sample_ids must lie in [0, 2**32) in a container, got {bad}"
+    assert list(tmp_path.iterdir()) == []
+    write_dataset(dataset, tmp_path / "d.json", format="json")  # JSON holds any int64 id
+    assert read_dataset(tmp_path / "d.json").sample_ids.tolist() == ids
+
+
+@pytest.mark.parametrize("format", ["binary", "json"])
+def test_a_dataset_file_holds_at_most_65535_classes(tmp_path, format):
+    with pytest.raises(DataError) as info:
+        write_dataset(Dataset(np.ones((2, 3)), [0, 1], 70000), tmp_path / "d", format=format)
+    assert str(info.value) == "n_classes must be at most 65535 in a container, got 70000"
+    assert list(tmp_path.iterdir()) == []
+    write_dataset(Dataset(np.ones((2, 3)), [0, 1], 65535), tmp_path / "d", format=format)
+    assert read_dataset(tmp_path / "d").n_classes == 65535
+
+
 @pytest.mark.parametrize("format", ["binary", "json"])
 def test_dataset_round_trip(tmp_path, disk_dataset, format):
     path = tmp_path / "data.soco"

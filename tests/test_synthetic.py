@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from soco import (
+    ConfigError,
     DataError,
     Dataset,
     LinearStepModel,
@@ -66,6 +67,20 @@ def test_a_dataset_too_large_to_allocate_is_a_data_error(n_samples, n_features):
     # a MemoryError or a ValueError that would otherwise end in a traceback
     with pytest.raises(DataError, match=f"cannot hold a synthetic dataset of {n_samples} x"):
         generate_synthetic(n_samples, n_features)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 10), "n_samples must be at least 1, got 0"),
+        ((12, 0), "n_features must be at least 1, got 0"),
+        ((12, 10, -1), "seed must be a non-negative integer, got -1"),
+    ],
+)
+def test_a_count_or_seed_out_of_range_is_a_config_error_naming_it(args, message):
+    with pytest.raises(ConfigError) as info:
+        generate_synthetic(*args)
+    assert str(info.value) == message
 
 
 def test_step_model_rejects_grids():
