@@ -60,6 +60,15 @@ def check_real(value, key: str) -> float:
     return float(value)
 
 
+def check_keys(obj, allowed: Iterable[str], where: str) -> None:
+    """``obj`` is an object whose keys are all ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(obj).difference(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+
+
 def check_flag(value, key: str) -> bool:
     """``value`` if it is a boolean (Python or numpy)."""
     if not isinstance(value, (bool, np.bool_)):
@@ -193,6 +202,16 @@ class MapSet:
     @property
     def feature_shape(self) -> tuple[int, ...]:
         return self.values.shape[1:]
+
+
+def check_maps_fit(maps: MapSet, dataset: Dataset) -> None:
+    """``maps`` holds one map per sample of ``dataset``, each of its feature shape."""
+    if len(maps) != len(dataset):
+        raise DataError(
+            f"need one attribution map per sample ({len(maps)} maps for {len(dataset)} samples)"
+        )
+    if maps.feature_shape != dataset.feature_shape:
+        raise DataError("attribution map shape does not match the dataset")
 
 
 def normalize_attribution(values: Union[MapSet, np.ndarray]) -> MapSet:

@@ -34,6 +34,7 @@ seed), ``ExternalModelSpec``, ``ModScheme`` or the metric function.
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 import shutil
@@ -49,7 +50,7 @@ import numpy as np
 from . import parallel
 from ._version import __version__
 from .analysis import aggregate_trials
-from .core import ConfigError, Dataset, Model, check_count
+from .core import ConfigError, Dataset, Model, check_count, check_keys
 from .io import (
     atomic_write,
     canonical_json,
@@ -85,14 +86,8 @@ from .synthetic import (
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 SCHEME_KEYS = {field.name for field in fields(ModScheme)}
-
-
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+SYNTHETIC_KEYS = set(inspect.signature(generate_synthetic).parameters)
+EXTERNAL_KEYS = {field.name for field in fields(ExternalModelSpec)}
 
 
 def _check_string(value, where: str) -> str:
@@ -130,7 +125,7 @@ class ExperimentConfig:
 
 def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfig:
     base_dir = Path(base_dir)
-    _check_keys(
+    check_keys(
         raw,
         {"seed", "output_dir", "workers", "dataset", "model", "maps", "metrics"},
         "config",
@@ -144,21 +139,17 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
     output_dir = base_dir / _check_string(raw["output_dir"], "output_dir")
 
     dataset_spec = raw.get("dataset", {"synthetic": {}})
-    _check_keys(dataset_spec, {"synthetic", "path"}, "dataset")
+    check_keys(dataset_spec, {"synthetic", "path"}, "dataset")
     if ("synthetic" in dataset_spec) == ("path" in dataset_spec):
         raise ConfigError("dataset needs exactly one of 'synthetic' or 'path'")
     if "synthetic" in dataset_spec:
-        _check_keys(
-            dataset_spec["synthetic"],
-            {"n_samples", "n_features", "seed"},
-            "dataset.synthetic",
-        )
+        check_keys(dataset_spec["synthetic"], SYNTHETIC_KEYS, "dataset.synthetic")
     else:
         if not (base_dir / _check_string(dataset_spec["path"], "dataset.path")).exists():
             raise ConfigError(f"dataset file not found: {dataset_spec['path']}")
 
     model_spec = raw.get("model", {"builtin": "linear_step"})
-    _check_keys(model_spec, {"builtin", "mlp_weights", "external"}, "model")
+    check_keys(model_spec, {"builtin", "mlp_weights", "external"}, "model")
     if len(model_spec) != 1:
         raise ConfigError("model needs exactly one of builtin/mlp_weights/external")
     if "builtin" in model_spec and model_spec["builtin"] != "linear_step":
@@ -168,15 +159,11 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
         if not (base_dir / weights).exists():
             raise ConfigError(f"weights file not found: {weights}")
     if "external" in model_spec:
-        _check_keys(
-            model_spec["external"],
-            {"command", "timeout_s", "batch_limit"},
-            "model.external",
-        )
+        check_keys(model_spec["external"], EXTERNAL_KEYS, "model.external")
         model_spec = {"external": _external_spec(model_spec["external"])}
 
     maps_spec = raw.get("maps", {"source": "ground_truth"})
-    _check_keys(maps_spec, {"source", "variants"}, "maps")
+    check_keys(maps_spec, {"source", "variants"}, "maps")
     map_source = _check_string(maps_spec.get("source", "ground_truth"), "maps.source")
     if map_source != "ground_truth" and not (base_dir / map_source).exists():
         raise ConfigError(f"maps file not found: {map_source}")
@@ -191,7 +178,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
             raise ConfigError(f"variant {name!r} must be a list of schemes")
         schemes = []
         for entry in pipeline:
-            _check_keys(entry, SCHEME_KEYS, f"variant {name!r}")
+            check_keys(entry, SCHEME_KEYS, f"variant {name!r}")
             if "kind" not in entry:
                 raise ConfigError(f"scheme in variant {name!r} needs a kind")
             try:

@@ -8,8 +8,8 @@ Container layout (little-endian throughout):
     ndim    u8       2 = (n, d) tabular, 4 = (n, h, w, c) grid
     dims    ndim x u32
     dataset only: n_classes u16, labels n x u32, sample_ids n x u32
-    maps only:    digest_len u8, then that many bytes of dataset digest hex
-    payload: float32 row-major feature/value data
+    maps only:    digest_len u8, then that many bytes of dataset digest, ASCII hex
+    payload: float32 row-major feature/value data; nothing follows it
 
 JSON files are accepted anywhere a container is, for small hand-written
 fixtures; the reader sniffs the first four bytes.  Values are stored as
@@ -27,16 +27,15 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ConfigError, DataError, Dataset, EvalCurve, MapSet
+from .core import ConfigError, DataError, Dataset, EvalCurve, MapSet, check_maps_fit
 
 MAGIC = b"SOCO"
 VERSION = 1
-KIND_DATASET = 1
-KIND_MAPS = 2
+KINDS = {"dataset": 1, "maps": 2}
 MAX_CLASSES = 0xFFFF  # n_classes is a u16 in the container and the digest
 MAX_SAMPLE_ID = 0xFFFFFFFF  # sample ids are u32 in the container
 
@@ -94,11 +93,13 @@ def dataset_digest(dataset: Dataset) -> str:
 
 
 class _Cursor:
-    """Byte reader that turns overruns into truncation errors."""
+    """Byte reader that turns overruns into truncation errors; ``dims`` is
+    the shape of the payload that ends the container."""
 
     def __init__(self, blob: bytes) -> None:
         self.blob = blob
         self.pos = 0
+        self.dims: tuple[int, ...] = ()
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
@@ -110,19 +111,16 @@ class _Cursor:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-
-def _check_header(cur: _Cursor, expect_kind: int) -> tuple[int, ...]:
-    if cur.take(4) != MAGIC:
-        raise DataError("bad magic")
-    (version,) = cur.unpack("H")
-    if version != VERSION:
-        raise DataError(f"unsupported container version {version}")
-    kind, ndim = cur.unpack("BB")
-    if kind != expect_kind:
-        raise DataError(f"container holds kind {kind}, expected {expect_kind}")
-    if ndim not in (2, 4):
-        raise DataError(f"unsupported dimensionality {ndim}")
-    return cur.unpack("I" * ndim)
+    def payload(self) -> np.ndarray:
+        """The float32 payload, a view of the file's bytes, which must end there."""
+        count = math.prod(self.dims)  # exact: a product past int64 must not wrap around
+        extra = len(self.blob) - self.pos - 4 * count
+        if extra < 0:
+            raise DataError("truncated payload")
+        if extra:
+            raise DataError(f"{extra} bytes after the payload")
+        view = np.frombuffer(self.blob, dtype="<f4", count=count, offset=self.pos)
+        return view.reshape(self.dims)
 
 
 def _read_file(path: _PathLike) -> bytes:
@@ -131,19 +129,6 @@ def _read_file(path: _PathLike) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _json_container(blob: bytes, kind: str) -> dict:
-    """The top-level object of a JSON container holding ``kind``."""
-    try:
-        payload = json.loads(blob.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise DataError("bad magic") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"JSON {kind} file must hold an object")
-    if payload.get("kind") != kind:
-        raise DataError(f"file holds kind {payload.get('kind')!r}, expected {kind}")
-    return payload
 
 
 def _is_number(value) -> bool:
@@ -178,6 +163,53 @@ def _json_field(payload: dict, key: str, dtype) -> np.ndarray:
     return parsed.astype(dtype)
 
 
+# -- the container codec -----------------------------------------------------
+
+
+def _write_container(
+    path: _PathLike, format: str, kind: str, values: np.ndarray, fields: dict, packed: Callable
+) -> None:
+    """Write a ``kind`` file of float32 ``values`` and the kind's ``fields``:
+    one canonical JSON object, or the container header, ``packed()`` (the
+    fields in the kind's binary layout) and the payload."""
+    if format == "json":
+        values_key = "features" if kind == "dataset" else "values"
+        atomic_write(path, canonical_json({"kind": kind, values_key: values.tolist(), **fields}))
+    elif format == "binary":
+        dims = values.shape
+        head = struct.pack(f"<4sHBB{len(dims)}I", MAGIC, VERSION, KINDS[kind], len(dims), *dims)
+        atomic_write(path, head + packed() + values.tobytes())
+    else:
+        raise DataError(f"unknown format {format!r}")
+
+
+def _read_container(path: _PathLike, kind: str) -> Union[dict, _Cursor]:
+    """A ``kind`` file's JSON object, or a cursor past its container header."""
+    blob = _read_file(path)
+    if not blob.startswith(MAGIC):
+        try:
+            payload = json.loads(blob.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise DataError("bad magic") from None
+        if not isinstance(payload, dict):
+            raise DataError(f"JSON {kind} file must hold an object")
+        if payload.get("kind") != kind:
+            raise DataError(f"file holds kind {payload.get('kind')!r}, expected {kind}")
+        return payload
+    cur = _Cursor(blob)
+    cur.take(len(MAGIC))
+    (version,) = cur.unpack("H")
+    if version != VERSION:
+        raise DataError(f"unsupported container version {version}")
+    code, ndim = cur.unpack("BB")
+    if code != KINDS[kind]:
+        raise DataError(f"container holds kind {code}, expected {KINDS[kind]}")
+    if ndim not in (2, 4):
+        raise DataError(f"unsupported dimensionality {ndim}")
+    cur.dims = cur.unpack("I" * ndim)
+    return cur
+
+
 # -- datasets ----------------------------------------------------------------
 
 
@@ -192,57 +224,37 @@ def write_dataset(dataset: Dataset, path: _PathLike, format: str = "binary") -> 
     a sample id outside [0, 2**32), is a ``DataError`` raised before
     anything is written; JSON holds any int64 id."""
     _check_n_classes(dataset.n_classes)
+    labels, ids = dataset.labels(), dataset.sample_ids
+
+    def packed() -> bytes:
+        outside = ids[(ids < 0) | (ids > MAX_SAMPLE_ID)]
+        if outside.size:
+            raise DataError(f"sample_ids must lie in [0, 2**32) in a container, got {outside[0]}")
+        head = struct.pack("<H", dataset.n_classes)
+        return head + labels.astype("<u4").tobytes() + ids.astype("<u4").tobytes()
+
+    fields = dict(n_classes=dataset.n_classes, labels=labels.tolist(), sample_ids=ids.tolist())
     feats = dataset.feature_matrix().astype(np.float32)
-    labels = dataset.labels()
-    ids = dataset.sample_ids
-    if format == "json":
-        payload = {
-            "kind": "dataset",
-            "n_classes": dataset.n_classes,
-            "features": feats.tolist(),
-            "labels": labels.tolist(),
-            "sample_ids": ids.tolist(),
-        }
-        atomic_write(path, canonical_json(payload))
-        return
-    if format != "binary":
-        raise DataError(f"unknown format {format!r}")
-    outside = ids[(ids < 0) | (ids > MAX_SAMPLE_ID)]
-    if outside.size:
-        raise DataError(f"sample_ids must lie in [0, 2**32) in a container, got {outside[0]}")
-    dims = (len(dataset),) + dataset.feature_shape
-    head = MAGIC + struct.pack("<HBB", VERSION, KIND_DATASET, len(dims))
-    head += struct.pack("<" + "I" * len(dims), *dims)
-    head += struct.pack("<H", dataset.n_classes)
-    head += labels.astype(np.uint32).tobytes()
-    head += ids.astype(np.uint32).tobytes()
-    atomic_write(path, head + feats.tobytes())
+    _write_container(path, format, "dataset", feats, fields, packed)
 
 
 def read_dataset(path: _PathLike) -> Dataset:
-    blob = _read_file(path)
-    if not blob.startswith(MAGIC):
-        payload = _json_container(blob, "dataset")
-        n_classes = _json_field(payload, "n_classes", np.int64)
+    source = _read_container(path, "dataset")
+    if isinstance(source, dict):
+        n_classes = _json_field(source, "n_classes", np.int64)
         if n_classes.ndim:
             raise DataError("field 'n_classes' must be one JSON integer")
         _check_n_classes(int(n_classes))
-        ids = _json_field(payload, "sample_ids", np.int64) if "sample_ids" in payload else None
+        ids = _json_field(source, "sample_ids", np.int64) if "sample_ids" in source else None
         return Dataset(
-            _json_field(payload, "features", np.float32),
-            _json_field(payload, "labels", np.int64),
+            _json_field(source, "features", np.float32),
+            _json_field(source, "labels", np.int64),
             int(n_classes),
             ids,
         )
-    cur = _Cursor(blob)
-    dims = _check_header(cur, KIND_DATASET)
-    n = dims[0]
-    (n_classes,) = cur.unpack("H")
-    labels = np.frombuffer(cur.take(4 * n), dtype="<u4").astype(np.int64)
-    ids = np.frombuffer(cur.take(4 * n), dtype="<u4").astype(np.int64)
-    count = math.prod(dims)  # exact: a product past int64 must not wrap around
-    feats = np.frombuffer(cur.take(4 * count), dtype="<f4").reshape(dims)
-    return Dataset(feats, labels, n_classes, ids)
+    (n_classes,) = source.unpack("H")
+    labels, ids = np.frombuffer(source.take(8 * source.dims[0]), dtype="<u4").reshape(2, -1)
+    return Dataset(source.payload(), labels, n_classes, ids)
 
 
 # -- attribution maps --------------------------------------------------------
@@ -254,45 +266,31 @@ def write_maps(
     dataset: Optional[Dataset] = None,
     format: str = "binary",
 ) -> None:
-    values = maps.values.astype(np.float32)
     digest = dataset_digest(dataset) if dataset is not None else ""
-    if format == "json":
-        payload = {
-            "kind": "maps",
-            "values": values.tolist(),
-            "dataset_digest": digest or None,
-        }
-        atomic_write(path, canonical_json(payload))
-        return
-    if format != "binary":
-        raise DataError(f"unknown format {format!r}")
-    dims = values.shape
-    head = MAGIC + struct.pack("<HBB", VERSION, KIND_MAPS, len(dims))
-    head += struct.pack("<" + "I" * len(dims), *dims)
-    head += struct.pack("<B", len(digest)) + digest.encode()
-    atomic_write(path, head + values.tobytes())
+    _write_container(
+        path, format, "maps", maps.values.astype(np.float32), {"dataset_digest": digest or None},
+        lambda: struct.pack("<B", len(digest)) + digest.encode(),
+    )
 
 
 def read_maps(path: _PathLike, dataset: Optional[Dataset] = None) -> MapSet:
-    """Load maps, checking alignment against ``dataset`` when one is given."""
-    blob = _read_file(path)
-    if not blob.startswith(MAGIC):
-        payload = _json_container(blob, "maps")
-        values = _json_field(payload, "values", np.float64)
-        digest = payload.get("dataset_digest") or ""
+    """Load maps, checking that they fit ``dataset`` when one is given."""
+    source = _read_container(path, "maps")
+    if isinstance(source, dict):
+        values = _json_field(source, "values", np.float64)
+        digest = source.get("dataset_digest")
+        if digest is not None and not isinstance(digest, str):
+            raise DataError(f"field 'dataset_digest' must be a string or null, got {digest!r}")
     else:
-        cur = _Cursor(blob)
-        dims = _check_header(cur, KIND_MAPS)
-        (digest_len,) = cur.unpack("B")
-        digest = cur.take(digest_len).decode()
-        count = math.prod(dims)
-        values = np.frombuffer(cur.take(4 * count), dtype="<f4").reshape(dims)
+        (digest_len,) = source.unpack("B")
+        try:
+            digest = source.take(digest_len).decode("ascii")
+        except UnicodeDecodeError:
+            raise DataError("the dataset digest must be ASCII hex") from None
+        values = source.payload()
     maps = MapSet(values)
     if dataset is not None:
-        if len(maps) != len(dataset):
-            raise DataError(f"{len(maps)} maps for {len(dataset)} samples")
-        if maps.feature_shape != dataset.feature_shape:
-            raise DataError("map shape does not match the dataset")
+        check_maps_fit(maps, dataset)
         if digest and digest != dataset_digest(dataset):
             raise DataError("maps were written for a different dataset")
     return maps

@@ -48,6 +48,8 @@ from .core import (
     Model,
     accuracy_from_probs,
     check_count,
+    check_keys,
+    check_maps_fit,
     check_real,
     predict_many,
 )
@@ -166,11 +168,7 @@ def check_options(name: str, options: dict, dataset: Optional[Dataset] = None) -
     ``soco eval`` all check their options here."""
     where = f"metrics.{name}"
     defaults = metric_defaults(name)
-    if not isinstance(options, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(options) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    check_keys(options, defaults, where)
     checked = {
         key: _RULES[key](value, f"{where}.{key}")
         for key, value in {**defaults, **options}.items()
@@ -185,13 +183,7 @@ def check_options(name: str, options: dict, dataset: Optional[Dataset] = None) -
 
 def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
     """The maps as an ``(n, d)`` view, after checking they fit ``dataset``."""
-    if len(maps) != len(dataset):
-        raise DataError(
-            f"need one attribution map per sample "
-            f"({len(maps)} maps, {len(dataset)} samples)"
-        )
-    if maps.feature_shape != dataset.feature_shape:
-        raise DataError("attribution map shape does not match the dataset")
+    check_maps_fit(maps, dataset)
     if not maps.normalized and maps.values.max() > 1.0 + 1e-12:
         raise DataError("maps must be normalized to [0, 1]")
     return maps.values.reshape(len(maps), -1)

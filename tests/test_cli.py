@@ -583,8 +583,24 @@ def malformed(role: str, **fields) -> tuple:
     return role, {**WELL_FORMED[role], **fields}
 
 
-# each file the readers must refuse, by the role it plays: a dataset or
-# maps given to ``eval``, or a curve given to ``compare`` and ``emit-plot``
+# the kind's header fields of the WELL_FORMED dataset and maps in a container
+CONTAINER_FIELDS = {
+    "dataset": struct.pack("<H", 2) + np.array([0, 1, 7, 9], "<u4").tobytes(),
+    "maps": struct.pack("<B", 0),
+}
+
+
+def container(role: str, fields: bytes = b"", trailer: bytes = b"") -> bytes:
+    """The WELL_FORMED ``role`` file as a binary container whose header
+    fields are ``fields`` (by default the file's own), then ``trailer``."""
+    values = np.array(WELL_FORMED[role]["features" if role == "dataset" else "values"], "<f4")
+    head = MAGIC + struct.pack("<HBB2I", 1, 1 if role == "dataset" else 2, 2, *values.shape)
+    return head + (fields or CONTAINER_FIELDS[role]) + values.tobytes() + trailer
+
+
+# each file the readers must refuse, by the role it plays: a dataset given to
+# ``eval``, maps given to ``eval`` and ``modify`` (which reads them without a
+# dataset), or a curve given to ``compare`` and ``emit-plot``
 MALFORMED = {
     "labels-fractional": malformed("dataset", labels=[0.5, 1.7]),
     "labels-bool": malformed("dataset", labels=[False, True]),
@@ -602,6 +618,10 @@ MALFORMED = {
     "values-bool": malformed("maps", values=[[True, 0.5, 0.0], [0.25, 1.0, 0.5]]),
     "values-numeric-string": malformed("maps", values=[["1", 0.5, 0.0], [0.25, 1.0, 0.5]]),
     "maps-dims-past-int64": ("maps", huge_container(2, struct.pack("<B", 0))),
+    "maps-digest-not-ascii": ("maps", container("maps", fields=b"\x02\xff\xfe")),
+    "maps-digest-not-string": malformed("maps", dataset_digest=5),
+    "dataset-bytes-past-payload": ("dataset", container("dataset", trailer=bytes(8))),
+    "maps-bytes-past-payload": ("maps", container("maps", trailer=bytes(8))),
     "point-of-one-number": malformed("curve", points=[[0.0], [1.0, 0.5]]),
     "points-string": malformed("curve", points="0.0,1.0"),
     "points-null": malformed("curve", points=None),
@@ -624,12 +644,14 @@ def verb_args(verb: str, role: str, path: Path, tmp_path: Path) -> list:
     if verb == "eval":
         return ["eval", "--metric", "deletion", "--dataset", str(good["dataset"]),
                 "--maps", str(good["maps"]), "--out", out]
+    if verb == "modify":
+        return ["modify", "--maps", str(good["maps"]), "--kind", "constant", "--out", out]
     if verb == "compare":
         return ["compare", str(good["curve"]), str(tmp_path / "good.curve.json")]
     return ["emit-plot", "--curve", str(good["curve"]), "--out", out]
 
 
-VERBS = {"dataset": ("eval",), "maps": ("eval",), "curve": ("compare", "emit-plot")}
+VERBS = {"dataset": ("eval",), "maps": ("eval", "modify"), "curve": ("compare", "emit-plot")}
 
 
 def test_well_formed_files_pass_every_verb(tmp_path):
@@ -642,6 +664,17 @@ def test_well_formed_files_pass_every_verb(tmp_path):
     assert ds.feature_matrix().tolist() == WELL_FORMED["dataset"]["features"]
     assert ds.labels().tolist() == [0, 1] and ds.sample_ids.tolist() == [7, 9]
     assert ds.n_classes == 2
+
+
+def test_well_formed_containers_read_as_their_json_files(tmp_path):
+    # the control for the containers in the table below
+    for role, reader in (("dataset", read_dataset), ("maps", read_maps)):
+        (tmp_path / f"{role}.soco").write_bytes(container(role))
+        (tmp_path / f"{role}.json").write_text(json.dumps(WELL_FORMED[role]))
+        binary, text = reader(tmp_path / f"{role}.soco"), reader(tmp_path / f"{role}.json")
+        assert vars(binary).keys() == vars(text).keys()
+        for key, value in vars(binary).items():
+            np.testing.assert_array_equal(value, vars(text)[key])
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,22 @@ def test_config_keys_left_out_take_the_library_defaults():
     assert dataset_digest(dataset) == dataset_digest(generate_synthetic(seed=3))
 
 
+@pytest.mark.parametrize(
+    "where, given",
+    [
+        ("dataset.synthetic", {"n_samples": 20, "n_features": 80, "seed": 1}),
+        ("model.external", {"command": ["server"], "timeout_s": 5, "batch_limit": 3}),
+    ],
+)
+def test_library_entries_take_exactly_their_calls_keys(where, given):
+    # each entry's keys are its library call's parameters, no more, no fewer
+    section, entry = where.split(".")
+    parse_config(base_config(**{section: {entry: given}}))
+    with pytest.raises(ConfigError) as info:
+        parse_config(base_config(**{section: {entry: {**given, "extra": 1}}}))
+    assert str(info.value) == f"unknown key(s) ['extra'] in {where}"
+
+
 def test_load_config_rejects_broken_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

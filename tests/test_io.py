@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -174,12 +175,99 @@ def test_maps_count_mismatch(tmp_path, disk_dataset, rng):
         read_maps(path, dataset=disk_dataset)
 
 
+@pytest.mark.parametrize("kind", ["dataset", "maps"])
+def test_nothing_may_follow_the_payload(tmp_path, disk_dataset, rng, kind):
+    path = tmp_path / "c.soco"
+    if kind == "dataset":
+        write_dataset(disk_dataset, path)
+    else:
+        write_maps(maps_for(disk_dataset, rng), path, dataset=disk_dataset)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(DataError, match="^8 bytes after the payload$"):
+        (read_dataset if kind == "dataset" else read_maps)(path)
+
+
+def test_a_maps_digest_is_ascii_hex_or_a_json_string(tmp_path, disk_dataset, rng):
+    path = tmp_path / "maps.soco"
+    write_maps(maps_for(disk_dataset, rng), path, dataset=disk_dataset)
+    blob = bytearray(path.read_bytes())
+    digest_at = blob.index(dataset_digest(disk_dataset).encode())
+    blob[digest_at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="^the dataset digest must be ASCII hex$"):
+        read_maps(path)
+    json_path = tmp_path / "maps.json"
+    write_maps(maps_for(disk_dataset, rng), json_path, format="json")
+    payload = json.loads(json_path.read_text())
+    for digest in (5, ["abc"], True):
+        json_path.write_text(json.dumps({**payload, "dataset_digest": digest}))
+        with pytest.raises(DataError, match="'dataset_digest' must be a string or null"):
+            read_maps(json_path)
+
+
 def test_maps_without_dataset_skip_alignment(tmp_path, disk_dataset, rng):
     maps = maps_for(disk_dataset, rng)
     path = tmp_path / "maps.soco"
     write_maps(maps, path)  # no digest recorded
     loaded = read_maps(path)
     assert len(loaded) == 6
+
+
+def pinned_sets():
+    """A tabular and a grid set with given sample ids, and normalized maps
+    for each, from exact arithmetic so their bytes never depend on a seed."""
+    sets = {
+        "tabular": Dataset(np.arange(12).reshape(3, 4) / 7 - 0.5, [0, 2, 1], 3,
+                           sample_ids=[5, 2, 9]),
+        "grid": Dataset(np.arange(12).reshape(2, 2, 3, 1) / 3 - 1.5, [1, 0], 2,
+                        sample_ids=[4, 1]),
+    }
+    for name, dataset in sets.items():
+        shape = dataset.feature_matrix().shape
+        yield name, dataset, MapSet(np.arange(12).reshape(shape) / 11, normalized=True)
+
+
+# the sha256 of each writer's bytes: (set, kind, format, with a dataset digest)
+WRITTEN_SHA256 = {
+    ("tabular", "dataset", "binary", None):
+        "11edb0d01acd9950105b9c685e8a4cfcb625e73ec077cd00b7a50d5a1e1c06c6",
+    ("tabular", "maps", "binary", False):
+        "008a0b548b54ad67d80c4d83705d6e10c17a9fb4389b9da7fcfdee0456846c9f",
+    ("tabular", "maps", "binary", True):
+        "16d55c9eb0d6f3f819cc7c1c08e51e9a33589203d6a632676c1947fef4c83500",
+    ("tabular", "dataset", "json", None):
+        "a0f0b21a12818073909c6527ba9592c92370d45d65dc2dc505cd9dc8d6a5379c",
+    ("tabular", "maps", "json", False):
+        "6eaa7620822eef14d8093a11e54137725a31aa03883f007fa3fa9a9e46859aab",
+    ("tabular", "maps", "json", True):
+        "20fced27b588cf8ae6647e3ca48c25390bbf95f8ee977a39c7364348137563b4",
+    ("grid", "dataset", "binary", None):
+        "0588bb727e2aca654c5268be47ce25cd8837f0a49fbe2f73d21f005883b0f620",
+    ("grid", "maps", "binary", False):
+        "882b33897c57aaa12bdd22f488298df0a48c613c03cb0458c68c8f60b4a27ee7",
+    ("grid", "maps", "binary", True):
+        "393ea5dad4385d7abafe4746df0d0495e45ae4793f80faf0912dc29b37155c42",
+    ("grid", "dataset", "json", None):
+        "b709cebeba84a00f7f3537aa3c0a7c5175c6198d1649402d2a1370fd2d92561b",
+    ("grid", "maps", "json", False):
+        "f6d4120061d93019684fd0be324a1741b5bf9ee2d7307625b984ea9e1e8c7be5",
+    ("grid", "maps", "json", True):
+        "7dfb99a130a7e5f26040e9a18b226c7d1cae712af94e130c9c6ce1120c12448f",
+}
+
+
+def test_every_writer_writes_its_pinned_bytes(tmp_path):
+    written = {}
+    path = tmp_path / "out"
+    for name, dataset, maps in pinned_sets():
+        for format in ("binary", "json"):
+            write_dataset(dataset, path, format=format)
+            written[name, "dataset", format, None] = path.read_bytes()
+            for with_digest in (False, True):
+                write_maps(maps, path, dataset=dataset if with_digest else None, format=format)
+                written[name, "maps", format, with_digest] = path.read_bytes()
+    got = {case: hashlib.sha256(blob).hexdigest() for case, blob in written.items()}
+    assert got == WRITTEN_SHA256
 
 
 def test_maps_refuse_empty(tmp_path):
