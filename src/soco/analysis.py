@@ -25,10 +25,8 @@ class CurveSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "curves", dict(self.curves))
-        kinds = {c.metric_kind for c in self.curves.values()}
-        axes = {c.x_axis for c in self.curves.values()}
-        if len(kinds) > 1 or len(axes) > 1:
-            raise DataError("curves in a set must share metric kind and x axis")
+        if len({c.metric_kind for c in self.curves.values()}) > 1:
+            raise DataError("curves in a set must share one metric kind")
 
 
 @dataclass(frozen=True)

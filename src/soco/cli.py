@@ -78,8 +78,6 @@ def _cmd_eval(args) -> int:
     if vars(args).get("maps"):
         maps = read_maps(args.maps, dataset)
     else:
-        if weights:
-            raise ConfigError("ground-truth maps are only defined for the builtin model")
         maps = ground_truth_attribution(dataset)
     curve = METRICS[args.metric](model, dataset, maps, **options, **_given(args, ("seed",)))
     write_curve(curve, args.out)

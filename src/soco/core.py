@@ -4,8 +4,8 @@ A dataset is one array of samples, each either tabular (a feature vector of
 shape ``(d,)``) or grid shaped (``(h, w, c)``), plus a label array.  A map
 set is one array of attribution maps, each mirroring the feature shape of
 the sample it explains.  Both are checked once, when built, and read-only
-afterwards.  Evaluation results are point curves with a declared x axis so
-downstream comparison code never has to guess units.
+afterwards.  Evaluation results are point curves whose axes follow from
+their metric kind, so downstream comparison code never has to guess units.
 """
 
 from __future__ import annotations
@@ -281,25 +281,27 @@ def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
     return hits / probs.shape[0]
 
 
-X_AXES = ("accuracy_level", "attribution_threshold", "masked_fraction")
-METRIC_KINDS = ("soundness", "completeness", "deletion", "insertion", "road")
+# each metric kind's x axis and y label, the only place either is named
+CURVE_AXES = {
+    "soundness": ("accuracy_level", "mean_soundness"),
+    "completeness": ("attribution_threshold", "accuracy_drop"),
+    **dict.fromkeys(("deletion", "insertion", "road"), ("masked_fraction", "accuracy")),
+}
 
 
 @dataclass(frozen=True)
 class EvalCurve:
-    """A metric result: points strictly ordered by x, plus provenance."""
+    """A metric result: points strictly ordered by x, plus provenance.  The
+    axes follow from ``metric_kind`` (``CURVE_AXES``)."""
 
     metric_kind: str
-    x_axis: str
     points: tuple[tuple[float, float], ...]
     config_digest: str = ""
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.metric_kind not in METRIC_KINDS:
+        if self.metric_kind not in CURVE_AXES:
             raise ConfigError(f"unknown metric kind {self.metric_kind!r}")
-        if self.x_axis not in X_AXES:
-            raise ConfigError(f"unknown x axis {self.x_axis!r}")
         pts = tuple((float(x), float(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)
         if not pts:
@@ -312,6 +314,10 @@ class EvalCurve:
             raise DataError("curve points must be strictly increasing in x")
         if self.metric_kind == "soundness" and (ys.min() < -1e-12 or ys.max() > 1 + 1e-12):
             raise DataError("soundness values must lie in [0, 1]")
+
+    @property
+    def x_axis(self) -> str:
+        return CURVE_AXES[self.metric_kind][0]
 
     def xs(self) -> np.ndarray:
         return np.array([p[0] for p in self.points])

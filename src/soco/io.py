@@ -31,7 +31,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ConfigError, DataError, Dataset, EvalCurve, MapSet, check_maps_fit
+from .core import CURVE_AXES, ConfigError, DataError, Dataset, EvalCurve, MapSet, check_maps_fit
 
 MAGIC = b"SOCO"
 VERSION = 1
@@ -136,31 +136,37 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _json_field(payload: dict, key: str, dtype) -> np.ndarray:
-    """One field of a JSON container as a rectangular array of ``dtype``.
-
-    An ``np.int64`` field holds JSON integers that fit int64, any other
-    field JSON numbers; booleans and strings are neither, and nothing is
-    rounded or parsed on the way in.
-    """
-    if key not in payload:
-        raise DataError(f"JSON {payload['kind']} file missing field {key!r}")
-    value = payload[key]
-    integers = dtype is np.int64
-    what = "integers that fit int64" if integers else "numbers"
+def json_array(value, dtype) -> Optional[np.ndarray]:
+    """Parsed JSON ``value`` as a rectangular array of ``dtype``, or None if
+    it is not one: JSON integers that fit int64 for ``np.int64``, JSON
+    numbers otherwise.  Booleans and strings are neither, and nothing is
+    rounded or parsed on the way in.  JSON containers and weights files
+    both read their arrays here."""
     try:
         parsed = np.asarray(value)
     except (TypeError, ValueError, OverflowError):
-        parsed = None
+        return None
     # numpy parses Python ints beyond int64 as uint64 or objects, floats as
-    # "f", strings as "U"; a bool among numbers is promoted, so look for one
-    if (
-        parsed is None
-        or (parsed.size and parsed.dtype.kind not in ("i" if integers else "iuf"))
-        or any(isinstance(item, bool) for item in np.asarray(value, dtype=object).flat)
-    ):
+    # "f", strings as "U"
+    if parsed.size and parsed.dtype.kind not in ("i" if dtype is np.int64 else "iuf"):
+        return None
+    # a bool among numbers is read as 0 or 1, so only those entries can be one
+    suspects = (parsed == 0) | (parsed == 1)
+    if suspects.any() and bool in set(map(type, np.asarray(value, dtype=object)[suspects])):
+        return None
+    return parsed.astype(dtype, copy=False)
+
+
+def _json_field(payload: dict, key: str, dtype) -> np.ndarray:
+    """One field of a JSON container as a rectangular array of ``dtype``
+    (``json_array``)."""
+    if key not in payload:
+        raise DataError(f"JSON {payload['kind']} file missing field {key!r}")
+    parsed = json_array(payload[key], dtype)
+    if parsed is None:
+        what = "integers that fit int64" if dtype is np.int64 else "numbers"
         raise DataError(f"field {key!r} must be a rectangular array of JSON {what}")
-    return parsed.astype(dtype)
+    return parsed
 
 
 # -- the container codec -----------------------------------------------------
@@ -314,8 +320,9 @@ def write_curve(curve: EvalCurve, path: _PathLike) -> None:
 
 
 def read_curve(path: _PathLike) -> EvalCurve:
-    """A curve file as written by ``write_curve``; any malformed field is a
-    data error that names the file."""
+    """A curve file as written by ``write_curve``; any malformed field, an
+    ``x_axis`` that is not its kind's included, is a data error that names
+    the file."""
     try:
         payload = json.loads(_read_file(path).decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -334,26 +341,21 @@ def read_curve(path: _PathLike) -> EvalCurve:
     if not isinstance(config_digest, str) or not isinstance(meta, dict):
         raise DataError(f"curve file {path}: 'config_digest' must be a string, 'meta' an object")
     try:
-        return EvalCurve(
+        curve = EvalCurve(
             metric_kind=payload["metric_kind"],
-            x_axis=payload["x_axis"],
             points=tuple((x, y) for x, y in points),
             config_digest=config_digest,
             meta=meta,
         )
+        axis = payload["x_axis"]
+        if axis != curve.x_axis:
+            raise DataError(f"a {curve.metric_kind} curve's x axis is {curve.x_axis}, not {axis!r}")
     except (ConfigError, DataError, OverflowError) as exc:
         raise DataError(f"curve file {path}: {exc}") from None
+    return curve
 
 
 # -- plot data ---------------------------------------------------------------
-
-Y_LABELS = {
-    "soundness": "mean_soundness",
-    "completeness": "accuracy_drop",
-    "deletion": "accuracy",
-    "insertion": "accuracy",
-    "road": "accuracy",
-}
 
 
 def emit_plot_data(source, path: _PathLike, format: str = "csv") -> None:
@@ -365,7 +367,8 @@ def emit_plot_data(source, path: _PathLike, format: str = "csv") -> None:
     from .analysis import TrialSummary  # local import to avoid a cycle
 
     if isinstance(source, EvalCurve):
-        header = [source.x_axis, f"{source.metric_kind}:{Y_LABELS[source.metric_kind]}"]
+        x_axis, y_label = CURVE_AXES[source.metric_kind]
+        header = [x_axis, f"{source.metric_kind}:{y_label}"]
         rows = [[x, y] for x, y in source.points]
     elif isinstance(source, TrialSummary):
         header = ["x", "mean", "std", "n_trials"]

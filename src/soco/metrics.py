@@ -15,10 +15,11 @@ reports the accuracy drop.  Order-based curves (deletion, insertion, ROAD)
 consume only the feature ranking, never the values; the pair of schemes in
 the modify module exists to demonstrate exactly that blindness.
 
-Every metric evaluates its nested masks through one engine, ``_sweep``,
-which takes each step as the features whose mask state changes: rank
-cut-offs for soundness and the order-based curves, thresholds for
-completeness.
+Every metric reads its inputs through one front end, ``_inputs``, and
+deletion, insertion and ROAD share one body, ``_rank_curve``.  Every metric
+evaluates its nested masks through one engine, ``_sweep``, which takes each
+step as the features whose mask state changes: rank cut-offs for soundness
+and the order-based curves, thresholds for completeness.
 
 A metric's options and their defaults are its function's keyword-only
 parameters; ``METRICS`` names the functions and ``metric_defaults`` reads them.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import inspect
 import mmap
 import warnings
-from dataclasses import replace
 from functools import partial
 from itertools import chain, pairwise
 from typing import Iterable, Optional, Sequence
@@ -187,6 +187,17 @@ def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
     if not maps.normalized and maps.values.max() > 1.0 + 1e-12:
         raise DataError("maps must be normalized to [0, 1]")
     return maps.values.reshape(len(maps), -1)
+
+
+def _inputs(name: str, dataset: Dataset, maps: MapSet, seed: int, options: dict):
+    """Metric ``name``'s ``options`` checked once (``check_options``), its
+    fill (``fill_kind``), its maps and features as ``(n, d)`` views, the
+    labels, and the noise pre-drawn from ``seed`` (``_predrawn_noise``)."""
+    opts = check_options(name, options, dataset)
+    values = _flat_maps(dataset, maps)
+    features = dataset.feature_matrix().reshape(values.shape)
+    noise = _predrawn_noise(dataset, opts["noise_std"], seed)
+    return opts, fill_kind(name, opts, dataset), values, features, dataset.labels(), noise
 
 
 def _order(keys: np.ndarray) -> np.ndarray:
@@ -399,13 +410,12 @@ def soundness_curve(
     equals the previous one's (common when d < 99) repeat that step's
     accuracy without a model call.
     """
-    opts = check_options("soundness", {
+    opts, fill, values, features, labels, noise = _inputs("soundness", dataset, maps, seed, {
         "mask_ratios": mask_ratios, "epsilon": epsilon, "imputer": imputer,
         "noise_std": noise_std, "weighting": weighting,
-    }, dataset)
+    })
     mask_ratios, epsilon = opts["mask_ratios"], opts["epsilon"]
 
-    values = _flat_maps(dataset, maps)
     keep = values.sum(axis=1) > 0
     n_skipped = int(np.count_nonzero(~keep))
     if n_skipped:
@@ -413,13 +423,9 @@ def soundness_curve(
     if not np.any(keep):
         raise DataError("empty evaluation set")
 
-    values = values[keep]
+    values, features, labels = values[keep], features[keep], labels[keep]
+    noise = None if noise is None else noise[keep]
     n, d = values.shape
-    features = dataset.feature_matrix()[keep].reshape(n, d)
-    labels = dataset.labels()[keep]
-    noise = _predrawn_noise(dataset, opts["noise_std"], seed)
-    if noise is not None:
-        noise = noise[keep]
 
     order = _order(values)
     sorted_vals = np.take_along_axis(values, order, axis=1)
@@ -428,9 +434,7 @@ def soundness_curve(
 
     ks = _mask_counts(mask_ratios, d)
 
-    accs = _sweep(
-        model, dataset, features, labels, opts["imputer"], noise, *_rank_steps(order, ks, True)
-    )
+    accs = _sweep(model, dataset, features, labels, fill, noise, *_rank_steps(order, ks, True))
     sweep: list[tuple[float, float, float]] = []
     false_mass = np.zeros(n)
     false_card = 0
@@ -455,7 +459,6 @@ def soundness_curve(
             first_seen[s_m] = q
     return EvalCurve(
         metric_kind="soundness",
-        x_axis="accuracy_level",
         points=tuple(sorted(first_seen.items())),
         meta={
             "sweep": [list(t) for t in sweep],
@@ -463,7 +466,7 @@ def soundness_curve(
             "n_samples": n,
             "weighting": weighting,
             "epsilon": epsilon,
-            "imputer": opts["imputer"],
+            "imputer": fill,
             "noise_std": opts["noise_std"],
         },
     )
@@ -501,30 +504,37 @@ def completeness_curve(
     A threshold that masks the same features as the next higher one repeats
     that step's accuracy without a model call.
     """
-    opts = check_options("completeness", {
+    opts, fill, values, features, labels, noise = _inputs("completeness", dataset, maps, seed, {
         "thresholds": thresholds, "imputer": imputer, "noise_std": noise_std,
-    }, dataset)
+    })
     thresholds = opts["thresholds"]
-
-    values = _flat_maps(dataset, maps)
-    n, d = values.shape
-    features = dataset.feature_matrix().reshape(n, d)
-    labels = dataset.labels()
-    noise = _predrawn_noise(dataset, opts["noise_std"], seed)
     s_0, *s_ts = _sweep(
-        model, dataset, features, labels, opts["imputer"], noise,
-        *_threshold_steps(values, thresholds),
+        model, dataset, features, labels, fill, noise, *_threshold_steps(values, thresholds)
     )
     pts = sorted((t, s_0 - s_t) for t, s_t in zip(thresholds, s_ts))
     return EvalCurve(
         metric_kind="completeness",
-        x_axis="attribution_threshold",
         points=tuple(pts),
-        meta={
-            "clean_accuracy": s_0,
-            "imputer": opts["imputer"],
-            "noise_std": opts["noise_std"],
-        },
+        meta={"clean_accuracy": s_0, "imputer": fill, "noise_std": opts["noise_std"]},
+    )
+
+
+def _rank_curve(
+    name: str, model: Model, dataset: Dataset, maps: MapSet, seed: int, options: dict
+) -> EvalCurve:
+    """Rank metric ``name``'s curve for its unchecked ``options``: insertion
+    restores each map's growing rank prefixes, deletion and ROAD mask them."""
+    opts, fill, values, features, labels, noise = _inputs(name, dataset, maps, seed, options)
+    ranking = _order(-values if opts["order"] == "MoRF" else values)
+    ks = [round_half_away(f * values.shape[1]) for f in opts["fractions"]]
+    accs = _sweep(
+        model, dataset, features, labels, fill, noise,
+        *_rank_steps(ranking, ks, name != "insertion"),
+    )
+    return EvalCurve(
+        metric_kind=name,
+        points=tuple(zip(opts["fractions"], accs)),
+        meta={"order": opts["order"], "imputer": fill, "noise_std": opts["noise_std"]},
     )
 
 
@@ -545,39 +555,15 @@ def order_based_curve(
     Deletion masks the first round(fraction * d) features in the chosen
     order; insertion starts fully masked and restores that prefix.  Only
     the ranking of each map matters; two maps with equal orderings produce
-    bit-identical curves no matter how their values differ.
-
-    Zero and mean fills keep one filled copy of the inputs and rewrite only
-    the features ranked between the previous and the current cut-off; the
-    noisy-linear solve is redone at every step.  Fractions whose count
-    round(fraction * d) equals the previous one's repeat that step's
-    accuracy without a model call.
+    bit-identical curves no matter how their values differ.  Fractions
+    whose count round(fraction * d) equals the previous one's repeat that
+    step's accuracy without a model call.
     """
     if mode not in ORDER_MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    opts = check_options(mode, {
+    return _rank_curve(mode, model, dataset, maps, seed, {
         "order": order, "imputer": imputer, "noise_std": noise_std, "fractions": fractions,
-    }, dataset)
-    fractions = opts["fractions"]
-
-    values = _flat_maps(dataset, maps)
-    n, d = values.shape
-    features = dataset.feature_matrix().reshape(n, d)
-    labels = dataset.labels()
-    noise = _predrawn_noise(dataset, opts["noise_std"], seed)
-    ranking = _order(-values if order == "MoRF" else values)
-    ks = [round_half_away(f * d) for f in fractions]
-
-    accs = _sweep(
-        model, dataset, features, labels, opts["imputer"], noise,
-        *_rank_steps(ranking, ks, mode == "deletion"),
-    )
-    return EvalCurve(
-        metric_kind=mode,
-        x_axis="masked_fraction",
-        points=tuple(zip(fractions, accs)),
-        meta={"order": order, "imputer": opts["imputer"], "noise_std": opts["noise_std"]},
-    )
+    })
 
 
 def road_curve(
@@ -590,16 +576,11 @@ def road_curve(
     noise_std: float = 0.0,
     seed: int = 0,
 ) -> EvalCurve:
-    """Deletion with debiased imputation: the neighbor solve on grids, the
-    dataset mean on tabular data where pixel adjacency is undefined."""
-    opts = check_options("road", {
+    """Deletion with ROAD's fixed fill (``fill_kind``): the neighbor solve on
+    grids, the dataset mean on tabular data where pixel adjacency is undefined."""
+    return _rank_curve("road", model, dataset, maps, seed, {
         "order": order, "fractions": fractions, "noise_std": noise_std,
-    }, dataset)
-    base = order_based_curve(
-        model, dataset, maps, "deletion",
-        imputer=fill_kind("road", opts, dataset), seed=seed, **opts,
-    )
-    return replace(base, metric_kind="road")
+    })
 
 
 METRICS = {

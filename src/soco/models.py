@@ -43,6 +43,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import ConfigError, DataError, ModelBridgeError, batch_features, check_count, check_real
+from .io import json_array
 
 ACTIVATIONS = ("relu", "identity")
 PROB_SUM_TOL = 1e-6
@@ -115,16 +116,24 @@ class MlpWeights:
             raise ConfigError(f"cannot read weights {path}: {exc.strerror or exc}") from None
         except ValueError as exc:  # invalid JSON or text
             raise ConfigError(f"weights file {path} is not valid JSON: {exc}") from None
+
+        def numbers(entry: dict, key: str) -> np.ndarray:
+            values = json_array(entry[key], np.float64)
+            if values is None:
+                what = f"field {key!r} must be a rectangular array of JSON numbers"
+                raise ConfigError(f"malformed weights file {path}: {what}")
+            return values
+
         try:
             layers = tuple(
                 Layer(
-                    weight=np.array(entry["weight"], dtype=np.float64),
-                    bias=np.array(entry["bias"], dtype=np.float64),
+                    weight=numbers(entry, "weight"),
+                    bias=numbers(entry, "bias"),
                     activation=entry.get("activation", "identity"),
                 )
                 for entry in raw["layers"]
             )
-            n_classes = int(raw["n_classes"])
+            n_classes = check_count(raw["n_classes"], f"n_classes in weights file {path}")
         except KeyError as exc:
             raise ConfigError(f"weights file {path} has no field {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:

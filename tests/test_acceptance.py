@@ -449,7 +449,7 @@ def test_a7_hausdorff_metric_properties(record_criterion):
             xs = np.sort(rng.random(n)) + np.arange(n) * 1e-9
             ys = rng.random(n)
             curves.append(
-                EvalCurve("deletion", "masked_fraction", tuple(zip(xs, ys)))
+                EvalCurve("deletion", tuple(zip(xs, ys)))
             )
         a, b, c = curves
         if hausdorff_distance(a, b) != hausdorff_distance(b, a):

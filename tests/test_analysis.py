@@ -17,8 +17,8 @@ from soco import (
 from soco.analysis import _normalized_points, normalization_ranges
 
 
-def curve(points, kind="deletion", axis="masked_fraction"):
-    return EvalCurve(kind, axis, tuple(points))
+def curve(points, kind="deletion"):
+    return EvalCurve(kind, tuple(points))
 
 
 # -- hausdorff distance -----------------------------------------------------------
@@ -105,7 +105,7 @@ def test_hausdorff_distance_equals_cdist_bit_for_bit(pair):
 
 def test_mismatched_axes_rejected():
     a = curve([(0.0, 0.0), (1.0, 1.0)])
-    b = curve([(0.0, 0.0), (1.0, 1.0)], axis="attribution_threshold")
+    b = curve([(0.0, 0.0), (1.0, 1.0)], kind="completeness")
     with pytest.raises(DataError, match="different axes"):
         hausdorff_distance(a, b)
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from soco import (
     ConfigError,
     LinearStepModel,
+    MlpWeights,
     ModScheme,
     apply_scheme,
     emit_plot_data,
@@ -36,6 +37,7 @@ from soco import (
 )
 from soco.cli import build_parser, main
 from soco.metrics import IMPUTER_KINDS, METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
+from soco.models import Layer
 from soco.modify import SCHEME_KINDS
 from soco.io import MAGIC, canonical_json
 
@@ -234,6 +236,28 @@ def test_library_eval_and_run_share_each_metric_default(workdir, metric):
     run_curve = workdir / "out" / f"original.{metric}.curve.json"
     assert (workdir / "eval.json").read_bytes() == (workdir / "lib.json").read_bytes()
     assert without_digest(run_curve) == without_digest(workdir / "lib.json")
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_eval_and_run_score_ground_truth_maps_under_any_model(workdir, metric):
+    # no maps file means the ground-truth maps, on both verbs and whatever the model
+    rng = np.random.default_rng(8)
+    layer = Layer(weight=rng.standard_normal((2, 60)), bias=rng.standard_normal(2))
+    MlpWeights(layers=(layer,), n_classes=2).to_json(workdir / "net.json")
+    assert main([
+        "eval", "--metric", metric, "--dataset", str(workdir / "data.soco"),
+        "--mlp-weights", str(workdir / "net.json"), "--out", str(workdir / "eval.json"),
+    ]) == 0
+    cfg = {
+        "output_dir": "out",
+        "dataset": {"path": "data.soco"},
+        "model": {"mlp_weights": "net.json"},
+        "metrics": {metric: {}},
+    }
+    (workdir / "exp.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(workdir / "exp.json")]) == 0
+    run_curve = workdir / "out" / f"original.{metric}.curve.json"
+    assert without_digest(run_curve) == without_digest(workdir / "eval.json")
 
 
 @pytest.mark.parametrize(
@@ -629,6 +653,7 @@ MALFORMED = {
     "points-bool": malformed("curve", points=[[0.0, True], [1.0, False]]),
     "curve-top-level-list": ("curve", [WELL_FORMED["curve"]]),
     "unknown-metric-kind": malformed("curve", metric_kind="oracle"),
+    "axis-not-its-kinds": malformed("curve", x_axis="accuracy_level"),
 }
 
 
@@ -740,6 +765,18 @@ def test_bad_weights_file_is_exit_2_without_traceback(workdir, verb, case):
         ({"n_classes": 2, "layers": ["dense"]}, "malformed"),
         ({"n_classes": 2, "layers": [{"weight": [[1.0], [2.0, 3.0]], "bias": [0.0, 0.0]}]},
          "malformed"),
+        ({"n_classes": 2.7, "layers": [{"weight": [[1.0], [2.0]], "bias": [0.0, 0.0]}]},
+         r"n_classes in weights file .*w\.json must be a non-negative integer, got 2\.7"),
+        ({"n_classes": "2", "layers": [{"weight": [[1.0], [2.0]], "bias": [0.0, 0.0]}]},
+         r"n_classes in weights file .*w\.json must be a non-negative integer, got '2'"),
+        ({"n_classes": 2, "layers": [{"weight": [[1.0], ["1"]], "bias": [0.0, 0.0]}]},
+         r"malformed weights file .*w\.json: field 'weight' must be a rectangular array"),
+        ({"n_classes": 2, "layers": [{"weight": [[1.0], [True]], "bias": [0.0, 0.0]}]},
+         r"malformed weights file .*w\.json: field 'weight' must be a rectangular array"),
+        ({"n_classes": 2, "layers": [{"weight": [[1.0], [2.0]], "bias": ["0", 0.0]}]},
+         r"malformed weights file .*w\.json: field 'bias' must be a rectangular array"),
+        ({"n_classes": 2, "layers": [{"weight": [[1.0], [2.0]], "bias": [0.0, False]}]},
+         r"malformed weights file .*w\.json: field 'bias' must be a rectangular array"),
     ],
 )
 def test_weights_reader_reports_every_malformation(tmp_path, payload, message):

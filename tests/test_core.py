@@ -119,17 +119,21 @@ def test_attribution_map_invariants():
 class TestEvalCurve:
     def test_strictly_increasing_x_required(self):
         with pytest.raises(DataError, match="strictly increasing"):
-            EvalCurve("deletion", "masked_fraction", ((0.0, 1.0), (0.0, 0.5)))
+            EvalCurve("deletion", ((0.0, 1.0), (0.0, 0.5)))
 
     def test_soundness_y_bounded(self):
         with pytest.raises(DataError):
-            EvalCurve("soundness", "accuracy_level", ((0.5, 1.2),))
+            EvalCurve("soundness", ((0.5, 1.2),))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            EvalCurve("banana", "accuracy_level", ((0.5, 0.5),))
+            EvalCurve("banana", ((0.5, 0.5),))
+
+    def test_axes_follow_the_kind(self):
+        c = EvalCurve("completeness", ((0.1, 0.0),))
+        assert c.x_axis == "attribution_threshold"
 
     def test_accessors(self):
-        c = EvalCurve("deletion", "masked_fraction", ((0.0, 1.0), (1.0, 0.0)))
+        c = EvalCurve("deletion", ((0.0, 1.0), (1.0, 0.0)))
         assert c.xs().tolist() == [0.0, 1.0]
         assert c.ys().tolist() == [1.0, 0.0]

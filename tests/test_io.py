@@ -313,7 +313,6 @@ def test_canonical_json_is_compact_and_sorted():
 def test_curve_round_trip(tmp_path):
     curve = EvalCurve(
         "soundness",
-        "accuracy_level",
         ((0.5, 0.25), (1.0, 1.0)),
         config_digest="abc123",
         meta={"epsilon": 0.01, "skipped": 0},
@@ -345,7 +344,7 @@ def test_curve_missing_field(tmp_path):
 
 
 def test_emit_curve_csv(tmp_path):
-    curve = EvalCurve("deletion", "masked_fraction", ((0.0, 1.0), (0.5, 0.25)))
+    curve = EvalCurve("deletion", ((0.0, 1.0), (0.5, 0.25)))
     path = tmp_path / "plot.csv"
     emit_plot_data(curve, path)
     lines = path.read_text().strip().splitlines()
@@ -371,7 +370,7 @@ def test_emit_summary_json(tmp_path):
 
 
 def test_emit_rejects_unknown_sources_and_formats(tmp_path):
-    curve = EvalCurve("deletion", "masked_fraction", ((0.0, 1.0), (1.0, 0.0)))
+    curve = EvalCurve("deletion", ((0.0, 1.0), (1.0, 0.0)))
     with pytest.raises(DataError, match="unknown format"):
         emit_plot_data(curve, tmp_path / "x", format="xml")
     with pytest.raises(DataError, match="cannot emit"):

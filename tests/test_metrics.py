@@ -212,19 +212,19 @@ def test_soundness_config_validation(step_model, small_dataset, gt_maps):
 
 
 def test_align_constant_curve():
-    c = EvalCurve("soundness", "accuracy_level", ((0.5, 1.0), (1.0, 1.0)))
+    c = EvalCurve("soundness", ((0.5, 1.0), (1.0, 1.0)))
     assert align_soundness(c, [0.75]) == [(0.75, 1.0)]
 
 
 def test_align_midpoint_interpolation():
-    c = EvalCurve("soundness", "accuracy_level", ((0.4, 0.8), (0.6, 0.4)))
+    c = EvalCurve("soundness", ((0.4, 0.8), (0.6, 0.4)))
     assert align_soundness(c, [0.5]) == [(0.5, pytest.approx(0.6))]
 
 
 def test_align_never_extrapolates():
-    c = EvalCurve("soundness", "accuracy_level", ((0.4, 0.8), (0.9, 0.4)))
+    c = EvalCurve("soundness", ((0.4, 0.8), (0.9, 0.4)))
     assert align_soundness(c, [0.99]) == []
-    single = EvalCurve("soundness", "accuracy_level", ((1.0, 1.0),))
+    single = EvalCurve("soundness", ((1.0, 1.0),))
     assert align_soundness(single, [0.9, 1.0]) == [(1.0, 1.0)]
 
 
@@ -372,6 +372,22 @@ def test_noisy_linear_on_tabular_data_fails_before_any_lane_starts(
 def test_every_option_has_a_rule():
     names = metrics.METRICS
     assert set(metrics._RULES) == {key for name in names for key in metrics.metric_defaults(name)}
+
+
+@pytest.mark.parametrize("metric", sorted(metrics.METRICS))
+def test_every_metric_checks_its_options_once(step_model, small_dataset, gt_maps, monkeypatch,
+                                              metric):
+    calls = []
+
+    def counted(name, options, dataset=None):
+        calls.append(name)
+        return check(name, options, dataset)
+
+    check = metrics.check_options
+    monkeypatch.setattr(metrics, "check_options", counted)
+    curve = metrics.METRICS[metric](step_model, small_dataset, gt_maps)
+    assert calls == [metric]
+    assert curve.metric_kind == metric
 
 
 # -- the incremental sweep against the literal per-step computation ----------------
