@@ -300,7 +300,8 @@ class EvalCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.metric_kind not in CURVE_AXES:
+        # a list or dict kind would raise TypeError in the lookup
+        if not isinstance(self.metric_kind, str) or self.metric_kind not in CURVE_AXES:
             raise ConfigError(f"unknown metric kind {self.metric_kind!r}")
         pts = tuple((float(x), float(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)

@@ -136,24 +136,26 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def json_array(value, dtype) -> Optional[np.ndarray]:
-    """Parsed JSON ``value`` as a rectangular array of ``dtype``, or None if
-    it is not one: JSON integers that fit int64 for ``np.int64``, JSON
-    numbers otherwise.  Booleans and strings are neither, and nothing is
-    rounded or parsed on the way in.  JSON containers and weights files
-    both read their arrays here."""
+def json_array(value, dtype, key: str) -> np.ndarray:
+    """Parsed JSON ``value`` of field ``key`` as a rectangular array of
+    ``dtype``: JSON integers that fit int64 for ``np.int64``, JSON numbers
+    otherwise.  Booleans and strings are neither, and nothing is rounded or
+    parsed on the way in.  Anything else is a data error that names the
+    field; JSON containers and weights files both read their arrays here."""
+    what = "integers that fit int64" if dtype is np.int64 else "numbers"
+    refusal = DataError(f"field {key!r} must be a rectangular array of JSON {what}")
     try:
         parsed = np.asarray(value)
     except (TypeError, ValueError, OverflowError):
-        return None
+        raise refusal from None
     # numpy parses Python ints beyond int64 as uint64 or objects, floats as
     # "f", strings as "U"
     if parsed.size and parsed.dtype.kind not in ("i" if dtype is np.int64 else "iuf"):
-        return None
+        raise refusal
     # a bool among numbers is read as 0 or 1, so only those entries can be one
     suspects = (parsed == 0) | (parsed == 1)
     if suspects.any() and bool in set(map(type, np.asarray(value, dtype=object)[suspects])):
-        return None
+        raise refusal
     return parsed.astype(dtype, copy=False)
 
 
@@ -162,11 +164,7 @@ def _json_field(payload: dict, key: str, dtype) -> np.ndarray:
     (``json_array``)."""
     if key not in payload:
         raise DataError(f"JSON {payload['kind']} file missing field {key!r}")
-    parsed = json_array(payload[key], dtype)
-    if parsed is None:
-        what = "integers that fit int64" if dtype is np.int64 else "numbers"
-        raise DataError(f"field {key!r} must be a rectangular array of JSON {what}")
-    return parsed
+    return json_array(payload[key], dtype, key)
 
 
 # -- the container codec -----------------------------------------------------

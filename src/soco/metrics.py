@@ -400,7 +400,7 @@ def soundness_curve(
     repeat the same accuracy, so the returned curve keeps only the first
     point (largest mask ratio, smallest included set) observed for each
     distinct accuracy value.  The full sweep is preserved under
-    ``meta["sweep"]`` as (mask_ratio, accuracy, mean_soundness) triples.
+    ``meta["sweep"]`` as (mask_ratio, accuracy, mean soundness) triples.
     All-zero maps carry no attribution mass to score, so those samples are
     skipped and counted in ``meta["skipped"]``.
 

@@ -117,18 +117,11 @@ class MlpWeights:
         except ValueError as exc:  # invalid JSON or text
             raise ConfigError(f"weights file {path} is not valid JSON: {exc}") from None
 
-        def numbers(entry: dict, key: str) -> np.ndarray:
-            values = json_array(entry[key], np.float64)
-            if values is None:
-                what = f"field {key!r} must be a rectangular array of JSON numbers"
-                raise ConfigError(f"malformed weights file {path}: {what}")
-            return values
-
         try:
             layers = tuple(
                 Layer(
-                    weight=numbers(entry, "weight"),
-                    bias=numbers(entry, "bias"),
+                    weight=json_array(entry["weight"], np.float64, "weight"),
+                    bias=json_array(entry["bias"], np.float64, "bias"),
                     activation=entry.get("activation", "identity"),
                 )
                 for entry in raw["layers"]
@@ -136,7 +129,7 @@ class MlpWeights:
             n_classes = check_count(raw["n_classes"], f"n_classes in weights file {path}")
         except KeyError as exc:
             raise ConfigError(f"weights file {path} has no field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, DataError) as exc:
             raise ConfigError(f"malformed weights file {path}: {exc}") from None
         return cls(layers=layers, n_classes=n_classes)
 

@@ -653,6 +653,8 @@ MALFORMED = {
     "points-bool": malformed("curve", points=[[0.0, True], [1.0, False]]),
     "curve-top-level-list": ("curve", [WELL_FORMED["curve"]]),
     "unknown-metric-kind": malformed("curve", metric_kind="oracle"),
+    "metric-kind-list": malformed("curve", metric_kind=["deletion"]),
+    "metric-kind-object": malformed("curve", metric_kind={}),
     "axis-not-its-kinds": malformed("curve", x_axis="accuracy_level"),
 }
 
