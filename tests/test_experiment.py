@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -25,7 +26,7 @@ from soco import (
     write_maps,
 )
 from soco.metrics import METRICS, metric_defaults
-from soco.io import dataset_digest
+from soco.io import canonical_json, dataset_digest
 from soco.models import ExternalModelSpec
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
@@ -358,6 +359,29 @@ def test_micro_validation_run(tmp_path):
     summary = json.loads((tmp_path / "val" / "validation_summary.json").read_text())
     assert summary["clean_accuracy"] == 1.0
     assert (tmp_path / "val" / "completeness.remove.csv").exists()
+
+
+def test_validation_summaries_keep_their_pinned_bytes():
+    # 3 trials reach level 0.6 for introduce alone, in one trial (std NaN),
+    # and every other level in all three; recorded before soundness levels
+    # were summarised by aggregate_trials
+    result = run_validation(ValidationSettings(n_samples=300, n_features=60, seed=5, n_trials=3))
+    payload = {
+        "aligned_soundness": {
+            method: [[level, *stats] for level, stats in levels.items()]
+            for method, levels in result.aligned_soundness.items()
+        },
+        "completeness": {
+            method: [summary.n_trials] + [
+                column.tolist()
+                for column in (summary.x_grid, summary.mean, summary.std, summary.counts)
+            ]
+            for method, summary in result.completeness.items()
+        },
+        "clean_accuracy": result.clean_accuracy,
+    }
+    digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    assert digest == "05dd7334e34ee7964616d31bf9c5cc688ff0af97af7f3a9579e21c1172f12698"
 
 
 @pytest.mark.parametrize("seed", [7, 201])
