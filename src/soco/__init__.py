@@ -47,7 +47,6 @@ from .io import (
     write_maps,
 )
 from .metrics import (
-    align_soundness,
     completeness_curve,
     order_based_curve,
     road_curve,
@@ -96,7 +95,6 @@ __all__ = [
     "ValidationSettings",
     "WorkerError",
     "aggregate_trials",
-    "align_soundness",
     "apply_scheme",
     "completeness_curve",
     "emit_plot_data",

@@ -73,8 +73,11 @@ def _cmd_eval(args) -> int:
     if unknown:
         raise ConfigError(f"--metric {args.metric} takes no --{unknown[0].replace('_', '-')}")
     dataset = read_dataset(args.dataset)
-    weights = vars(args).get("mlp_weights")
-    model = MlpModel(MlpWeights.from_json(weights)) if weights else LinearStepModel()
+    model = LinearStepModel()
+    if vars(args).get("mlp_weights"):
+        weights = MlpWeights.from_json(args.mlp_weights)
+        weights.check_fit(dataset)
+        model = MlpModel(weights)
     if vars(args).get("maps"):
         maps = read_maps(args.maps, dataset)
     else:

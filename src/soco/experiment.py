@@ -45,8 +45,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, ContextManager, Optional, Union
 
-import numpy as np
-
 from . import parallel
 from ._version import __version__
 from .analysis import aggregate_trials
@@ -56,16 +54,16 @@ from .io import (
     canonical_json,
     config_digest,
     dataset_digest,
+    emit_plot_data,
     make_dir,
     read_dataset,
     read_maps,
     write_curve,
 )
 from .metrics import (
-    DEFAULT_MASK_RATIOS,
     DEFAULT_THRESHOLDS,
     METRICS,
-    align_soundness,
+    check_maps,
     check_options,
     completeness_curve,
     fill_kind,
@@ -231,10 +229,11 @@ def _external_spec(ext: dict) -> ExternalModelSpec:
         raise ConfigError(f"model.external.{exc}") from None
 
 
-def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
+def _model_opener(cfg: ExperimentConfig, dataset: Dataset) -> Callable[[], ContextManager[Model]]:
     """What opens the run's model in each lane (see ``parallel.run_jobs``).
 
-    A builtin or MLP model is built here, once, so a bad weights file fails
+    A builtin or MLP model is built here, once, so a bad weights file or a
+    network that does not fit ``dataset`` (``MlpWeights.check_fit``) fails
     before any lane starts, and the lanes share it.  An external model is
     one server per lane, started on first use and closed when the lane ends;
     a launch command that names no executable fails here, before any lane.
@@ -250,7 +249,9 @@ def _model_opener(cfg: ExperimentConfig) -> Callable[[], ContextManager[Model]]:
     if "builtin" in spec:
         model = LinearStepModel()
     else:
-        model = MlpModel(MlpWeights.from_json(cfg.base_dir / spec["mlp_weights"]))
+        weights = MlpWeights.from_json(cfg.base_dir / spec["mlp_weights"])
+        weights.check_fit(dataset)
+        model = MlpModel(weights)
     return lambda: nullcontext(model)
 
 
@@ -286,24 +287,26 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute every (variant, metric) pair and write curves plus a manifest.
 
     The dataset is built first and each metric's options are checked against
-    it (``metrics.check_options``); then every variant's maps and the
-    model are built (an external model's command must name an executable),
-    and only then is the output directory made, so a config, data or launch
-    error leaves no directory behind.  The (variant, metric) jobs run on up
-    to ``cfg.workers`` lanes, capped at the usable CPUs, longest sweep first
-    (``parallel.run_jobs``).  When a metric fills with the neighbor solve
-    (``metrics.fill_kind``), scipy's LAPACK extension, about 3 MiB, is loaded
-    before the lanes fork (``perturb.load_solver``), so no lane loads it
-    itself; other runs never load scipy.  Curve files are deterministic given
-    the master seed, whatever the lane count; the manifest is written last
-    so its presence marks a completed run.
+    it (``metrics.check_options``); then the model is built (an MLP must fit
+    the dataset, an external model's command must name an executable) and
+    every variant's maps are built and checked as the metrics check them
+    (``metrics.check_maps``), and only then is the output directory made,
+    so a config, data or launch error leaves no directory behind.  The
+    (variant, metric) jobs run on up to ``cfg.workers`` lanes, capped at the
+    usable CPUs, longest sweep first (``parallel.run_jobs``).  When a metric
+    fills with the neighbor solve (``metrics.fill_kind``), scipy's LAPACK
+    extension, about 3 MiB, is loaded before the lanes fork
+    (``perturb.load_solver``), so no lane loads it itself; other runs never
+    load scipy.  Curve files are deterministic given the master seed,
+    whatever the lane count; the manifest is written last so its presence
+    marks a completed run.
     """
     out_dir = cfg.output_dir
     digest = cfg.digest()
 
     dataset = _build_dataset(cfg)
     options = {metric: check_options(metric, opts, dataset) for metric, opts in cfg.metrics.items()}
-    open_model = _model_opener(cfg)
+    open_model = _model_opener(cfg, dataset)
     if cfg.map_source == "ground_truth":
         base_maps = ground_truth_attribution(dataset)
     else:
@@ -317,6 +320,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         maps = base_maps
         for scheme in pipeline:
             maps = apply_scheme(maps, scheme, oracle)
+        check_maps(dataset, maps)
         variant_maps[variant] = maps
     if any(fill_kind(metric, opts, dataset) == "noisy_linear" for metric, opts in options.items()):
         load_solver()
@@ -382,19 +386,16 @@ class ValidationSettings:
     introduce_fraction: float = 0.3
     introduce_magnitude: float = 1.0
     noise_std: float = 1.0
-    epsilon: float = 0.01
-    mask_ratios: tuple = DEFAULT_MASK_RATIOS
     thresholds: tuple = DEFAULT_THRESHOLDS
-    aligned_levels: tuple = ALIGNED_LEVELS
 
 
 @dataclass(frozen=True)
 class ValidationResult:
     """Per-method aggregates over the validation trials.
 
-    aligned_soundness maps method -> {level: (mean, std, count)} built from
-    per-trial curves interpolated at the aligned accuracy levels; methods
-    whose curves never reach a level contribute nothing there.
+    aligned_soundness maps method -> {level: (mean, std, count)}, the
+    ``aggregate_trials`` summary of its soundness curves at ALIGNED_LEVELS,
+    holding only the levels that at least one trial reached.
     completeness maps method -> TrialSummary over the threshold grid.
     """
 
@@ -433,7 +434,7 @@ def run_validation(
     original_completeness = completeness_curve(model, dataset, gt, thresholds=settings.thresholds)
 
     def trial_job(job: tuple) -> tuple:
-        """Aligned soundness and, for modified maps, the completeness curve."""
+        """The soundness curve without its meta and, for modified maps, the completeness curve."""
         trial, method = job
         if method == "original":
             maps = gt
@@ -455,13 +456,12 @@ def run_validation(
                 oracle,
             )
         s_curve = soundness_curve(
-            model, dataset, maps, mask_ratios=settings.mask_ratios, epsilon=settings.epsilon,
-            noise_std=settings.noise_std, seed=settings.seed + trial,
+            model, dataset, maps, noise_std=settings.noise_std, seed=settings.seed + trial
         )
         c_curve = None if maps is gt else completeness_curve(
             model, dataset, maps, thresholds=settings.thresholds
         )
-        return align_soundness(s_curve, settings.aligned_levels), c_curve
+        return replace(s_curve, meta={}), c_curve
 
     # the unmodified maps' jobs are the shortest (no modification, no
     # completeness), so they go last and fill the lanes' tails
@@ -469,27 +469,24 @@ def run_validation(
     outcomes = parallel.run_jobs(
         lambda: nullcontext(trial_job), jobs, parallel.usable_lanes()
     )
-    aligned: dict = {m: {lvl: [] for lvl in settings.aligned_levels} for m in VALIDATION_METHODS}
+    soundness_curves: dict = {m: [] for m in VALIDATION_METHODS}
     completeness_curves: dict = {m: [] for m in VALIDATION_METHODS}
-    for (_, method), (levels, c_curve) in zip(jobs, outcomes):
-        for level, value in levels:
-            aligned[method][level].append(value)
+    for (_, method), (s_curve, c_curve) in zip(jobs, outcomes):
+        soundness_curves[method].append(s_curve)
         completeness_curves[method].append(original_completeness if c_curve is None else c_curve)
     clean_accuracy = float(original_completeness.meta["clean_accuracy"])
 
-    grid = sorted(settings.thresholds)
-    summary_soundness = {
-        method: {
-            level: (
-                float(np.mean(vals)),
-                float(np.std(vals, ddof=1)) if len(vals) > 1 else float("nan"),
-                len(vals),
+    summary_soundness = {}
+    for method, curves in soundness_curves.items():
+        summary = aggregate_trials(curves, ALIGNED_LEVELS)
+        summary_soundness[method] = {
+            float(level): (float(mean), float(std), int(count))
+            for level, mean, std, count in zip(
+                summary.x_grid, summary.mean, summary.std, summary.counts
             )
-            for level, vals in per_level.items()
-            if vals
+            if count
         }
-        for method, per_level in aligned.items()
-    }
+    grid = sorted(settings.thresholds)
     summary_completeness = {
         method: aggregate_trials(curves, grid)
         for method, curves in completeness_curves.items()
@@ -506,8 +503,6 @@ def run_validation(
 
 
 def _write_validation(result: ValidationResult, out_dir: Path) -> None:
-    from .io import emit_plot_data  # deferred: io does not depend on experiment
-
     make_dir(out_dir)
     payload = {
         "settings": {

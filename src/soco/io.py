@@ -31,6 +31,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .analysis import TrialSummary
 from .core import CURVE_AXES, ConfigError, DataError, Dataset, EvalCurve, MapSet, check_maps_fit
 
 MAGIC = b"SOCO"
@@ -362,8 +363,6 @@ def emit_plot_data(source, path: _PathLike, format: str = "csv") -> None:
     Curves emit (x, y); summaries emit (x, mean, std, n).  The header row
     names the axes; for curves it also carries the metric kind.
     """
-    from .analysis import TrialSummary  # local import to avoid a cycle
-
     if isinstance(source, EvalCurve):
         x_axis, y_label = CURVE_AXES[source.metric_kind]
         header = [x_axis, f"{source.metric_kind}:{y_label}"]

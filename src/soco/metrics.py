@@ -181,8 +181,9 @@ def check_options(name: str, options: dict, dataset: Optional[Dataset] = None) -
     return checked
 
 
-def _flat_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
-    """The maps as an ``(n, d)`` view, after checking they fit ``dataset``."""
+def check_maps(dataset: Dataset, maps: MapSet) -> np.ndarray:
+    """The maps as an ``(n, d)`` view, after checking that every metric can
+    score them: they fit ``dataset`` and lie in [0, 1]."""
     check_maps_fit(maps, dataset)
     if not maps.normalized and maps.values.max() > 1.0 + 1e-12:
         raise DataError("maps must be normalized to [0, 1]")
@@ -194,7 +195,7 @@ def _inputs(name: str, dataset: Dataset, maps: MapSet, seed: int, options: dict)
     fill (``fill_kind``), its maps and features as ``(n, d)`` views, the
     labels, and the noise pre-drawn from ``seed`` (``_predrawn_noise``)."""
     opts = check_options(name, options, dataset)
-    values = _flat_maps(dataset, maps)
+    values = check_maps(dataset, maps)
     features = dataset.feature_matrix().reshape(values.shape)
     noise = _predrawn_noise(dataset, opts["noise_std"], seed)
     return opts, fill_kind(name, opts, dataset), values, features, dataset.labels(), noise
@@ -470,23 +471,6 @@ def soundness_curve(
             "noise_std": opts["noise_std"],
         },
     )
-
-
-def align_soundness(
-    curve: EvalCurve, levels: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Soundness read off at fixed accuracy levels by linear interpolation.
-
-    Levels outside the observed accuracy range are omitted rather than
-    extrapolated, so comparisons across methods only use levels every
-    method actually reached.
-    """
-    xs, ys = curve.xs(), curve.ys()
-    out = []
-    for level in levels:
-        if xs[0] <= level <= xs[-1]:
-            out.append((float(level), float(np.interp(level, xs, ys))))
-    return out
 
 
 def completeness_curve(

@@ -42,7 +42,15 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import ConfigError, DataError, ModelBridgeError, batch_features, check_count, check_real
+from .core import (
+    ConfigError,
+    DataError,
+    Dataset,
+    ModelBridgeError,
+    batch_features,
+    check_count,
+    check_real,
+)
 from .io import json_array
 
 ACTIVATIONS = ("relu", "identity")
@@ -107,6 +115,22 @@ class MlpWeights:
     def input_dim(self) -> int:
         return int(self.layers[0].weight.shape[1])
 
+    def _check_width(self, width: int) -> None:
+        if width != self.input_dim:
+            raise DataError(
+                f"feature dimension {width} does not match network input {self.input_dim}"
+            )
+
+    def check_fit(self, dataset: Dataset) -> None:
+        """Refuse ``dataset`` before any forward pass when this network cannot
+        score it: its samples are not ``input_dim`` features wide, or it has
+        classes the network never predicts.  More classes are allowed."""
+        self._check_width(dataset.n_features)
+        if self.n_classes < dataset.n_classes:
+            raise DataError(
+                f"network predicts {self.n_classes} of the dataset's {dataset.n_classes} classes"
+            )
+
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "MlpWeights":
         """Load a weights file; one that cannot be read or parsed is a config error."""
@@ -157,11 +181,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def mlp_predict(weights: MlpWeights, batch: np.ndarray) -> np.ndarray:
     """Forward pass with softmax output; float64 throughout."""
     feats = batch_features(batch).reshape(len(batch), -1)
-    if feats.shape[1] != weights.input_dim:
-        raise DataError(
-            f"feature dimension {feats.shape[1]} does not match "
-            f"network input {weights.input_dim}"
-        )
+    weights._check_width(feats.shape[1])
     acts = feats
     for layer in weights.layers:
         acts = acts @ layer.weight.T + layer.bias

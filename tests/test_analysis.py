@@ -167,9 +167,10 @@ def test_aggregate_two_level_trials():
 def test_aggregate_skips_out_of_range_grid_points():
     short = curve([(0.2, 1.0), (0.6, 1.0)])
     full = curve([(0.0, 0.0), (1.0, 0.0)])
-    summary = aggregate_trials([short, full], (0.0, 0.4, 1.0))
-    assert list(summary.counts) == [1, 2, 1]
-    np.testing.assert_allclose(summary.mean, [0.0, 0.5, 0.0])
+    point = curve([(0.4, 1.0)])  # a one-point curve reaches its own x alone
+    summary = aggregate_trials([short, full, point], (0.0, 0.4, 1.0))
+    assert list(summary.counts) == [1, 3, 1]
+    np.testing.assert_allclose(summary.mean, [0.0, 2 / 3, 0.0])
     assert np.isnan(summary.std[0])  # single contribution, no spread
     assert np.isnan(summary.std[2])
 

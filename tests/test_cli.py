@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from soco import (
     ConfigError,
     LinearStepModel,
+    MapSet,
     MlpWeights,
     ModScheme,
     apply_scheme,
@@ -35,6 +37,7 @@ from soco import (
     write_dataset,
     write_maps,
 )
+from soco import models
 from soco.cli import build_parser, main
 from soco.metrics import IMPUTER_KINDS, METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
 from soco.models import Layer
@@ -756,6 +759,65 @@ def test_bad_weights_file_is_exit_2_without_traceback(workdir, verb, case):
         proc = run_cli_process("run", "--config", str(workdir / "exp.json"))
     assert no_traceback(proc, 2, "config error"), proc.stderr
     assert not (workdir / "c.json").exists()
+    assert not (workdir / "out").exists()
+
+
+MISFIT_NETWORKS = [
+    (61, 2, "feature dimension 60 does not match network input 61"),
+    (60, 1, "network predicts 1 of the dataset's 2 classes"),
+]
+
+
+@pytest.mark.parametrize("width, n_classes, message", MISFIT_NETWORKS, ids=["wide", "one-class"])
+@pytest.mark.parametrize("verb", ["eval", "run"])
+def test_a_network_that_does_not_fit_the_dataset_is_exit_4_before_any_model_call(
+    workdir, capsys, monkeypatch, verb, width, n_classes, message
+):
+    layer = Layer(weight=np.ones((n_classes, width)), bias=np.zeros(n_classes))
+    MlpWeights(layers=(layer,), n_classes=n_classes).to_json(workdir / "net.json")
+    monkeypatch.setattr(models, "mlp_predict", mock.Mock(side_effect=AssertionError("called")))
+    if verb == "eval":
+        args = [
+            "eval", "--metric", "deletion", "--dataset", str(workdir / "data.soco"),
+            "--mlp-weights", str(workdir / "net.json"), "--out", str(workdir / "c.json"),
+        ]
+    else:
+        cfg = {
+            "output_dir": "out",
+            "dataset": {"path": "data.soco"},
+            "model": {"mlp_weights": "net.json"},
+            "metrics": {"deletion": {}},
+        }
+        (workdir / "exp.json").write_text(json.dumps(cfg))
+        args = ["run", "--config", str(workdir / "exp.json")]
+    assert main(args) == 4
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (workdir / "c.json").exists()
+    assert not (workdir / "out").exists()
+
+
+def test_a_network_with_more_classes_than_the_dataset_is_scored(workdir):
+    layer = Layer(weight=np.ones((3, 60)), bias=np.arange(3.0))
+    MlpWeights(layers=(layer,), n_classes=3).to_json(workdir / "net.json")
+    assert main([
+        "eval", "--metric", "deletion", "--dataset", str(workdir / "data.soco"),
+        "--mlp-weights", str(workdir / "net.json"), "--out", str(workdir / "c.json"),
+    ]) == 0
+
+
+def test_run_with_maps_above_one_is_exit_4_leaving_no_output(workdir, capsys):
+    dataset = read_dataset(workdir / "data.soco")
+    doubled = MapSet(2.0 * read_maps(workdir / "maps.soco", dataset).values)
+    write_maps(doubled, workdir / "doubled.soco", dataset=dataset)
+    cfg = {
+        "output_dir": "out",
+        "dataset": {"path": "data.soco"},
+        "maps": {"source": "doubled.soco", "variants": {"original": []}},
+        "metrics": {"deletion": {}},
+    }
+    (workdir / "exp.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(workdir / "exp.json")]) == 4
+    assert capsys.readouterr().err == "data error: maps must be normalized to [0, 1]\n"
     assert not (workdir / "out").exists()
 
 

@@ -12,12 +12,10 @@ from soco import (
     ConfigError,
     DataError,
     Dataset,
-    EvalCurve,
     MapSet,
     MlpModel,
     MlpWeights,
     WorkerError,
-    align_soundness,
     completeness_curve,
     normalize_attribution,
     order_based_curve,
@@ -206,26 +204,6 @@ def test_soundness_config_validation(step_model, small_dataset, gt_maps):
         run(epsilon=0.0)
     with pytest.raises(ConfigError):
         run(weighting="mass")
-
-
-# -- alignment -------------------------------------------------------------------
-
-
-def test_align_constant_curve():
-    c = EvalCurve("soundness", ((0.5, 1.0), (1.0, 1.0)))
-    assert align_soundness(c, [0.75]) == [(0.75, 1.0)]
-
-
-def test_align_midpoint_interpolation():
-    c = EvalCurve("soundness", ((0.4, 0.8), (0.6, 0.4)))
-    assert align_soundness(c, [0.5]) == [(0.5, pytest.approx(0.6))]
-
-
-def test_align_never_extrapolates():
-    c = EvalCurve("soundness", ((0.4, 0.8), (0.9, 0.4)))
-    assert align_soundness(c, [0.99]) == []
-    single = EvalCurve("soundness", ((1.0, 1.0),))
-    assert align_soundness(single, [0.9, 1.0]) == [(1.0, 1.0)]
 
 
 # -- completeness ----------------------------------------------------------------
