@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ from soco import (
     ModScheme,
     OracleInfo,
     apply_scheme,
+    generate_synthetic,
+    ground_truth_attribution,
     normalize_attribution,
     oracle_info,
 )
@@ -318,3 +323,59 @@ def test_scheme_takes_numpy_numbers():
                        seed=np.uint64(2**63), renormalize=np.bool_(True))
     out = apply_scheme(amap([0.2, 0.9]), scheme).values
     assert out.shape == (1, 2)
+
+
+# -- pinned bytes of every kind ------------------------------------------------
+
+
+def pinned_map_sets():
+    """A tabular and a grid map set, each with zeros for synth_introduce to
+    fill, and their oracles."""
+    ds = generate_synthetic(60, 40, seed=11)
+    rng = np.random.default_rng(12)
+    raw = rng.integers(0, 5, size=(6, 5, 4, 3)) * (rng.random((6, 5, 4, 3)) < 0.6)
+    raw.reshape(6, -1)[:, 0] = 5  # mass in every map
+    phi = rng.standard_normal(raw.shape)
+    return [
+        (ground_truth_attribution(ds), oracle_info(ds)),
+        (normalize_attribution(raw.astype(np.float64)), OracleInfo(phi=phi, informative=phi > 0)),
+    ]
+
+
+# each key's values, a key left out taking the kind's default; the digests
+# were recorded before each kind's options became its function's parameters
+PINNED_VALUES = {
+    "direction": ("remove", "introduce"),
+    "magnitude": (0.0, 0.3, 1.0),
+    "fraction": (0.0, 0.5),
+    "seed": (5, 2**70),
+    "renormalize": (False, True),
+}
+PINNED_KEYS = {
+    "constant": ("direction", "magnitude"),
+    "random": ("direction", "magnitude", "seed"),
+    "partial": ("direction",),
+    "synth_remove": ("fraction", "seed", "renormalize"),
+    "synth_introduce": ("fraction", "magnitude", "seed"),
+}
+PINNED_DIGESTS = {
+    "constant": "6f18fbfc6c43af48dba71343d3c5856dd56e3331cbe87cdfce447c40ac5fa649",
+    "random": "117eedf37eb7ae2732b64978e206a0b76b5f2ea13addfaa6828fdfdd91891502",
+    "partial": "3064f318714e5e62c99ecf370f24b55c30c9212287512edb54054f2c9917aaca",
+    "synth_remove": "b344c9d57fba2a6c0b8451c6e23eee4ad74ed8141a017d6181006d3ce9b080e1",
+    "synth_introduce": "8105346ad5af4988e43f442cf9c7ff5172952b640b324fd825d6a4ee6b267c03",
+}
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_every_scheme_keeps_its_pinned_bytes(kind):
+    # every combination of the values the kind reads, a refusal pinned by its message
+    keys = PINNED_KEYS[kind]
+    digest = hashlib.sha256()
+    for maps, oracle in pinned_map_sets():
+        for values in itertools.product(*((None, *PINNED_VALUES[key]) for key in keys)):
+            options = {key: value for key, value in zip(keys, values) if value is not None}
+            out = outcome(lambda: apply_scheme(maps, ModScheme(kind=kind, **options), oracle))
+            digest.update(repr(sorted(options.items())).encode())
+            digest.update(out.values.tobytes() if isinstance(out, MapSet) else repr(out).encode())
+    assert digest.hexdigest() == PINNED_DIGESTS[kind]
