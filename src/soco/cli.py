@@ -15,7 +15,7 @@ from pathlib import Path
 from ._version import __version__
 from .analysis import CurveSet, min_pairwise_hausdorff, pairwise_hausdorff
 from .core import ConfigError, DataError, ModelBridgeError, WorkerError
-from .experiment import SCHEME_KEYS, load_config, run_experiment
+from .experiment import SCHEME_KEYS, in_process_model, load_config, run_experiment
 from .io import (
     emit_plot_data,
     read_curve,
@@ -26,15 +26,24 @@ from .io import (
     write_maps,
 )
 from .metrics import IMPUTER_KINDS, METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
-from .models import MlpModel, MlpWeights
-from .modify import DIRECTIONS, SCHEME_KINDS, ModScheme, apply_scheme
-from .synthetic import LinearStepModel, generate_synthetic, ground_truth_attribution, oracle_info
+from .modify import DIRECTIONS, SCHEME_KINDS, ModScheme, apply_scheme, scheme_rules
+from .synthetic import generate_synthetic, ground_truth_attribution, oracle_info
 
 
 def _given(args, names) -> dict:
     """The flags among ``names`` that were given, by their library names.  A
     flag left out is not passed, so it takes the library's own default."""
     return {key: value for key, value in vars(args).items() if key in names}
+
+
+def _check_read(choice: str, args, options: dict, keys) -> None:
+    """Refuse an option flag that the ``--<choice>`` given does not read, by
+    its flag: ``--metric road takes no --imputer``."""
+    unread = sorted(set(options).difference(keys))
+    if unread:
+        raise ConfigError(
+            f"--{choice} {vars(args)[choice]} takes no --{unread[0].replace('_', '-')}"
+        )
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -53,9 +62,11 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_modify(args) -> int:
+    options = _given(args, SCHEME_KEYS - {"kind"})
+    _check_read("kind", args, options, scheme_rules(args.kind))
+    scheme = ModScheme(args.kind, **options)
     dataset = read_dataset(args.dataset) if vars(args).get("dataset") else None
     maps = read_maps(args.maps, dataset)
-    scheme = ModScheme(**_given(args, SCHEME_KEYS))
     oracle = None
     if scheme.kind == "synth_introduce":
         if dataset is None:
@@ -69,15 +80,9 @@ def _cmd_modify(args) -> int:
 
 def _cmd_eval(args) -> int:
     options = _given(args, {key for name in METRICS for key in metric_defaults(name)})
-    unknown = sorted(set(options) - set(metric_defaults(args.metric)))
-    if unknown:
-        raise ConfigError(f"--metric {args.metric} takes no --{unknown[0].replace('_', '-')}")
+    _check_read("metric", args, options, metric_defaults(args.metric))
     dataset = read_dataset(args.dataset)
-    model = LinearStepModel()
-    if vars(args).get("mlp_weights"):
-        weights = MlpWeights.from_json(args.mlp_weights)
-        weights.check_fit(dataset)
-        model = MlpModel(weights)
+    model = in_process_model(dataset, vars(args).get("mlp_weights"))
     if vars(args).get("maps"):
         maps = read_maps(args.maps, dataset)
     else:

@@ -10,6 +10,7 @@ their metric kind, so downstream comparison code never has to guess units.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -58,6 +59,28 @@ def check_real(value, key: str) -> float:
     ):
         raise ConfigError(f"{key} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def check_non_negative(value, key: str) -> float:
+    """``value`` if it is a finite real number of at least zero."""
+    value = check_real(value, key)
+    if value < 0:
+        raise ConfigError(f"{key} must be non-negative")
+    return value
+
+
+def check_one_of(choices: tuple, value, key: str) -> str:
+    """``value`` if it is one of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{key} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+def keyword_defaults(func) -> dict:
+    """The keyword-only parameters of ``func`` with their defaults: where a
+    metric or a modification scheme keeps its options."""
+    params = inspect.signature(func).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def check_keys(obj, allowed: Iterable[str], where: str) -> None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import re
 import shutil
 import time
@@ -70,7 +71,7 @@ from .metrics import (
     soundness_curve,
 )
 from .models import BridgeProcessFailed, ExternalModel, ExternalModelSpec, MlpModel, MlpWeights
-from .modify import ModScheme, apply_scheme
+from .modify import SCHEME_KINDS, ModScheme, apply_scheme, scheme_rules
 from .perturb import load_solver
 from .synthetic import (
     DEFAULT_N_FEATURES,
@@ -83,7 +84,7 @@ from .synthetic import (
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-SCHEME_KEYS = {field.name for field in fields(ModScheme)}
+SCHEME_KEYS = {"kind"}.union(*map(scheme_rules, SCHEME_KINDS))
 SYNTHETIC_KEYS = set(inspect.signature(generate_synthetic).parameters)
 EXTERNAL_KEYS = {field.name for field in fields(ExternalModelSpec)}
 
@@ -246,13 +247,20 @@ def _model_opener(cfg: ExperimentConfig, dataset: Dataset) -> Callable[[], Conte
                 f"could not launch model server: no executable {ext_spec.command[0]!r}"
             )
         return lambda: ExternalModel(ext_spec)
-    if "builtin" in spec:
-        model = LinearStepModel()
-    else:
-        weights = MlpWeights.from_json(cfg.base_dir / spec["mlp_weights"])
-        weights.check_fit(dataset)
-        model = MlpModel(weights)
+    weights = None if "builtin" in spec else cfg.base_dir / spec["mlp_weights"]
+    model = in_process_model(dataset, weights)
     return lambda: nullcontext(model)
+
+
+def in_process_model(dataset: Dataset, mlp_weights: Optional[Union[str, Path]] = None) -> Model:
+    """The builtin step model, or the MLP read from ``mlp_weights`` once it is
+    checked to fit ``dataset`` (``MlpWeights.check_fit``): the model of
+    ``soco eval`` and of a run without an external model."""
+    if mlp_weights is None:
+        return LinearStepModel()
+    weights = MlpWeights.from_json(mlp_weights)
+    weights.check_fit(dataset)
+    return MlpModel(weights)
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -448,7 +456,6 @@ def run_validation(
                 gt,
                 ModScheme(
                     kind="synth_introduce",
-                    direction="introduce",
                     fraction=settings.introduce_fraction,
                     magnitude=settings.introduce_magnitude,
                     seed=trial,
@@ -502,6 +509,12 @@ def run_validation(
     return result
 
 
+def _json_floats(values) -> list:
+    """``values`` with each NaN (a spread of fewer than two trials) as None,
+    written as JSON's null, as ``emit_plot_data`` writes it."""
+    return [None if isinstance(v, float) and math.isnan(v) else v for v in values]
+
+
 def _write_validation(result: ValidationResult, out_dir: Path) -> None:
     make_dir(out_dir)
     payload = {
@@ -511,14 +524,14 @@ def _write_validation(result: ValidationResult, out_dir: Path) -> None:
         },
         "clean_accuracy": result.clean_accuracy,
         "aligned_soundness": {
-            method: {str(level): list(stats) for level, stats in levels.items()}
+            method: {str(level): _json_floats(stats) for level, stats in levels.items()}
             for method, levels in result.aligned_soundness.items()
         },
         "completeness_mean": {
             method: {
                 "x": summary.x_grid.tolist(),
-                "mean": summary.mean.tolist(),
-                "std": summary.std.tolist(),
+                "mean": _json_floats(summary.mean.tolist()),
+                "std": _json_floats(summary.std.tolist()),
                 "n": summary.counts.tolist(),
             }
             for method, summary in result.completeness.items()

@@ -29,7 +29,6 @@ Each option has one rule, by name, the same in every metric that takes it;
 
 from __future__ import annotations
 
-import inspect
 import mmap
 import warnings
 from functools import partial
@@ -50,7 +49,10 @@ from .core import (
     check_count,
     check_keys,
     check_maps_fit,
+    check_non_negative,
+    check_one_of,
     check_real,
+    keyword_defaults,
     predict_many,
 )
 from .perturb import impute_grid, load_solver, round_half_away
@@ -104,29 +106,16 @@ def _positive(value, at: str) -> float:
     return value
 
 
-def _non_negative(value, at: str) -> float:
-    value = check_real(value, at)
-    if value < 0:
-        raise ConfigError(f"{at} must be non-negative")
-    return value
-
-
-def _one_of(choices: tuple, value, at: str) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise ConfigError(f"{at} must be one of {list(choices)}, got {value!r}")
-    return value
-
-
 # each option's rule, by name, so an option has the same rule in every metric
 _RULES = {
     "mask_ratios": _descending,
     "thresholds": _descending,
     "fractions": _ascending,
     "epsilon": _positive,
-    "noise_std": _non_negative,
-    "imputer": partial(_one_of, IMPUTER_KINDS),
-    "weighting": partial(_one_of, WEIGHTINGS),
-    "order": partial(_one_of, RANK_ORDERS),
+    "noise_std": check_non_negative,
+    "imputer": partial(check_one_of, IMPUTER_KINDS),
+    "weighting": partial(check_one_of, WEIGHTINGS),
+    "order": partial(check_one_of, RANK_ORDERS),
 }
 
 
@@ -582,9 +571,5 @@ def metric_defaults(name: str) -> dict:
     and ``seed``, which a run passes itself."""
     if name not in METRICS:
         raise ConfigError(f"unknown metric {name!r}")
-    params = inspect.signature(METRICS[name]).parameters.values()
-    return {
-        p.name: p.default
-        for p in params
-        if p.kind is p.KEYWORD_ONLY and p.name not in ("mode", "seed")
-    }
+    defaults = keyword_defaults(METRICS[name])
+    return {key: value for key, value in defaults.items() if key not in ("mode", "seed")}

@@ -11,65 +11,43 @@ features known to carry no signal.
 Every scheme works on a whole map set at once.  A map that needs random
 numbers draws them from its own stream, keyed by its index, so its result
 does not depend on the other maps.
+
+A kind's options and their defaults are its function's keyword-only
+parameters, as a metric's are; ``SCHEMES`` names the functions.  Each key
+has one rule, by name, the same in every kind that takes it; ``ModScheme``
+applies the rules and refuses a key its kind does not read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, DataError, MapSet, check_count, check_flag, check_real
+from .core import (
+    ConfigError,
+    DataError,
+    MapSet,
+    check_count,
+    check_flag,
+    check_keys,
+    check_non_negative,
+    check_one_of,
+    check_real,
+    keyword_defaults,
+)
 from .perturb import round_half_away
 from .rng import substreams
 from .synthetic import OracleInfo
 
-SCHEME_KINDS = ("constant", "random", "partial", "synth_remove", "synth_introduce")
 DIRECTIONS = ("remove", "introduce")
-
-# fallback parameters when a scheme field is not set explicitly
-DEFAULT_CONSTANT_DELTA = 0.6
-DEFAULT_RANDOM_SPAN = 0.6
-DEFAULT_SYNTH_FRACTION = 0.3
-DEFAULT_SYNTH_MAGNITUDE = 0.5
 
 PARTIAL_REMOVE_BAND = (0.6, 0.8)
 PARTIAL_INTRODUCE_BAND = (0.0, 0.4)
 PARTIAL_QUANTILE = 0.8
 PARTIAL_MIN_FEATURES = 5
-
-
-@dataclass(frozen=True)
-class ModScheme:
-    """One modification recipe, applied to a map set via apply_scheme."""
-
-    kind: str
-    direction: str = "remove"
-    magnitude: float = -1.0  # negative means use the kind's default
-    fraction: float = DEFAULT_SYNTH_FRACTION
-    seed: int = 0
-    renormalize: bool = False  # synth_remove only; introduce always renormalizes
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
-            raise ConfigError(f"unknown scheme kind {self.kind!r}")
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(f"unknown direction {self.direction!r}")
-        check_real(self.magnitude, "magnitude")
-        if not 0.0 <= check_real(self.fraction, "fraction") <= 1.0:
-            raise ConfigError("fraction must lie in [0, 1]")
-        check_count(self.seed, "seed")
-        check_flag(self.renormalize, "renormalize")
-
-    def resolved_magnitude(self) -> float:
-        if self.magnitude >= 0:
-            return self.magnitude
-        if self.kind == "synth_introduce":
-            return DEFAULT_SYNTH_MAGNITUDE
-        if self.kind == "random":
-            return DEFAULT_RANDOM_SPAN
-        return DEFAULT_CONSTANT_DELTA
 
 
 def _rescale(flat: np.ndarray) -> np.ndarray:
@@ -78,15 +56,26 @@ def _rescale(flat: np.ndarray) -> np.ndarray:
     return flat / np.where(peak > 0, peak, 1.0)
 
 
-def _random_shift(shape: tuple, lo: float, hi: float, seed: int) -> np.ndarray:
-    """Independent per-feature uniform shifts in [lo, hi], map i's from its own stream."""
-    shift = np.empty(shape)
-    for i, rng in enumerate(substreams(seed, "modify", range(shape[0]))):
-        shift[i] = rng.uniform(lo, hi, size=shape[1:])
-    return shift
+def _constant(
+    flat: np.ndarray, oracle, *, direction: str = "remove", magnitude: float = 0.6
+) -> np.ndarray:
+    """Shift every attribution down (remove) or up (introduce) by ``magnitude``."""
+    return flat - magnitude if direction == "remove" else flat + magnitude
 
 
-def _partial(flat: np.ndarray, direction: str) -> np.ndarray:
+def _random(
+    flat: np.ndarray, oracle, *, direction: str = "remove", magnitude: float = 0.6, seed: int = 0
+) -> np.ndarray:
+    """Shift each attribution by its own uniform draw from [-magnitude, 0]
+    (remove) or [0, magnitude] (introduce), map i's from its own stream."""
+    lo, hi = (-magnitude, 0.0) if direction == "remove" else (0.0, magnitude)
+    shift = np.empty(flat.shape)
+    for i, rng in enumerate(substreams(seed, "modify", range(flat.shape[0]))):
+        shift[i] = rng.uniform(lo, hi, size=flat.shape[1])
+    return flat + shift
+
+
+def _partial(flat: np.ndarray, oracle, *, direction: str = "remove") -> np.ndarray:
     """Rewrite one rank band of every map.
 
     Remove zeroes the features ranked (ascending) in [0.6d, 0.8d); introduce
@@ -112,7 +101,9 @@ def _counts(fraction: float, sizes: np.ndarray) -> np.ndarray:
     return np.floor(fraction * sizes + 0.5).astype(np.int64)
 
 
-def _synth_remove(flat: np.ndarray, scheme: ModScheme) -> np.ndarray:
+def _synth_remove(
+    flat: np.ndarray, oracle, *, fraction: float = 0.3, seed: int = 0, renormalize: bool = False
+) -> np.ndarray:
     """Zero a uniformly random subset of each map's positive support.
 
     The subset holds round(fraction * support size) features.  Removing a
@@ -124,7 +115,7 @@ def _synth_remove(flat: np.ndarray, scheme: ModScheme) -> np.ndarray:
     """
     positive = flat > 0
     sizes = np.count_nonzero(positive, axis=1)
-    ks = _counts(scheme.fraction, sizes)
+    ks = _counts(fraction, sizes)
     bad = np.flatnonzero(ks >= sizes)
     if bad.size:
         if sizes[bad[0]] == 0:
@@ -132,29 +123,111 @@ def _synth_remove(flat: np.ndarray, scheme: ModScheme) -> np.ndarray:
         raise DataError("fraction removes the entire support")
     out = flat.copy()
     rows = np.flatnonzero(ks)
-    for i, rng in zip(rows, substreams(scheme.seed, "modify", rows)):
+    for i, rng in zip(rows, substreams(seed, "modify", rows)):
         out[i, rng.choice(np.flatnonzero(positive[i]), size=int(ks[i]), replace=False)] = 0.0
-    return _rescale(out) if scheme.renormalize else out
+    return _rescale(out) if renormalize else out
 
 
 def _synth_introduce(
-    flat: np.ndarray, informative: np.ndarray, scheme: ModScheme, magnitude: float
+    flat: np.ndarray,
+    oracle: Optional[OracleInfo],
+    *,
+    fraction: float = 0.3,
+    magnitude: float = 0.5,
+    seed: int = 0,
 ) -> np.ndarray:
     """Plant attribution on features that carry no signal.
 
     A map's candidates are its features with zero attribution that are also
     outside the oracle's informative set; round(fraction * candidate count)
-    of them get values drawn uniformly from (0, magnitude].  Each map is then
-    renormalized so downstream value thresholds keep their meaning.
+    of them get values drawn uniformly from (0, magnitude], so the magnitude
+    must be positive.  Each map is then renormalized so downstream value
+    thresholds keep their meaning.
     """
+    if oracle is None:
+        raise ConfigError("synth_introduce needs oracle information")
+    if oracle.informative.shape[0] != flat.shape[0]:
+        raise DataError("need one oracle entry per map")
+    if magnitude <= 0:
+        raise ConfigError("magnitude must be positive")
+    informative = oracle.informative.reshape(flat.shape[0], -1)
+    if informative.shape != flat.shape:
+        raise DataError("oracle shape does not match the map")
     candidates = (flat == 0) & ~informative
-    ks = _counts(scheme.fraction, np.count_nonzero(candidates, axis=1))
+    ks = _counts(fraction, np.count_nonzero(candidates, axis=1))
     out = flat.copy()
     rows = np.flatnonzero(ks)
-    for i, rng in zip(rows, substreams(scheme.seed, "modify", rows)):
+    for i, rng in zip(rows, substreams(seed, "modify", rows)):
         chosen = rng.choice(np.flatnonzero(candidates[i]), size=int(ks[i]), replace=False)
         out[i, chosen] = magnitude * (1.0 - rng.random(int(ks[i])))  # uniform in (0, magnitude]
     return _rescale(out)
+
+
+# each kind's function: it takes the maps as (n, d) and the oracle, which
+# only synth_introduce reads, and its options are its keyword-only parameters
+SCHEMES = {
+    "constant": _constant,
+    "random": _random,
+    "partial": _partial,
+    "synth_remove": _synth_remove,
+    "synth_introduce": _synth_introduce,
+}
+SCHEME_KINDS = tuple(SCHEMES)
+
+
+def _fraction(value, key: str) -> float:
+    value = check_real(value, key)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{key} must lie in [0, 1]")
+    return value
+
+
+# each key's rule, by name, so a key has the same rule in every kind that takes it
+_RULES = {
+    "direction": partial(check_one_of, DIRECTIONS),
+    "magnitude": check_non_negative,
+    "fraction": _fraction,
+    "seed": check_count,
+    "renormalize": check_flag,
+}
+
+
+def scheme_rules(kind: str) -> dict:
+    """The keys ``ModScheme(kind, ...)`` takes, each with its rule: the
+    keyword-only parameters of the kind's function; ``seed``, which every
+    kind takes, as every metric does, since a run passes its seed to each
+    scheme; and on a synthetic kind ``direction``, limited to the one its
+    name states."""
+    if not isinstance(kind, str) or kind not in SCHEMES:
+        raise ConfigError(f"unknown scheme kind {kind!r}")
+    rules = {key: _RULES[key] for key in (*keyword_defaults(SCHEMES[kind]), "seed")}
+    if kind.startswith("synth_"):
+        rules["direction"] = partial(check_one_of, (kind.removeprefix("synth_"),))
+    return rules
+
+
+@dataclass(frozen=True, init=False)
+class ModScheme:
+    """One modification recipe, applied to a map set via apply_scheme.
+
+    ``ModScheme(kind, **options)`` checks each option by its key's rule
+    (``scheme_rules``); a key the kind does not take is a ``ConfigError``.
+    ``options`` holds every option the kind's function reads, a key left out
+    at its default.
+    """
+
+    kind: str
+    options: dict
+
+    def __init__(self, kind: str, **options) -> None:
+        rules = scheme_rules(kind)
+        check_keys(options, rules, f"scheme {kind}")
+        given = {key: rules[key](value, key) for key, value in options.items()}
+        defaults = keyword_defaults(SCHEMES[kind])
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(
+            self, "options", {key: given.get(key, value) for key, value in defaults.items()}
+        )
 
 
 def apply_scheme(
@@ -168,27 +241,6 @@ def apply_scheme(
     as its map is reached.  Shifting, band rewrites, rescaling, the final clip
     to [0, 1] and validation run once on the whole stack.
     """
-    mag = scheme.resolved_magnitude()
     values = maps.values
-    flat = values.reshape(len(maps), -1)
-    if scheme.kind == "constant":
-        out = values - mag if scheme.direction == "remove" else values + mag
-    elif scheme.kind == "random":
-        lo, hi = (-mag, 0.0) if scheme.direction == "remove" else (0.0, mag)
-        out = values + _random_shift(values.shape, lo, hi, scheme.seed)
-    elif scheme.kind == "partial":
-        out = _partial(flat, scheme.direction)
-    elif scheme.kind == "synth_remove":
-        out = _synth_remove(flat, scheme)
-    else:
-        if oracle is None:
-            raise ConfigError("synth_introduce needs oracle information")
-        if oracle.informative.shape[0] != len(maps):
-            raise DataError("need one oracle entry per map")
-        if mag <= 0:
-            raise ConfigError("magnitude must be positive")
-        informative = oracle.informative.reshape(len(maps), -1)
-        if informative.shape != flat.shape:
-            raise DataError("oracle shape does not match the map")
-        out = _synth_introduce(flat, informative, scheme, mag)
+    out = SCHEMES[scheme.kind](values.reshape(len(maps), -1), oracle, **scheme.options)
     return MapSet(np.clip(out, 0.0, 1.0).reshape(values.shape), normalized=True)

@@ -237,7 +237,7 @@ def apply_scheme_per_map(
     oracle: Optional[Sequence[OracleInfo]] = None,
 ) -> list[np.ndarray]:
     """Apply one scheme to every map, with an independent stream per map."""
-    mag = scheme.resolved_magnitude()
+    opts = scheme.options
     if scheme.kind == "synth_introduce":
         if oracle is None:
             raise ConfigError("synth_introduce needs oracle information")
@@ -246,26 +246,28 @@ def apply_scheme_per_map(
     out = []
     for i, attr_map in enumerate(maps):
         if scheme.kind == "constant":
-            out.append(modify_constant(attr_map, mag, scheme.direction))
+            out.append(modify_constant(attr_map, opts["magnitude"], opts["direction"]))
         elif scheme.kind == "random":
-            lo, hi = (-mag, 0.0) if scheme.direction == "remove" else (0.0, mag)
-            out.append(modify_random(attr_map, lo, hi, scheme.seed, key=(i,)))
+            mag = opts["magnitude"]
+            lo, hi = (-mag, 0.0) if opts["direction"] == "remove" else (0.0, mag)
+            out.append(modify_random(attr_map, lo, hi, opts["seed"], key=(i,)))
         elif scheme.kind == "partial":
-            out.append(modify_partial(attr_map, scheme.direction))
+            out.append(modify_partial(attr_map, opts["direction"]))
         elif scheme.kind == "synth_remove":
             out.append(
                 synth_remove(
                     attr_map,
-                    scheme.fraction,
-                    scheme.seed,
+                    opts["fraction"],
+                    opts["seed"],
                     key=(i,),
-                    renormalize=scheme.renormalize,
+                    renormalize=opts["renormalize"],
                 )
             )
         else:
             out.append(
                 synth_introduce(
-                    attr_map, oracle[i], scheme.fraction, mag, scheme.seed, key=(i,)
+                    attr_map, oracle[i], opts["fraction"], opts["magnitude"], opts["seed"],
+                    key=(i,),
                 )
             )
     return out

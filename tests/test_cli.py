@@ -41,7 +41,9 @@ from soco import models
 from soco.cli import build_parser, main
 from soco.metrics import IMPUTER_KINDS, METRICS, RANK_ORDERS, WEIGHTINGS, metric_defaults
 from soco.models import Layer
-from soco.modify import SCHEME_KINDS
+from soco.core import keyword_defaults
+from soco.experiment import SCHEME_KEYS
+from soco.modify import SCHEME_KINDS, SCHEMES
 from soco.io import MAGIC, canonical_json
 
 from external_servers import unreaped
@@ -164,6 +166,18 @@ def test_eval_deletion_on_modified_maps(workdir):
     )
     assert rc == 0
     assert read_curve(workdir / "del.curve.json").metric_kind == "deletion"
+
+
+def test_option_flags_are_the_library_keys():
+    # modify's flags but its files are the scheme keys; eval's options are metric keys
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        verb: {action.dest for action in parser._actions if action.option_strings} - {"help"}
+        for verb, parser in verbs.choices.items()
+    }
+    assert flags["modify"] - {"maps", "out", "dataset", "format"} == SCHEME_KEYS
+    metric_keys = set().union(*(keyword_defaults(function) for function in METRICS.values()))
+    assert flags["eval"] - {"metric", "dataset", "maps", "out", "mlp_weights"} <= metric_keys
 
 
 def test_no_flag_of_any_verb_has_a_default():
@@ -325,7 +339,48 @@ def test_a_flag_outside_its_domain_is_exit_2_naming_the_flag(
     if verb == "eval":
         args += ["--metric", "soundness", "--dataset", str(workdir / "data.soco")]
     elif verb == "modify":
-        args += ["--maps", str(workdir / "maps.soco"), "--kind", "synth_remove"]
+        args += ["--maps", str(workdir / "maps.soco"), "--kind", reader(flag[2:])]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+# a flag the chosen kind or metric does not read, and a value its kind refuses
+UNREAD_FLAGS = [
+    ("modify", "constant", ["--fraction", "0.3"], "--kind constant takes no --fraction"),
+    ("modify", "constant", ["--renormalize"], "--kind constant takes no --renormalize"),
+    ("modify", "random", ["--fraction", "0.3"], "--kind random takes no --fraction"),
+    ("modify", "random", ["--renormalize"], "--kind random takes no --renormalize"),
+    ("modify", "partial", ["--magnitude", "0.5"], "--kind partial takes no --magnitude"),
+    ("modify", "partial", ["--fraction", "0.3"], "--kind partial takes no --fraction"),
+    ("modify", "partial", ["--renormalize"], "--kind partial takes no --renormalize"),
+    ("modify", "synth_remove", ["--magnitude", "0.5"], "--kind synth_remove takes no --magnitude"),
+    ("modify", "synth_introduce", ["--renormalize"],
+     "--kind synth_introduce takes no --renormalize"),
+    ("modify", "synth_remove", ["--direction", "introduce"],
+     "--direction must be one of ['remove'], got 'introduce'"),
+    ("modify", "synth_introduce", ["--direction", "remove"],
+     "--direction must be one of ['introduce'], got 'remove'"),
+    ("modify", "constant", ["--magnitude", "-0.3"], "--magnitude must be non-negative"),
+    ("modify", "random", ["--magnitude", "-0.3"], "--magnitude must be non-negative"),
+    ("eval", "road", ["--imputer", "mean"], "--metric road takes no --imputer"),
+    ("eval", "completeness", ["--order", "LeRF"], "--metric completeness takes no --order"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, choice, flags, message", UNREAD_FLAGS,
+    ids=[f"{v}-{c}{''.join(f)}" for v, c, f, _ in UNREAD_FLAGS],
+)
+def test_a_flag_the_choice_does_not_read_is_exit_2_naming_it(
+    workdir, capsys, verb, choice, flags, message
+):
+    out = workdir / "out.soco"
+    args = [verb, "--out", str(out), "--dataset", str(workdir / "data.soco"), *flags]
+    if verb == "eval":
+        args += ["--metric", choice]
+    else:
+        args += ["--maps", str(workdir / "maps.soco"), "--kind", choice]
     assert main(args) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
@@ -981,8 +1036,16 @@ def mistyped(path: tuple, value) -> dict:
     node = cfg
     for step in path[:-1]:
         node = node[step]
+    if path[:-1] == SCHEME:
+        node["kind"] = reader(path[-1])
     node[path[-1]] = value
     return cfg
+
+
+def reader(key: str) -> str:
+    """The first scheme kind whose function reads ``key``, so that a bad
+    value is refused by the key's own rule."""
+    return next(kind for kind in SCHEME_KINDS if key in keyword_defaults(SCHEMES[kind]))
 
 
 SCHEME = ("maps", "variants", "mod", 0)
@@ -1004,8 +1067,8 @@ MISTYPED = [
     (("dataset", "synthetic", "seed"), "3", "dataset.synthetic.seed"),
     (SCHEME + ("fraction",), "0.3", "fraction"),
     (SCHEME + ("fraction",), None, "fraction"),
-    (SCHEME + ("magnitude",), "0.5", "magnitude"),
-    (SCHEME + ("magnitude",), None, "magnitude"),
+    (SCHEME + ("magnitude",), "0.5", "magnitude must be a finite real"),
+    (SCHEME + ("magnitude",), None, "magnitude must be a finite real"),
     (SCHEME + ("seed",), "3", "seed"),
     (SCHEME + ("seed",), 1.5, "seed"),
     (SCHEME + ("seed",), True, "seed"),
@@ -1053,6 +1116,43 @@ def test_mistyped_path_or_variants_is_exit_2_naming_the_key(tmp_path, capsys, pa
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+REFUSED_SCHEMES = [
+    ({"kind": "constant", "fraction": 0.3}, "unknown key(s) ['fraction'] in scheme constant"),
+    ({"kind": "constant", "renormalize": True},
+     "unknown key(s) ['renormalize'] in scheme constant"),
+    ({"kind": "random", "fraction": 0.3}, "unknown key(s) ['fraction'] in scheme random"),
+    ({"kind": "random", "renormalize": True}, "unknown key(s) ['renormalize'] in scheme random"),
+    ({"kind": "partial", "magnitude": 0.5}, "unknown key(s) ['magnitude'] in scheme partial"),
+    ({"kind": "partial", "fraction": 0.3}, "unknown key(s) ['fraction'] in scheme partial"),
+    ({"kind": "partial", "renormalize": True},
+     "unknown key(s) ['renormalize'] in scheme partial"),
+    ({"kind": "synth_remove", "magnitude": 0.5},
+     "unknown key(s) ['magnitude'] in scheme synth_remove"),
+    ({"kind": "synth_introduce", "renormalize": True},
+     "unknown key(s) ['renormalize'] in scheme synth_introduce"),
+    ({"kind": "synth_remove", "direction": "introduce"},
+     "direction must be one of ['remove'], got 'introduce'"),
+    ({"kind": "synth_introduce", "direction": "remove"},
+     "direction must be one of ['introduce'], got 'remove'"),
+    ({"kind": "constant", "magnitude": -0.3}, "magnitude must be non-negative"),
+    ({"kind": "random", "magnitude": -0.3}, "magnitude must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "scheme, message", REFUSED_SCHEMES,
+    ids=["-".join(map(str, scheme.values())) for scheme, _ in REFUSED_SCHEMES],
+)
+def test_a_scheme_key_its_kind_refuses_is_exit_2_naming_the_variant(
+    tmp_path, capsys, scheme, message
+):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(mistyped(SCHEME, scheme)))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: variant 'mod': {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -13,6 +14,7 @@ import pytest
 from soco import (
     ConfigError,
     MapSet,
+    ModScheme,
     ValidationSettings,
     experiment,
     generate_synthetic,
@@ -163,7 +165,21 @@ def test_scheme_seed_defaults_to_master_seed():
             }
         )
     )
-    assert cfg.variants["x"][0].seed == 3
+    assert cfg.variants["x"][0].options["seed"] == 3
+
+
+def test_scheme_entries_as_the_bridge_bench_writes_them_parse():
+    # a synthetic kind may repeat the direction its name states
+    cfg = parse_config(base_config(maps={"variants": {
+        "original": [],
+        "remove": [{"kind": "synth_remove", "fraction": 0.3}],
+        "introduce": [
+            {"kind": "synth_introduce", "direction": "introduce", "fraction": 0.3, "magnitude": 1.0}
+        ],
+    }}))
+    assert cfg.variants["introduce"] == (
+        ModScheme(kind="synth_introduce", fraction=0.3, magnitude=1.0, seed=3),
+    )
 
 
 def test_config_keys_left_out_take_the_library_defaults():
@@ -359,6 +375,20 @@ def test_micro_validation_run(tmp_path):
     summary = json.loads((tmp_path / "val" / "validation_summary.json").read_text())
     assert summary["clean_accuracy"] == 1.0
     assert (tmp_path / "val" / "completeness.remove.csv").exists()
+
+
+def test_validation_summary_is_strict_json(tmp_path):
+    # the pinned settings reach level 0.6 for introduce in one trial, so its std is NaN
+    settings = ValidationSettings(n_samples=300, n_features=60, seed=5, n_trials=3)
+    result = run_validation(settings, out_dir=tmp_path)
+    assert math.isnan(result.aligned_soundness["introduce"][0.6][1])
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    text = (tmp_path / "validation_summary.json").read_text()
+    summary = json.loads(text, parse_constant=refuse)
+    assert summary["aligned_soundness"]["introduce"]["0.6"][1] is None
 
 
 def test_validation_summaries_keep_their_pinned_bytes():

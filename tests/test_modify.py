@@ -18,7 +18,8 @@ from soco import (
     normalize_attribution,
     oracle_info,
 )
-from soco.modify import DIRECTIONS, SCHEME_KINDS
+from soco.core import keyword_defaults
+from soco.modify import DIRECTIONS, SCHEME_KINDS, SCHEMES, scheme_rules
 
 from per_sample import apply_scheme_per_map, per_map_oracles
 
@@ -160,8 +161,6 @@ def test_synth_remove_rejects_empty_support_and_full_removal():
 
 @pytest.fixture(scope="module")
 def tiny_world():
-    from soco import generate_synthetic, ground_truth_attribution
-
     ds = generate_synthetic(12, 30, seed=3)
     return ds, ground_truth_attribution(ds), oracle_info(ds)
 
@@ -240,10 +239,10 @@ def test_apply_scheme_synth_introduce_needs_oracle(tiny_world):
 
 
 def test_scheme_defaults_resolve_per_kind():
-    assert ModScheme(kind="constant").resolved_magnitude() == 0.6
-    assert ModScheme(kind="random").resolved_magnitude() == 0.6
-    assert ModScheme(kind="synth_introduce").resolved_magnitude() == 0.5
-    assert ModScheme(kind="constant", magnitude=0.25).resolved_magnitude() == 0.25
+    assert ModScheme(kind="constant").options["magnitude"] == 0.6
+    assert ModScheme(kind="random").options["magnitude"] == 0.6
+    assert ModScheme(kind="synth_introduce").options["magnitude"] == 0.5
+    assert ModScheme(kind="constant", magnitude=0.25).options["magnitude"] == 0.25
 
 
 def test_scheme_validation():
@@ -253,6 +252,50 @@ def test_scheme_validation():
         ModScheme(kind="constant", direction="both")
     with pytest.raises(ConfigError):
         ModScheme(kind="synth_remove", fraction=1.5)
+
+
+# the nine (kind, key) pairs whose kind's function does not read the key
+UNREAD = [
+    ("constant", "fraction"), ("constant", "renormalize"),
+    ("random", "fraction"), ("random", "renormalize"),
+    ("partial", "magnitude"), ("partial", "fraction"), ("partial", "renormalize"),
+    ("synth_remove", "magnitude"), ("synth_introduce", "renormalize"),
+]
+VALID = {"magnitude": 0.5, "fraction": 0.3, "renormalize": True}
+
+
+@pytest.mark.parametrize("kind, key", UNREAD, ids=[f"{k}-{key}" for k, key in UNREAD])
+def test_a_key_the_kind_does_not_read_is_a_config_error(kind, key):
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\] in scheme {kind}$"):
+        ModScheme(kind=kind, **{key: VALID[key]})
+
+
+def test_each_kind_takes_exactly_its_keys_and_seed():
+    taken = {kind: set(scheme_rules(kind)) for kind in SCHEME_KINDS}
+    assert taken == {
+        "constant": {"direction", "magnitude", "seed"},
+        "random": {"direction", "magnitude", "seed"},
+        "partial": {"direction", "seed"},
+        "synth_remove": {"direction", "fraction", "seed", "renormalize"},
+        "synth_introduce": {"direction", "fraction", "magnitude", "seed"},
+    }
+    # a seed on a kind that draws nothing is taken and has no effect
+    assert ModScheme(kind="constant", seed=4) == ModScheme(kind="constant")
+    assert ModScheme(kind="partial", seed=4).options == {"direction": "remove"}
+
+
+def test_a_synthetic_kind_takes_only_the_direction_its_name_states():
+    assert ModScheme(kind="synth_remove", direction="remove") == ModScheme(kind="synth_remove")
+    assert ModScheme(kind="synth_introduce", direction="introduce") == ModScheme(
+        kind="synth_introduce"
+    )
+    for kind, other in (("synth_remove", "introduce"), ("synth_introduce", "remove")):
+        named = kind.removeprefix("synth_")
+        with pytest.raises(
+            ConfigError, match=rf"^direction must be one of \['{named}'\], got '{other}'$"
+        ):
+            ModScheme(kind=kind, direction=other)
+
 
 
 # -- the stacked schemes against the per-map oracle --------------------------------
@@ -275,14 +318,21 @@ def scheme_problems(draw):
         raw[0] = 0  # an all-zero map
     maps = normalize_attribution(raw.astype(np.float64))
     phi = rng.standard_normal(size)
-    scheme = ModScheme(
-        kind=draw(st.sampled_from(SCHEME_KINDS)),
-        direction=draw(st.sampled_from(DIRECTIONS)),
-        magnitude=draw(st.sampled_from((-1.0, 0.0, 0.25, 1.0))),
-        fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0))),
-        seed=draw(st.one_of(st.integers(0, 1000), st.integers(0, 2**70))),  # multi-word too
-        renormalize=draw(st.booleans()),
-    )
+    values = {
+        "direction": st.sampled_from(DIRECTIONS),
+        "magnitude": st.sampled_from((0.0, 0.25, 1.0)),
+        "fraction": st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0)),
+        "seed": st.one_of(st.integers(0, 1000), st.integers(0, 2**70)),  # multi-word too
+        "renormalize": st.booleans(),
+    }
+    # only the keys the kind reads, each left out (its default) or drawn
+    kind = draw(st.sampled_from(SCHEME_KINDS))
+    options = {
+        key: draw(values[key])
+        for key in keyword_defaults(SCHEMES[kind])
+        if draw(st.booleans())
+    }
+    scheme = ModScheme(kind=kind, **options)
     return maps, scheme, OracleInfo(phi=phi, informative=phi > 0)
 
 
@@ -310,19 +360,24 @@ def test_stacked_schemes_match_the_per_map_oracle(problem):
 @pytest.mark.parametrize(
     "field, value",
     [("fraction", "0.3"), ("fraction", None), ("magnitude", "0.5"), ("magnitude", None),
-     ("magnitude", float("nan")), ("seed", "3"), ("seed", 1.5), ("seed", True), ("seed", -1),
-     ("renormalize", 1)],
+     ("magnitude", float("nan")), ("magnitude", -0.3), ("seed", "3"), ("seed", 1.5),
+     ("seed", True), ("seed", -1), ("renormalize", 1)],
 )
 def test_mistyped_scheme_fields_are_config_errors_naming_the_field(field, value):
-    with pytest.raises(ConfigError, match=field):
-        ModScheme(kind="synth_remove", **{field: value})
+    # on a kind whose function reads the field, so that the field's own rule refuses it
+    kind = next(kind for kind in SCHEME_KINDS if field in keyword_defaults(SCHEMES[kind]))
+    with pytest.raises(ConfigError, match=f"^{field} must "):
+        ModScheme(kind=kind, **{field: value})
 
 
 def test_scheme_takes_numpy_numbers():
-    scheme = ModScheme(kind="random", fraction=np.float32(0.5), magnitude=np.int64(1),
-                       seed=np.uint64(2**63), renormalize=np.bool_(True))
-    out = apply_scheme(amap([0.2, 0.9]), scheme).values
-    assert out.shape == (1, 2)
+    for scheme in (
+        ModScheme(kind="random", magnitude=np.int64(1), seed=np.uint64(2**63)),
+        ModScheme(kind="synth_remove", fraction=np.float32(0.5), seed=np.uint64(2**63),
+                  renormalize=np.bool_(True)),
+    ):
+        out = apply_scheme(amap([0.2, 0.9]), scheme).values
+        assert out.shape == (1, 2)
 
 
 # -- pinned bytes of every kind ------------------------------------------------
