@@ -36,14 +36,12 @@ def _given(args, names) -> dict:
     return {key: value for key, value in vars(args).items() if key in names}
 
 
-def _check_read(choice: str, args, options: dict, keys) -> None:
-    """Refuse an option flag that the ``--<choice>`` given does not read, by
-    its flag: ``--metric road takes no --imputer``."""
+def _check_read(choice: str, options: dict, keys) -> None:
+    """Refuse an option whose key is not among the ``keys`` that ``choice``
+    reads, by its flag: ``--metric road takes no --imputer``."""
     unread = sorted(set(options).difference(keys))
     if unread:
-        raise ConfigError(
-            f"--{choice} {vars(args)[choice]} takes no --{unread[0].replace('_', '-')}"
-        )
+        raise ConfigError(f"{choice} takes no --{unread[0].replace('_', '-')}")
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -63,7 +61,7 @@ def _cmd_attribute(args) -> int:
 
 def _cmd_modify(args) -> int:
     options = _given(args, SCHEME_KEYS - {"kind"})
-    _check_read("kind", args, options, scheme_rules(args.kind))
+    _check_read(f"--kind {args.kind}", options, scheme_rules(args.kind))
     scheme = ModScheme(args.kind, **options)
     dataset = read_dataset(args.dataset) if vars(args).get("dataset") else None
     maps = read_maps(args.maps, dataset)
@@ -80,7 +78,7 @@ def _cmd_modify(args) -> int:
 
 def _cmd_eval(args) -> int:
     options = _given(args, {key for name in METRICS for key in metric_defaults(name)})
-    _check_read("metric", args, options, metric_defaults(args.metric))
+    _check_read(f"--metric {args.metric}", options, metric_defaults(args.metric))
     dataset = read_dataset(args.dataset)
     model = in_process_model(dataset, vars(args).get("mlp_weights"))
     if vars(args).get("maps"):
