@@ -243,7 +243,8 @@ def normalize_attribution(values: Union[MapSet, np.ndarray]) -> MapSet:
     ``values`` is a stack of raw maps, ``(n, *feature_shape)``, whose entries
     may be negative; those are clipped before scaling.  An all-zero map is
     returned unchanged.  Idempotent, and order-preserving on the strictly
-    positive entries of each map.
+    positive entries of each map.  The caller's array is never written: the
+    clip makes a new one, which is then scaled in place.
     """
     arr = values.values if isinstance(values, MapSet) else np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -254,7 +255,8 @@ def normalize_attribution(values: Union[MapSet, np.ndarray]) -> MapSet:
     peak = arr.reshape(arr.shape[0], -1).max(axis=1, initial=0.0)
     # dividing by one leaves an all-zero map exactly as it was
     peak = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (arr.ndim - 1))
-    return MapSet(arr / peak, normalized=True)
+    arr /= peak
+    return MapSet(arr, normalized=True)
 
 
 class Model(Protocol):

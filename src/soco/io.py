@@ -357,11 +357,17 @@ def read_curve(path: _PathLike) -> EvalCurve:
 # -- plot data ---------------------------------------------------------------
 
 
+def _float_or_none(value) -> Optional[float]:
+    return None if np.isnan(value) else float(value)
+
+
 def emit_plot_data(source, path: _PathLike, format: str = "csv") -> None:
     """Flatten a curve or trial summary into plottable columns.
 
     Curves emit (x, y); summaries emit (x, mean, std, n).  The header row
-    names the axes; for curves it also carries the metric kind.
+    names the axes; for curves it also carries the metric kind.  A summary's
+    NaN mean (a grid point no trial reached) or std (fewer than two trials)
+    is written as JSON's null, or an empty CSV cell.
     """
     if isinstance(source, EvalCurve):
         x_axis, y_label = CURVE_AXES[source.metric_kind]
@@ -370,7 +376,7 @@ def emit_plot_data(source, path: _PathLike, format: str = "csv") -> None:
     elif isinstance(source, TrialSummary):
         header = ["x", "mean", "std", "n_trials"]
         rows = [
-            [float(x), float(m), None if np.isnan(s) else float(s), int(c)]
+            [float(x), _float_or_none(m), _float_or_none(s), int(c)]
             for x, m, s, c in zip(source.x_grid, source.mean, source.std, source.counts)
         ]
     else:

@@ -413,8 +413,9 @@ def soundness_curve(
     if not np.any(keep):
         raise DataError("empty evaluation set")
 
-    values, features, labels = values[keep], features[keep], labels[keep]
-    noise = None if noise is None else noise[keep]
+    if n_skipped:
+        values, features, labels = values[keep], features[keep], labels[keep]
+        noise = None if noise is None else noise[keep]
     n, d = values.shape
 
     order = _order(values)

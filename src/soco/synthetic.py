@@ -25,7 +25,7 @@ from .core import (
     check_count,
     normalize_attribution,
 )
-from .rng import substreams
+from .rng import substream, substreams
 
 DEFAULT_N_SAMPLES = 1000
 DEFAULT_N_FEATURES = 200
@@ -42,7 +42,9 @@ def generate_synthetic(
     the dataset is identical no matter how generation is ordered or
     parallelized.  The streams come from ``substreams``: the same generators,
     their seeds derived for all rows in one pass and each built as its row is
-    drawn.  Samples with an exactly zero sum are redrawn from the same stream.
+    drawn, straight into the row's slot.  Samples with an exactly zero sum
+    are redrawn from the same stream: it is built again and replayed from
+    its first draw until a draw's sum is not zero, as a per-row loop draws.
     A count that is not a positive integer, or a seed that is not a
     non-negative one, is a ``ConfigError`` naming its parameter; a size whose
     feature array cannot be allocated is a ``DataError``.
@@ -57,13 +59,18 @@ def generate_synthetic(
         raise DataError(
             f"cannot hold a synthetic dataset of {n_samples} x {n_features} features: {exc}"
         ) from None
-    for i, rng in enumerate(substreams(seed, "data", range(n_samples))):
+    for row, rng in zip(rows, substreams(seed, "data", range(n_samples))):
+        rng.standard_normal(out=row)
+    sums = rows.sum(axis=1)
+    zero = np.flatnonzero(sums == 0.0)
+    for i in zero:
+        rng = substream(seed, "data", int(i))
         x = rng.standard_normal(n_features)
         while x.sum() == 0.0:
             x = rng.standard_normal(n_features)
         rows[i] = x
-    labels = (rows.sum(axis=1) > 0).astype(np.int64)
-    return Dataset(rows, labels, n_classes=2)
+    sums[zero] = rows[zero].sum(axis=1)
+    return Dataset(rows, (sums > 0).astype(np.int64), n_classes=2)
 
 
 class LinearStepModel:
@@ -98,11 +105,15 @@ class OracleInfo:
 
 
 def _class_aligned(dataset: Dataset) -> np.ndarray:
-    """Each sample's features, negated for the samples of class 0."""
+    """Each sample's features, negated for the samples of class 0, as a new array.
+
+    The sign is a product with 1.0 or -1.0, an exact sign flip: a zero
+    feature of class 0 becomes -0.0, as negation makes it.
+    """
     if dataset.is_grid:
         raise DataError("tabular model")
-    feats = dataset.feature_matrix()
-    return np.where(dataset.labels()[:, None] == 1, feats, -feats)
+    sign = np.where(dataset.labels() == 1, 1.0, -1.0)
+    return dataset.feature_matrix() * sign[:, None]
 
 
 def ground_truth_attribution(dataset: Dataset) -> MapSet:
@@ -117,7 +128,8 @@ def ground_truth_attribution(dataset: Dataset) -> MapSet:
     bad = np.flatnonzero(predicted != dataset.labels())
     if bad.size:
         raise DataError(f"inconsistent label for sample {dataset.sample_ids[bad[0]]}")
-    return normalize_attribution(np.maximum(_class_aligned(dataset), 0.0))
+    aligned = _class_aligned(dataset)
+    return normalize_attribution(np.maximum(aligned, 0.0, out=aligned))
 
 
 def oracle_info(dataset: Dataset) -> OracleInfo:

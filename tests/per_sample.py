@@ -1,8 +1,8 @@
 """The literal per-sample oracles, kept from before the batched data model.
 
-These are the ranking, masking, map-modification and data-generation
-functions as the package wrote them one sample or one map at a time, each
-map a plain array of any shape (``apply_scheme`` is renamed
+These are the ranking, masking, map-modification, data-generation and
+ground-truth functions as the package wrote them one sample or one map at a
+time, each map a plain array of any shape (``apply_scheme`` is renamed
 ``apply_scheme_per_map``), each stream built by its own ``substream`` call.  Tests
 check the batched code in ``soco`` against them; nothing in the package
 imports this module.  ``applied_masks`` replays the metrics' change sets,
@@ -50,6 +50,23 @@ def generate_synthetic_per_row(n_samples: int, n_features: int, seed: int):
         rows.append(x)
     feats = np.stack(rows)
     return feats, (feats.sum(axis=1) > 0).astype(np.int64)
+
+
+def oracle_info_per_row(features: np.ndarray, labels: np.ndarray):
+    """``oracle_info``'s ``phi`` and ``informative``: each row, negated for class 0."""
+    phi = np.stack([x if y == 1 else -x for x, y in zip(features, labels)])
+    return phi, phi > 0
+
+
+def ground_truth_per_row(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``ground_truth_attribution``'s maps: each row's class-aligned positive
+    part, divided by its peak when the peak is positive."""
+    maps = []
+    for x, y in zip(features, labels):
+        raw = np.maximum(x if y == 1 else -x, 0.0)
+        peak = raw.max()
+        maps.append(raw / peak if peak > 0 else raw)
+    return np.stack(maps)
 
 
 # -- ranking and masking ---------------------------------------------------------

@@ -10,6 +10,7 @@ from soco import (
     EvalCurve,
     MapSet,
     TrialSummary,
+    aggregate_trials,
     emit_plot_data,
     read_curve,
     read_dataset,
@@ -367,6 +368,29 @@ def test_emit_summary_json(tmp_path):
     assert payload["columns"] == ["x", "mean", "std", "n_trials"]
     assert payload["rows"][0] == [0.1, 0.5, 0.0, 3]
     assert payload["rows"][1] == [0.9, 0.25, None, 1]
+
+
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def test_emit_summary_writes_a_point_no_trial_reached_as_null(tmp_path):
+    # both curves start at 0.2, so grid point 0.1 has no mean and no std
+    curves = [EvalCurve("completeness", ((0.2, y), (0.5, y / 2))) for y in (0.4, 0.8)]
+    summary = aggregate_trials(curves, [0.1, 0.3])
+    assert np.isnan(summary.mean[0]) and summary.counts.tolist() == [0, 2]
+    reached = [0.3, float(summary.mean[1]), float(summary.std[1]), 2]
+
+    emit_plot_data(summary, tmp_path / "s.json", format="json")
+    payload = json.loads((tmp_path / "s.json").read_text(), parse_constant=_refuse)
+    assert payload["rows"] == [[0.1, None, None, 0], reached]
+
+    emit_plot_data(summary, tmp_path / "s.csv", format="csv")
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    assert lines[1:] == ["0.1,,,0", ",".join(repr(v) for v in reached)]
+    for cell in ",".join(lines[1:]).split(","):
+        if cell:
+            json.loads(cell, parse_constant=_refuse)
 
 
 def test_emit_rejects_unknown_sources_and_formats(tmp_path):

@@ -164,6 +164,26 @@ def test_soundness_skips_zero_maps_with_warning(step_model, small_dataset, gt_ma
     assert curve.meta["n_samples"] == len(maps) - 1
 
 
+def test_soundness_with_zero_maps_scores_the_other_rows_alone(step_model, small_dataset):
+    # the zero fill reads nothing from the skipped rows, so the two agree bit for bit
+    values = np.random.default_rng(4).random((len(small_dataset), 100))
+    values[[2, 5]] = 0.0
+    keep = np.ones(len(values), dtype=bool)
+    keep[[2, 5]] = False
+    with pytest.warns(UserWarning, match="skipping 2 all-zero"):
+        skipped = soundness_curve(
+            step_model, small_dataset, MapSet(values),
+            mask_ratios=COARSE_RATIOS, imputer="zero",
+        )
+    rest = Dataset(small_dataset.feature_matrix()[keep], small_dataset.labels()[keep], 2)
+    alone = soundness_curve(
+        step_model, rest, MapSet(values[keep]), mask_ratios=COARSE_RATIOS, imputer="zero"
+    )
+    assert len(alone.points) > 1
+    assert skipped.points == alone.points
+    assert skipped.meta == {**alone.meta, "skipped": 2}
+
+
 def test_soundness_q_bounded(step_model, small_dataset, gt_maps):
     curve = soundness_curve(
         step_model,
