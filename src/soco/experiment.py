@@ -62,12 +62,14 @@ from .io import (
     write_curve,
 )
 from .metrics import (
+    DEFAULT_MASK_RATIOS,
     DEFAULT_THRESHOLDS,
     METRICS,
     check_maps,
     check_options,
     completeness_curve,
     fill_kind,
+    mask_counts,
     soundness_curve,
 )
 from .models import BridgeProcessFailed, ExternalModel, ExternalModelSpec, MlpModel, MlpWeights
@@ -77,6 +79,7 @@ from .synthetic import (
     DEFAULT_N_FEATURES,
     DEFAULT_N_SAMPLES,
     LinearStepModel,
+    check_synthetic,
     generate_synthetic,
     ground_truth_attribution,
     oracle_info,
@@ -416,6 +419,32 @@ class ValidationResult:
 VALIDATION_METHODS = ("original", "remove", "introduce")
 
 
+def _check_validation(settings: ValidationSettings) -> dict:
+    """Check every setting ``run_validation`` reads and return the
+    modification scheme of each modified method, which its jobs reseed by
+    trial.  The checks are the trial count, the synthetic world's size and
+    seed (``check_synthetic``), the completeness thresholds, the schemes'
+    options, the soundness noise, and that soundness's default mask ratios
+    each leave a feature unmasked.  So a bad setting fails before the world
+    is built or a lane forked, with the message the step that reads it
+    would give."""
+    if check_count(settings.n_trials, "n_trials") < 2:
+        raise ConfigError(f"n_trials must be at least 2, got {settings.n_trials}")
+    check_synthetic(settings.n_samples, settings.n_features, settings.seed)
+    check_options("completeness", {"thresholds": settings.thresholds})
+    schemes = {
+        "remove": ModScheme("synth_remove", fraction=settings.remove_fraction),
+        "introduce": ModScheme(
+            "synth_introduce",
+            fraction=settings.introduce_fraction,
+            magnitude=settings.introduce_magnitude,
+        ),
+    }
+    check_options("soundness", {"noise_std": settings.noise_std})
+    mask_counts(DEFAULT_MASK_RATIOS, settings.n_features)
+    return schemes
+
+
 def run_validation(
     settings: ValidationSettings = ValidationSettings(),
     out_dir: Optional[Union[str, Path]] = None,
@@ -432,8 +461,7 @@ def run_validation(
     per-method summaries under ``out_dir``.  ``n_trials`` must be at least
     two, so that each method has a spread to aggregate.
     """
-    if check_count(settings.n_trials, "n_trials") < 2:
-        raise ConfigError(f"n_trials must be at least 2, got {settings.n_trials}")
+    schemes = _check_validation(settings)
     dataset = generate_synthetic(settings.n_samples, settings.n_features, settings.seed)
     model = LinearStepModel()
     gt = ground_truth_attribution(dataset)
@@ -446,22 +474,10 @@ def run_validation(
         trial, method = job
         if method == "original":
             maps = gt
-        elif method == "remove":
-            maps = apply_scheme(
-                gt,
-                ModScheme(kind="synth_remove", fraction=settings.remove_fraction, seed=trial),
-            )
         else:
-            maps = apply_scheme(
-                gt,
-                ModScheme(
-                    kind="synth_introduce",
-                    fraction=settings.introduce_fraction,
-                    magnitude=settings.introduce_magnitude,
-                    seed=trial,
-                ),
-                oracle,
-            )
+            scheme = schemes[method]
+            trial_scheme = ModScheme(scheme.kind, **{**scheme.options, "seed": trial})
+            maps = apply_scheme(gt, trial_scheme, oracle)
         s_curve = soundness_curve(
             model, dataset, maps, noise_std=settings.noise_std, seed=settings.seed + trial
         )

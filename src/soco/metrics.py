@@ -64,6 +64,8 @@ DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(11))
 
 # the most bytes of noisy-linear fills that one window of a sweep holds
 _WINDOW_BYTES = 64 << 20
+# the most bytes of float64 rows that one block of ranking or prefix sums covers
+_BLOCK_BYTES = 64 << 10
 
 IMPUTER_KINDS = ("zero", "mean", "noisy_linear")
 WEIGHTINGS = ("attribution", "cardinality")
@@ -125,7 +127,7 @@ def _require_grid(dataset: Dataset) -> None:
         raise ConfigError("noisy_linear requires grid-shaped samples")
 
 
-def _mask_counts(mask_ratios: Sequence[float], d: int) -> list[int]:
+def mask_counts(mask_ratios: Sequence[float], d: int) -> list[int]:
     """Each mask ratio's feature count round(m * d), after checking that
     none masks all ``d`` features: soundness needs an included set."""
     ks = [round_half_away(m * d) for m in mask_ratios]
@@ -166,7 +168,7 @@ def check_options(name: str, options: dict, dataset: Optional[Dataset] = None) -
         if fill_kind(name, checked, dataset) == "noisy_linear":
             _require_grid(dataset)
         if "mask_ratios" in checked:
-            _mask_counts(checked["mask_ratios"], dataset.n_features)
+            mask_counts(checked["mask_ratios"], dataset.n_features)
     return checked
 
 
@@ -190,9 +192,45 @@ def _inputs(name: str, dataset: Dataset, maps: MapSet, seed: int, options: dict)
     return opts, fill_kind(name, opts, dataset), values, features, dataset.labels(), noise
 
 
-def _order(keys: np.ndarray) -> np.ndarray:
-    """Each row's feature indices by ascending key, ties by ascending index."""
-    return np.argsort(keys, axis=1, kind="stable")
+def _row_blocks(n: int, d: int):
+    """Slices of the ``n`` rows of an ``(n, d)`` array, each covering at most
+    ``_BLOCK_BYTES`` of float64s (one row at the least)."""
+    rows = max(1, _BLOCK_BYTES // (8 * d))
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
+
+
+def _order(values: np.ndarray, descending: bool = False) -> np.ndarray:
+    """Each row's feature indices by ascending value (descending with
+    ``descending``), ties by ascending index.  The rows are sorted block by
+    block (``_row_blocks``) into one int32 array (int64 when d >= 2**31), so
+    the ranking holds half an ``(n, d)`` float64 array and no full-size
+    temporary."""
+    n, d = values.shape
+    order = np.empty((n, d), dtype=np.int32 if d < 2**31 else np.int64)
+    for rows in _row_blocks(n, d):
+        block = values[rows]
+        order[rows] = np.argsort(-block if descending else block, axis=1, kind="stable")
+    return order
+
+
+def _cut_sums(values: np.ndarray, order: np.ndarray, cuts: Sequence[int]) -> dict:
+    """Each row's sum of its first k values in ``order``, as an ``(n,)``
+    array per cut-off k in the ascending ``cuts``.
+
+    The sums are the columns of one ``(n, len(cuts))`` array.  They are read
+    off a running sum (``np.cumsum``, which adds along a row one value at a
+    time) of each block of rows (``_row_blocks``) in sorted order, so a sum
+    has the bits of the whole row's running sum at k, without a sorted or
+    summed ``(n, d)`` array.
+    """
+    n, d = values.shape
+    sums = np.zeros((n, len(cuts)))
+    first = int(cuts[0] == 0)  # the empty prefix sums to 0.0
+    at = [k - 1 for k in cuts[first:]]
+    for rows in _row_blocks(n, d):
+        running = np.cumsum(np.take_along_axis(values[rows], order[rows], axis=1), axis=1)
+        sums[rows, first:] = running[:, at]
+    return dict(zip(cuts, sums.T))
 
 
 def _predrawn_noise(dataset: Dataset, noise_std: float, seed: int) -> Optional[np.ndarray]:
@@ -202,13 +240,16 @@ def _predrawn_noise(dataset: Dataset, noise_std: float, seed: int) -> Optional[n
     Sharing the draw across steps keeps accuracy trajectories monotone in
     the included set instead of jittering point to point, and makes results
     independent of sweep order and worker scheduling.  ``seed`` is checked
-    even when there is no noise, so every metric refuses a bad seed.
+    even when there is no noise, so every metric refuses a bad seed.  The
+    draw is scaled in place, so the noise is one ``(n, d)`` float64 array at
+    its peak too, with the bits of ``noise_std * draw``.
     """
     check_count(seed, "seed")
     if noise_std == 0.0:
         return None
-    rng = substream(seed, "noise")
-    return noise_std * rng.standard_normal((len(dataset),) + dataset.feature_shape)
+    noise = substream(seed, "noise").standard_normal((len(dataset),) + dataset.feature_shape)
+    noise *= noise_std
+    return noise
 
 
 def _rank_steps(order: np.ndarray, ks: Sequence[int], mask_prefix: bool):
@@ -328,8 +369,13 @@ def _sweep(
 
     ``kind`` is the fill, one of ``IMPUTER_KINDS``, and ``noise`` the
     pre-drawn noise that masked entries get on top of it, or None.  Zero and
-    mean fills keep one ``(n, d)`` buffer, the fill of the start mask, and
-    rewrite only the changed entries.  The noisy-linear solve depends on the
+    mean fills keep one ``(n, d)`` buffer, built in place as the fill of the
+    start mask, and rewrite only the changed entries: a masked feature j
+    gets ``fill[j] + noise``, computed for the change set alone, where the
+    zero fill is 0.0, so a noise value of -0.0 fills as +0.0.  Beyond its
+    inputs and the noise such a sweep holds that buffer and one step's change
+    set; ``scripts/memory_probe.py`` prints each metric's peak in ``(n, d)``
+    float64 arrays.  The noisy-linear solve depends on the
     whole mask, so that fill is redone at every step
     (``_grid_fills``): window by window into one shared array, the caller
     filling the first row share and one forked lane each other share when
@@ -350,19 +396,28 @@ def _sweep(
         steps = list(fresh_steps())
         batches = _grid_fills(features, dataset, noise, start_masked, steps)
     else:
-        shape = (len(features),) + dataset.feature_shape
-        # every entry filled, without np.where's 1-2 ms on 1000 x 200
-        filled = np.broadcast_to(0.0 if kind == "zero" else dataset.feature_means, shape)
-        if noise is not None:
-            filled = filled + noise
-        filled = filled.reshape(-1)
+        d = features.shape[1]
+        # a masked feature j is fill[j], then its noise added: the zero fill
+        # adds to 0.0, so a noise value of -0.0 fills as +0.0
+        fill = np.zeros(d) if kind == "zero" else dataset.feature_means.reshape(-1)
+        flat_noise = None if noise is None else noise.reshape(-1)
         clean = features.reshape(-1)
-        buf = (filled if start_masked else clean).copy()
-        view = buf.reshape(shape)
+        buf = np.empty_like(clean)
+        rows = buf.reshape(features.shape)
+        rows[...] = fill if start_masked else features
+        if start_masked and noise is not None:
+            rows += noise.reshape(features.shape)
+        view = buf.reshape((len(features),) + dataset.feature_shape)
         view.flags.writeable = False
 
         def step(idx: np.ndarray, masked: bool) -> np.ndarray:
-            buf[idx] = (filled if masked else clean)[idx]
+            if not masked:
+                buf[idx] = clean[idx]
+                return view
+            fills = fill[idx % d]
+            if flat_noise is not None:
+                fills += flat_noise[idx]
+            buf[idx] = fills
             return view
 
         batches = (step(idx, masked) for idx, masked in fresh_steps())
@@ -399,6 +454,13 @@ def soundness_curve(
     previous and the current cut-off.  Ratios whose mask count round(m * d)
     equals the previous one's (common when d < 99) repeat that step's
     accuracy without a model call.
+
+    Beyond its inputs, soundness then holds that copy (``_sweep``), the
+    ranking as int32 (``_order``, half an ``(n, d)`` float64 array), the
+    attribution sums at the cut-offs alone, an ``(n, steps + 1)`` array
+    (``_cut_sums``), and with noise the noise draw, one more ``(n, d)``
+    array: a peak of about 1.6 ``(n, d)`` arrays on 200 samples of 32×32×3
+    with the mean fill, 2.6 with noise (``scripts/memory_probe.py``).
     """
     opts, fill, values, features, labels, noise = _inputs("soundness", dataset, maps, seed, {
         "mask_ratios": mask_ratios, "epsilon": epsilon, "imputer": imputer,
@@ -418,12 +480,10 @@ def soundness_curve(
         noise = None if noise is None else noise[keep]
     n, d = values.shape
 
+    ks = mask_counts(mask_ratios, d)
     order = _order(values)
-    sorted_vals = np.take_along_axis(values, order, axis=1)
-    prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(sorted_vals, axis=1)], axis=1)
-    total = prefix[:, -1]
-
-    ks = _mask_counts(mask_ratios, d)
+    prefix = _cut_sums(values, order, sorted({*ks, d}))
+    total = prefix[d]
 
     accs = _sweep(model, dataset, features, labels, fill, noise, *_rank_steps(order, ks, True))
     sweep: list[tuple[float, float, float]] = []
@@ -433,10 +493,10 @@ def soundness_curve(
     k_prev = d
     for m, k, s_m in zip(mask_ratios, ks, accs):
         if s_m - s_prev < epsilon:
-            false_mass += prefix[:, k_prev] - prefix[:, k]
+            false_mass += prefix[k_prev] - prefix[k]
             false_card += k_prev - k
         if weighting == "attribution":
-            included = total - prefix[:, k]
+            included = total - prefix[k]
             q = float(np.mean((included - false_mass) / included))
         else:
             q = ((d - k) - false_card) / (d - k)
@@ -499,7 +559,7 @@ def _rank_curve(
     """Rank metric ``name``'s curve for its unchecked ``options``: insertion
     restores each map's growing rank prefixes, deletion and ROAD mask them."""
     opts, fill, values, features, labels, noise = _inputs(name, dataset, maps, seed, options)
-    ranking = _order(-values if opts["order"] == "MoRF" else values)
+    ranking = _order(values, descending=opts["order"] == "MoRF")
     ks = [round_half_away(f * values.shape[1]) for f in opts["fractions"]]
     accs = _sweep(
         model, dataset, features, labels, fill, noise,

@@ -31,6 +31,16 @@ DEFAULT_N_SAMPLES = 1000
 DEFAULT_N_FEATURES = 200
 
 
+def check_synthetic(n_samples: int, n_features: int, seed: int) -> None:
+    """``generate_synthetic``'s arguments: a count that is not a positive
+    integer, or a seed that is not a non-negative one, is a ``ConfigError``
+    naming its parameter."""
+    for key, count in (("n_samples", n_samples), ("n_features", n_features)):
+        if check_count(count, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {count}")
+    check_count(seed, "seed")
+
+
 def generate_synthetic(
     n_samples: int = DEFAULT_N_SAMPLES,
     n_features: int = DEFAULT_N_FEATURES,
@@ -45,14 +55,10 @@ def generate_synthetic(
     drawn, straight into the row's slot.  Samples with an exactly zero sum
     are redrawn from the same stream: it is built again and replayed from
     its first draw until a draw's sum is not zero, as a per-row loop draws.
-    A count that is not a positive integer, or a seed that is not a
-    non-negative one, is a ``ConfigError`` naming its parameter; a size whose
+    The arguments are checked first (``check_synthetic``); a size whose
     feature array cannot be allocated is a ``DataError``.
     """
-    for key, count in (("n_samples", n_samples), ("n_features", n_features)):
-        if check_count(count, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {count}")
-    check_count(seed, "seed")
+    check_synthetic(n_samples, n_features, seed)
     try:
         rows = np.empty((n_samples, n_features), dtype=np.float64)
     except (MemoryError, ValueError) as exc:  # numpy's too-big errors

@@ -339,6 +339,33 @@ def test_validation_with_fewer_than_two_trials_starts_no_job(monkeypatch, n_tria
         run_validation(ValidationSettings(n_samples=40, n_features=100, n_trials=n_trials))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_samples", 0, "n_samples must be at least 1, got 0"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("thresholds", (0.5, 0.7),
+     "metrics.completeness.thresholds must be a non-empty list strictly descending inside (0, 1)"),
+    ("remove_fraction", 2.0, "fraction must lie in [0, 1]"),
+    ("introduce_fraction", -0.5, "fraction must lie in [0, 1]"),
+    ("introduce_magnitude", math.nan, "magnitude must be a finite real number, got nan"),
+    ("noise_std", -1.0, "metrics.soundness.noise_std must be non-negative"),
+    ("n_features", 50, "mask ratio 0.99 masks every feature of a 50-feature map"),
+])
+def test_a_bad_validation_setting_fails_before_the_world_is_built(
+    monkeypatch, field, value, message
+):
+    # each message is the one the step that reads the setting gives; only
+    # the check moved before the synthetic world, the completeness of the
+    # unmodified maps and the trial lanes
+    monkeypatch.setattr(
+        experiment, "generate_synthetic", mock.Mock(side_effect=AssertionError("world built"))
+    )
+    settings = ValidationSettings(**{"n_samples": 40, "n_features": 100, "n_trials": 2, field: value})
+    with pytest.raises(ConfigError) as info:
+        run_validation(settings)
+    assert str(info.value) == message
+    experiment.generate_synthetic.assert_not_called()
+
+
 def test_mlp_weights_model_config(tmp_path, rng):
     from soco import MlpWeights
     from soco.models import Layer

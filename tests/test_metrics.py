@@ -1,6 +1,8 @@
+import importlib.util
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,7 +38,9 @@ from soco.metrics import (
 from soco.models import Layer
 from soco.perturb import impute_grid, round_half_away
 
-from per_sample import applied_masks, mask_by_ratio, mask_by_threshold
+from per_sample import RecordingModel, applied_masks, mask_by_ratio, mask_by_threshold
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
 
@@ -682,6 +686,59 @@ def test_sweep_buffer_is_not_shared_between_steps(step_model, small_dataset, gt_
     assert np.array_equal(first, small_dataset.feature_matrix())
     assert np.count_nonzero(middle == 0.0) == 60 * 50
     assert np.all(last == 0.0)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("start_masked", [False, True])
+@pytest.mark.parametrize("kind", ["zero", "mean"])
+def test_sweep_fill_is_the_literal_where_at_every_step(kind, start_masked, noisy):
+    # exact values and signed zeros: a masked entry is fill + noise, and
+    # 0.0 + -0.0 is +0.0, so a zero fill that wrote the noise alone would show
+    # here; standard_normal never draws a -0.0, so seeded noise cannot tell
+    features = np.array([
+        [1.5, -0.0, 0.25, -2.0],
+        [-0.0, 3.0, -0.5, -0.0],
+        [-0.0, -1.0, 0.75, -0.0],
+    ])
+    noise = np.array([
+        [-0.0, 0.5, -0.0, 0.0],
+        [-0.0, -0.0, 1.25, -3.0],
+        [0.0, -0.0, -0.0, -0.0],
+    ]) if noisy else None
+    ds = Dataset(features, [0, 1, 0], n_classes=2)
+    steps = [
+        ([], True),
+        ([0, 5, 11], True),
+        ([5, 2, 9], False),
+        ([1, 2, 3, 4, 6, 7, 8, 9, 10], True),
+        ([0, 4, 8], False),
+    ]
+    model = RecordingModel()
+    metrics._sweep(
+        model, ds, ds.feature_matrix(), ds.labels(), kind, noise, start_masked,
+        [(np.array(idx, dtype=np.int64), masked) for idx, masked in steps],
+    )
+    fill = 0.0 if kind == "zero" else ds.feature_means
+    mask = np.full(features.shape, start_masked)
+    want = []
+    for idx, masked in steps:
+        mask.reshape(-1)[idx] = masked
+        want.append(np.where(mask, fill if noise is None else fill + noise, features))
+    assert [b.tobytes() for b in model.batches] == [w.tobytes() for w in want]
+
+
+def test_metric_peaks_on_the_probe_shape():
+    # tracemalloc peaks above the inputs, in (n, d) float64 arrays, on
+    # 200 x 32 x 32 x 3 with the mean fill: soundness holds the fill buffer
+    # and its int32 ranking (plus the noise draw when noisy), the others the
+    # buffer and at most a ranking
+    spec = importlib.util.spec_from_file_location("memory_probe", SCRIPTS / "memory_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    noiseless = probe.metric_peaks(200, (32, 32, 3))
+    noisy = probe.metric_peaks(200, (32, 32, 3), noise_std=0.5)
+    assert noiseless["soundness"] <= 2.5 and noisy["soundness"] <= 3.0
+    assert noiseless["completeness"] <= 2.5 and noiseless["deletion"] <= 2.5
 
 
 # -- the noisy-linear fill on lanes against the inline fill --------------------------

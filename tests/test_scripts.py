@@ -16,6 +16,7 @@ import soco
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SMALL_RUNS = {
+    "memory_probe.py": ["--samples", "20", "--shape", "6", "5", "3", "--noise-std", "0.5"],
     "order_blindness.py": ["--samples", "40", "--features", "60"],
     "run_validation.py": ["--samples", "40", "--features", "60", "--trials", "2"],
     "sweep_modifications.py": ["--samples", "30", "--features", "51", "--trials", "2"],
