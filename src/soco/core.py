@@ -69,6 +69,22 @@ def check_non_negative(value, key: str) -> float:
     return value
 
 
+def check_positive(value, key: str) -> float:
+    """``value`` if it is a finite real number above zero."""
+    value = check_real(value, key)
+    if value <= 0:
+        raise ConfigError(f"{key} must be positive")
+    return value
+
+
+def check_at_least(value, key: str, low: int) -> int:
+    """``value`` if it is an integer (``check_count``) of at least ``low``."""
+    count = check_count(value, key)
+    if count < low:
+        raise ConfigError(f"{key} must be at least {low}, got {count}")
+    return count
+
+
 def check_one_of(choices: tuple, value, key: str) -> str:
     """``value`` if it is one of the strings ``choices``."""
     if not isinstance(value, str) or value not in choices:
@@ -118,6 +134,17 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _indices(values, key: str) -> np.ndarray:
+    """``values`` as a new int64 array if they are integers or whole floats;
+    a fraction, a string or a bool is a ``DataError``, never truncated or parsed."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        ints = arr.astype(np.int64) if arr.dtype.kind in "iuf" else None
+    if ints is None or not np.array_equal(ints, arr):
+        raise DataError(f"{key} must be integers")
+    return ints
+
+
 class Dataset:
     """A fixed evaluation set held as arrays.
 
@@ -142,10 +169,10 @@ class Dataset:
             raise DataError("empty evaluation set")
         if not np.all(np.isfinite(feats)):
             raise DataError("non-finite feature value")
-        if n_classes < 2:
+        if check_count(n_classes, "n_classes") < 2:
             raise DataError(f"need at least two classes, got {n_classes}")
-        labs = np.array(labels, dtype=np.int64)
-        ids = np.arange(n) if sample_ids is None else np.array(sample_ids, dtype=np.int64)
+        labs = _indices(labels, "labels")
+        ids = np.arange(n) if sample_ids is None else _indices(sample_ids, "sample_ids")
         if labs.shape != (n,):
             raise DataError(f"need one label per sample ({labs.size} labels, {n} samples)")
         if ids.shape != (n,):
@@ -297,13 +324,11 @@ def predicted_classes(probs: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
-def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy as an integer hit count over the batch, so the result
-    does not depend on evaluation order."""
+def hit_count(probs: np.ndarray, labels: np.ndarray) -> int:
+    """How many rows of the batch the model classifies as labeled."""
     if probs.shape[0] == 0:
         raise DataError("empty evaluation set")
-    hits = int(np.count_nonzero(predicted_classes(probs) == labels))
-    return hits / probs.shape[0]
+    return int(np.count_nonzero(predicted_classes(probs) == labels))
 
 
 # each metric kind's x axis and y label, the only place either is named

@@ -4,24 +4,11 @@ A run is described by one JSON document.  Every key is checked; anything
 unrecognized is a config error, because silently ignored options are how
 experiments stop meaning what their configs say.
 
-    {
-      "seed": 7,
-      "output_dir": "out",
-      "workers": 1,
-      "dataset": {"synthetic": {"n_samples": 500}},
-      "model": {"builtin": "linear_step"},
-      "maps": {
-        "source": "ground_truth",
-        "variants": {
-          "original": [],
-          "remove": [{"kind": "synth_remove", "fraction": 0.3}]
-        }
-      },
-      "metrics": {
-        "soundness": {"noise_std": 1.0},
-        "completeness": {}
-      }
-    }
+    {"seed": 7, "output_dir": "out", "workers": 1,
+     "dataset": {"synthetic": {"n_samples": 500}}, "model": {"builtin": "linear_step"},
+     "maps": {"source": "ground_truth", "variants": {
+         "original": [], "remove": [{"kind": "synth_remove", "fraction": 0.3}]}},
+     "metrics": {"soundness": {"noise_std": 1.0}, "completeness": {}}}
 
 ``dataset.path`` / ``maps.source: <file>`` load container files instead;
 ``model`` alternatives are ``{"mlp_weights": <file>}`` and ``{"external":
@@ -36,7 +23,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 import re
 import shutil
 import time
@@ -49,7 +35,7 @@ from typing import Callable, ContextManager, Optional, Union
 from . import parallel
 from ._version import __version__
 from .analysis import aggregate_trials
-from .core import ConfigError, Dataset, Model, check_count, check_keys
+from .core import ConfigError, Dataset, Model, check_at_least, check_count, check_keys
 from .io import (
     atomic_write,
     canonical_json,
@@ -57,6 +43,7 @@ from .io import (
     dataset_digest,
     emit_plot_data,
     make_dir,
+    null_nans,
     read_dataset,
     read_maps,
     write_curve,
@@ -98,6 +85,13 @@ def _check_string(value, where: str) -> str:
     return value
 
 
+def _check_file(value, where: str, what: str, base_dir: Path) -> str:
+    """``value`` if it is a string naming a file under ``base_dir``."""
+    if not (base_dir / _check_string(value, where)).exists():
+        raise ConfigError(f"{what} file not found: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
@@ -112,15 +106,10 @@ class ExperimentConfig:
     base_dir: Path
 
     def digest(self) -> str:
-        """Hash of the scientific content only.
-
-        Output location changes where results appear, never what they are,
-        so two configs differing only there share a digest (and produce
-        byte-identical curve files).  The same holds for ``workers``, the
-        most (variant, metric) jobs run at once, each on its own worker
-        process; the count is capped at the usable CPUs and never changes a
-        result.
-        """
+        """Hash of the scientific content only: neither the output location
+        nor ``workers`` (the most jobs run at once, each on its own worker
+        process, capped at the usable CPUs) changes a result, so configs that
+        differ only there share a digest and write byte-identical curves."""
         content = {k: v for k, v in self.raw.items() if k not in ("workers", "output_dir")}
         return config_digest(content)
 
@@ -133,9 +122,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
         "config",
     )
     seed = check_count(raw.get("seed", 0), "seed")
-    workers = check_count(raw.get("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
+    workers = check_at_least(raw.get("workers", 1), "workers", 1)
     if "output_dir" not in raw:
         raise ConfigError("config needs an output_dir")
     output_dir = base_dir / _check_string(raw["output_dir"], "output_dir")
@@ -147,8 +134,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
     if "synthetic" in dataset_spec:
         check_keys(dataset_spec["synthetic"], SYNTHETIC_KEYS, "dataset.synthetic")
     else:
-        if not (base_dir / _check_string(dataset_spec["path"], "dataset.path")).exists():
-            raise ConfigError(f"dataset file not found: {dataset_spec['path']}")
+        _check_file(dataset_spec["path"], "dataset.path", "dataset", base_dir)
 
     model_spec = raw.get("model", {"builtin": "linear_step"})
     check_keys(model_spec, {"builtin", "mlp_weights", "external"}, "model")
@@ -157,18 +143,16 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".") -> ExperimentConfi
     if "builtin" in model_spec and model_spec["builtin"] != "linear_step":
         raise ConfigError(f"unknown builtin model {model_spec['builtin']!r}")
     if "mlp_weights" in model_spec:
-        weights = _check_string(model_spec["mlp_weights"], "model.mlp_weights")
-        if not (base_dir / weights).exists():
-            raise ConfigError(f"weights file not found: {weights}")
+        _check_file(model_spec["mlp_weights"], "model.mlp_weights", "weights", base_dir)
     if "external" in model_spec:
         check_keys(model_spec["external"], EXTERNAL_KEYS, "model.external")
         model_spec = {"external": _external_spec(model_spec["external"])}
 
     maps_spec = raw.get("maps", {"source": "ground_truth"})
     check_keys(maps_spec, {"source", "variants"}, "maps")
-    map_source = _check_string(maps_spec.get("source", "ground_truth"), "maps.source")
-    if map_source != "ground_truth" and not (base_dir / map_source).exists():
-        raise ConfigError(f"maps file not found: {map_source}")
+    map_source = maps_spec.get("source", "ground_truth")
+    if map_source != "ground_truth":
+        _check_file(map_source, "maps.source", "maps", base_dir)
     variant_spec = maps_spec.get("variants", {"original": []})
     if not isinstance(variant_spec, dict):
         raise ConfigError(f"maps.variants must be an object, got {variant_spec!r}")
@@ -223,12 +207,10 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
 
 
 def _external_spec(ext: dict) -> ExternalModelSpec:
-    """The ``model.external`` entry as a spec; an error names its key."""
-    command = ext.get("command")
-    if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
-        raise ConfigError("model.external.command must be a list of strings")
+    """The ``model.external`` entry as a spec; an error names its key, and a
+    missing ``command`` is refused as ``null`` is."""
     try:
-        return ExternalModelSpec(**{**ext, "command": tuple(command)})
+        return ExternalModelSpec(**{**ext, "command": ext.get("command")})
     except ConfigError as exc:
         raise ConfigError(f"model.external.{exc}") from None
 
@@ -420,16 +402,11 @@ VALIDATION_METHODS = ("original", "remove", "introduce")
 
 
 def _check_validation(settings: ValidationSettings) -> dict:
-    """Check every setting ``run_validation`` reads and return the
-    modification scheme of each modified method, which its jobs reseed by
-    trial.  The checks are the trial count, the synthetic world's size and
-    seed (``check_synthetic``), the completeness thresholds, the schemes'
-    options, the soundness noise, and that soundness's default mask ratios
-    each leave a feature unmasked.  So a bad setting fails before the world
-    is built or a lane forked, with the message the step that reads it
-    would give."""
-    if check_count(settings.n_trials, "n_trials") < 2:
-        raise ConfigError(f"n_trials must be at least 2, got {settings.n_trials}")
+    """Check every setting ``run_validation`` reads, by the rule of the step
+    that reads it, and return the modification scheme of each modified
+    method, which its jobs reseed by trial.  So a bad setting fails before
+    the world is built or a lane forked."""
+    check_at_least(settings.n_trials, "n_trials", 2)
     check_synthetic(settings.n_samples, settings.n_features, settings.seed)
     check_options("completeness", {"thresholds": settings.thresholds})
     schemes = {
@@ -525,12 +502,6 @@ def run_validation(
     return result
 
 
-def _json_floats(values) -> list:
-    """``values`` with each NaN (a spread of fewer than two trials) as None,
-    written as JSON's null, as ``emit_plot_data`` writes it."""
-    return [None if isinstance(v, float) and math.isnan(v) else v for v in values]
-
-
 def _write_validation(result: ValidationResult, out_dir: Path) -> None:
     make_dir(out_dir)
     payload = {
@@ -540,14 +511,14 @@ def _write_validation(result: ValidationResult, out_dir: Path) -> None:
         },
         "clean_accuracy": result.clean_accuracy,
         "aligned_soundness": {
-            method: {str(level): _json_floats(stats) for level, stats in levels.items()}
+            method: {str(level): null_nans(stats) for level, stats in levels.items()}
             for method, levels in result.aligned_soundness.items()
         },
         "completeness_mean": {
             method: {
                 "x": summary.x_grid.tolist(),
-                "mean": _json_floats(summary.mean.tolist()),
-                "std": _json_floats(summary.std.tolist()),
+                "mean": null_nans(summary.mean.tolist()),
+                "std": null_nans(summary.std.tolist()),
                 "n": summary.counts.tolist(),
             }
             for method, summary in result.completeness.items()

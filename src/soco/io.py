@@ -357,8 +357,10 @@ def read_curve(path: _PathLike) -> EvalCurve:
 # -- plot data ---------------------------------------------------------------
 
 
-def _float_or_none(value) -> Optional[float]:
-    return None if np.isnan(value) else float(value)
+def null_nans(values) -> list:
+    """``values`` with each NaN (a summary's mean or spread that no trial or
+    one trial gives) as None: JSON's null, or an empty CSV cell."""
+    return [None if isinstance(v, float) and math.isnan(v) else v for v in values]
 
 
 def emit_plot_data(source, path: _PathLike, format: str = "csv") -> None:
@@ -376,7 +378,7 @@ def emit_plot_data(source, path: _PathLike, format: str = "csv") -> None:
     elif isinstance(source, TrialSummary):
         header = ["x", "mean", "std", "n_trials"]
         rows = [
-            [float(x), _float_or_none(m), _float_or_none(s), int(c)]
+            null_nans([float(x), float(m), float(s), int(c)])
             for x, m, s, c in zip(source.x_grid, source.mean, source.std, source.counts)
         ]
     else:

@@ -2,8 +2,9 @@
 
 Soundness sweeps mask ratios from high to low, so the included (unmasked)
 top-attribution set grows step by step.  Whenever a growth step fails to
-buy at least ``epsilon`` accuracy, the newly included features are booked
-as false attribution.  The per-sample soundness ratio at a step is
+buy at least ``epsilon`` accuracy (``epsilon * n`` samples, counted
+exactly), the newly included features are booked as false attribution.
+The per-sample soundness ratio at a step is
 
     q = (w(included) - w(false)) / w(included)
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import mmap
 import warnings
+from fractions import Fraction
 from functools import partial
 from itertools import chain, pairwise
 from typing import Iterable, Optional, Sequence
@@ -45,13 +47,14 @@ from .core import (
     EvalCurve,
     MapSet,
     Model,
-    accuracy_from_probs,
     check_count,
     check_keys,
     check_maps_fit,
     check_non_negative,
     check_one_of,
+    check_positive,
     check_real,
+    hit_count,
     keyword_defaults,
     predict_many,
 )
@@ -101,30 +104,17 @@ def _ascending(value, at: str) -> tuple:
     return values
 
 
-def _positive(value, at: str) -> float:
-    value = check_real(value, at)
-    if value <= 0:
-        raise ConfigError(f"{at} must be positive")
-    return value
-
-
 # each option's rule, by name, so an option has the same rule in every metric
 _RULES = {
     "mask_ratios": _descending,
     "thresholds": _descending,
     "fractions": _ascending,
-    "epsilon": _positive,
+    "epsilon": check_positive,
     "noise_std": check_non_negative,
     "imputer": partial(check_one_of, IMPUTER_KINDS),
     "weighting": partial(check_one_of, WEIGHTINGS),
     "order": partial(check_one_of, RANK_ORDERS),
 }
-
-
-def _require_grid(dataset: Dataset) -> None:
-    """The noisy-linear fill solves pixel neighborhoods, so it needs grids."""
-    if not dataset.is_grid:
-        raise ConfigError("noisy_linear requires grid-shaped samples")
 
 
 def mask_counts(mask_ratios: Sequence[float], d: int) -> list[int]:
@@ -165,8 +155,9 @@ def check_options(name: str, options: dict, dataset: Optional[Dataset] = None) -
         for key, value in {**defaults, **options}.items()
     }
     if dataset is not None:
-        if fill_kind(name, checked, dataset) == "noisy_linear":
-            _require_grid(dataset)
+        # the noisy-linear fill solves pixel neighborhoods, so it needs grids
+        if fill_kind(name, checked, dataset) == "noisy_linear" and not dataset.is_grid:
+            raise ConfigError("noisy_linear requires grid-shaped samples")
         if "mask_ratios" in checked:
             mask_counts(checked["mask_ratios"], dataset.n_features)
     return checked
@@ -356,14 +347,15 @@ def _sweep(
     noise: Optional[np.ndarray],
     start_masked: bool,
     changes: Iterable[tuple[np.ndarray, bool]],
-) -> list[float]:
-    """Model accuracy at each step of a sweep of nested masks.
+) -> list[int]:
+    """The model's hit count (``hit_count``) at each step of a sweep of
+    nested masks; the accuracy is that count over n, with the same bits.
 
     ``features`` is ``(n, d)``.  Every feature starts masked or none does
     (``start_masked``); each change set holds one step's flat indices into
     the ``(n, d)`` mask and whether those features become masked.  A step
     after the first whose change set is empty repeats the previous mask, so
-    its accuracy is reused without a model call.  The other steps reach the
+    its count is reused without a model call.  The other steps reach the
     model as one lazy iterable of read-only arrays (``predict_many``), so a
     pipelining model can overlap them.
 
@@ -423,8 +415,8 @@ def _sweep(
         batches = (step(idx, masked) for idx, masked in fresh_steps())
 
     # predict_many draws every batch, so ``repeats`` is complete once it ends
-    accs = [accuracy_from_probs(p, labels) for p in predict_many(model, batches)]
-    return [acc for acc, count in zip(accs, repeats) for _ in range(count)]
+    hits = [hit_count(p, labels) for p in predict_many(model, batches)]
+    return [h for h, count in zip(hits, repeats) for _ in range(count)]
 
 
 def soundness_curve(
@@ -449,18 +441,17 @@ def soundness_curve(
     All-zero maps carry no attribution mass to score, so those samples are
     skipped and counted in ``meta["skipped"]``.
 
-    With zero and mean fills the sweep keeps one filled copy of the inputs:
-    each step rewrites only the features whose rank lies between the
-    previous and the current cut-off.  Ratios whose mask count round(m * d)
-    equals the previous one's (common when d < 99) repeat that step's
-    accuracy without a model call.
+    A step is false when it gains fewer than ``epsilon * n`` correct samples
+    of the n scored, compared exactly in hit counts, with ``epsilon`` read as
+    the decimal it prints as: a gain of exactly ``epsilon * n`` samples buys
+    ``epsilon`` at every accuracy level.
 
-    Beyond its inputs, soundness then holds that copy (``_sweep``), the
-    ranking as int32 (``_order``, half an ``(n, d)`` float64 array), the
-    attribution sums at the cut-offs alone, an ``(n, steps + 1)`` array
-    (``_cut_sums``), and with noise the noise draw, one more ``(n, d)``
-    array: a peak of about 1.6 ``(n, d)`` arrays on 200 samples of 32×32×3
-    with the mean fill, 2.6 with noise (``scripts/memory_probe.py``).
+    A ratio whose mask count round(m * d) equals the previous one's (common
+    when d < 99) repeats that step's accuracy without a model call
+    (``_sweep``).  Beyond its inputs, soundness holds the sweep's buffer, the
+    int32 ranking (``_order``), the attribution sums at the cut-offs alone
+    (``_cut_sums``) and any noise: about 1.6 ``(n, d)`` arrays on 200 samples
+    of 32×32×3 with the mean fill, 2.6 with noise (``scripts/memory_probe.py``).
     """
     opts, fill, values, features, labels, noise = _inputs("soundness", dataset, maps, seed, {
         "mask_ratios": mask_ratios, "epsilon": epsilon, "imputer": imputer,
@@ -485,14 +476,15 @@ def soundness_curve(
     prefix = _cut_sums(values, order, sorted({*ks, d}))
     total = prefix[d]
 
-    accs = _sweep(model, dataset, features, labels, fill, noise, *_rank_steps(order, ks, True))
+    hits = _sweep(model, dataset, features, labels, fill, noise, *_rank_steps(order, ks, True))
+    min_gain = Fraction(repr(epsilon)) * n
     sweep: list[tuple[float, float, float]] = []
     false_mass = np.zeros(n)
     false_card = 0
-    s_prev = 0.0
+    h_prev = 0
     k_prev = d
-    for m, k, s_m in zip(mask_ratios, ks, accs):
-        if s_m - s_prev < epsilon:
+    for m, k, h in zip(mask_ratios, ks, hits):
+        if h - h_prev < min_gain:
             false_mass += prefix[k_prev] - prefix[k]
             false_card += k_prev - k
         if weighting == "attribution":
@@ -500,8 +492,8 @@ def soundness_curve(
             q = float(np.mean((included - false_mass) / included))
         else:
             q = ((d - k) - false_card) / (d - k)
-        sweep.append((m, s_m, q))
-        s_prev = s_m
+        sweep.append((m, h / n, q))
+        h_prev = h
         k_prev = k
 
     first_seen: dict[float, float] = {}
@@ -542,9 +534,9 @@ def completeness_curve(
         "thresholds": thresholds, "imputer": imputer, "noise_std": noise_std,
     })
     thresholds = opts["thresholds"]
-    s_0, *s_ts = _sweep(
+    s_0, *s_ts = (h / len(labels) for h in _sweep(
         model, dataset, features, labels, fill, noise, *_threshold_steps(values, thresholds)
-    )
+    ))
     pts = sorted((t, s_0 - s_t) for t, s_t in zip(thresholds, s_ts))
     return EvalCurve(
         metric_kind="completeness",
@@ -561,13 +553,13 @@ def _rank_curve(
     opts, fill, values, features, labels, noise = _inputs(name, dataset, maps, seed, options)
     ranking = _order(values, descending=opts["order"] == "MoRF")
     ks = [round_half_away(f * values.shape[1]) for f in opts["fractions"]]
-    accs = _sweep(
+    hits = _sweep(
         model, dataset, features, labels, fill, noise,
         *_rank_steps(ranking, ks, name != "insertion"),
     )
     return EvalCurve(
         metric_kind=name,
-        points=tuple(zip(opts["fractions"], accs)),
+        points=tuple((f, h / len(labels)) for f, h in zip(opts["fractions"], hits)),
         meta={"order": opts["order"], "imputer": fill, "noise_std": opts["noise_std"]},
     )
 
@@ -593,8 +585,7 @@ def order_based_curve(
     whose count round(fraction * d) equals the previous one's repeat that
     step's accuracy without a model call.
     """
-    if mode not in ORDER_MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
+    check_one_of(ORDER_MODES, mode, "mode")
     return _rank_curve(mode, model, dataset, maps, seed, {
         "order": order, "imputer": imputer, "noise_std": noise_std, "fractions": fractions,
     })

@@ -48,8 +48,9 @@ from .core import (
     Dataset,
     ModelBridgeError,
     batch_features,
+    check_at_least,
     check_count,
-    check_real,
+    check_positive,
 )
 from .io import json_array
 
@@ -200,17 +201,21 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class ExternalModelSpec:
+    """How to launch a model server; ``command`` is its argument vector."""
+
     command: tuple[str, ...]
     timeout_s: float = 30.0
     batch_limit: int = 64
 
     def __post_init__(self) -> None:
-        if not self.command:
-            raise ConfigError("command must name the server to launch")
-        if check_real(self.timeout_s, "timeout_s") <= 0:
-            raise ConfigError("timeout_s must be positive")
-        if check_count(self.batch_limit, "batch_limit") < 1:
-            raise ConfigError("batch_limit must be at least 1")
+        command = self.command
+        if not isinstance(command, (list, tuple)) or not command or not all(
+            isinstance(part, str) for part in command
+        ):
+            raise ConfigError(f"command must be a non-empty list of strings, got {command!r}")
+        object.__setattr__(self, "command", tuple(command))
+        check_positive(self.timeout_s, "timeout_s")
+        check_at_least(self.batch_limit, "batch_limit", 1)
 
 
 def _render(values: np.ndarray) -> list[str]:

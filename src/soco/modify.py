@@ -35,6 +35,7 @@ from .core import (
     check_keys,
     check_non_negative,
     check_one_of,
+    check_positive,
     check_real,
     keyword_defaults,
 )
@@ -141,15 +142,13 @@ def _synth_introduce(
     A map's candidates are its features with zero attribution that are also
     outside the oracle's informative set; round(fraction * candidate count)
     of them get values drawn uniformly from (0, magnitude], so the magnitude
-    must be positive.  Each map is then renormalized so downstream value
-    thresholds keep their meaning.
+    is positive (``scheme_rules``).  Each map is then renormalized so
+    downstream value thresholds keep their meaning.
     """
     if oracle is None:
         raise ConfigError("synth_introduce needs oracle information")
     if oracle.informative.shape[0] != flat.shape[0]:
         raise DataError("need one oracle entry per map")
-    if magnitude <= 0:
-        raise ConfigError("magnitude must be positive")
     informative = oracle.informative.reshape(flat.shape[0], -1)
     if informative.shape != flat.shape:
         raise DataError("oracle shape does not match the map")
@@ -197,12 +196,14 @@ def scheme_rules(kind: str) -> dict:
     keyword-only parameters of the kind's function; ``seed``, which every
     kind takes, as every metric does, since a run passes its seed to each
     scheme; and on a synthetic kind ``direction``, limited to the one its
-    name states."""
+    name states; on ``synth_introduce`` a positive ``magnitude``."""
     if not isinstance(kind, str) or kind not in SCHEMES:
         raise ConfigError(f"unknown scheme kind {kind!r}")
     rules = {key: _RULES[key] for key in (*keyword_defaults(SCHEMES[kind]), "seed")}
     if kind.startswith("synth_"):
         rules["direction"] = partial(check_one_of, (kind.removeprefix("synth_"),))
+    if kind == "synth_introduce":
+        rules["magnitude"] = check_positive
     return rules
 
 

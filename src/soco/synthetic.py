@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     DataError,
     Dataset,
     MapSet,
     batch_features,
+    check_at_least,
     check_count,
     normalize_attribution,
 )
@@ -35,9 +35,8 @@ def check_synthetic(n_samples: int, n_features: int, seed: int) -> None:
     """``generate_synthetic``'s arguments: a count that is not a positive
     integer, or a seed that is not a non-negative one, is a ``ConfigError``
     naming its parameter."""
-    for key, count in (("n_samples", n_samples), ("n_features", n_features)):
-        if check_count(count, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {count}")
+    check_at_least(n_samples, "n_samples", 1)
+    check_at_least(n_features, "n_features", 1)
     check_count(seed, "seed")
 
 

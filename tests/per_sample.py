@@ -10,6 +10,7 @@ and ``swept_fill`` reads the filled batch that the metrics' sweep engine
 hands the model.
 """
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,6 +128,61 @@ def mask_by_ratio(attr_map: np.ndarray, ratio: float) -> np.ndarray:
 def mask_by_threshold(attr_map: np.ndarray, threshold: float) -> np.ndarray:
     """Mask features with attribution strictly greater than ``threshold``."""
     return attr_map > threshold
+
+
+# -- soundness -------------------------------------------------------------------
+
+
+def soundness_per_sample(model, dataset, maps, ratios, epsilon, weighting, noise_std, seed):
+    """Soundness's (points, sweep) with Python sets and integer bookkeeping.
+
+    Each ratio's batch of tabular samples is filled with the feature means
+    plus the noise, one sample at a time.  The accuracy is a count of correct samples, and a
+    step is false when it gains fewer than epsilon * n of them, with epsilon
+    read as the decimal it prints as.  Cardinality weighting counts set
+    sizes; attribution weighting sums each set's values in Python.
+    """
+    n = len(dataset)
+    feats = dataset.feature_matrix()
+    labels = dataset.labels()
+    noise = np.zeros((n, dataset.n_features))
+    if noise_std:
+        noise = noise_std * substream(seed, "noise").standard_normal(noise.shape)
+    min_gain = Fraction(repr(epsilon)) * n
+    included_prev = [set() for _ in range(n)]
+    false_sets = [set() for _ in range(n)]
+    hits_prev = 0
+    sweep = []
+    for m in ratios:
+        filled = []
+        included = []
+        for i, attr in enumerate(maps.values):
+            mask = mask_by_ratio(attr, m)
+            x = np.where(mask, dataset.feature_means, feats[i])
+            filled.append(x + noise[i] * mask)
+            included.append(set(np.flatnonzero(~mask)))
+        probs = model.predict_probs(np.stack(filled))
+        hits = sum(int(np.argmax(p) == y) for p, y in zip(probs, labels))
+        if hits - hits_prev < min_gain:
+            for i in range(n):
+                false_sets[i] |= included[i] - included_prev[i]
+        qs = []
+        for i in range(n):
+            v = maps.values[i].reshape(-1)
+            if weighting == "attribution":
+                inc = sum(v[j] for j in included[i])
+                false = sum(v[j] for j in false_sets[i])
+            else:
+                inc = len(included[i])
+                false = len(false_sets[i])
+            qs.append((inc - false) / inc)
+        sweep.append((m, hits / n, float(np.mean(qs))))
+        included_prev = included
+        hits_prev = hits
+    first = {}
+    for _, s, q in sweep:
+        first.setdefault(s, q)
+    return sorted(first.items()), sweep
 
 
 # -- map modification ------------------------------------------------------------

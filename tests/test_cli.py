@@ -363,6 +363,7 @@ UNREAD_FLAGS = [
      "--direction must be one of ['introduce'], got 'remove'"),
     ("modify", "constant", ["--magnitude", "-0.3"], "--magnitude must be non-negative"),
     ("modify", "random", ["--magnitude", "-0.3"], "--magnitude must be non-negative"),
+    ("modify", "synth_introduce", ["--magnitude", "0"], "--magnitude must be positive"),
     ("eval", "road", ["--imputer", "mean"], "--metric road takes no --imputer"),
     ("eval", "completeness", ["--order", "LeRF"], "--metric completeness takes no --order"),
 ]
@@ -373,8 +374,11 @@ UNREAD_FLAGS = [
     ids=[f"{v}-{c}{''.join(f)}" for v, c, f, _ in UNREAD_FLAGS],
 )
 def test_a_flag_the_choice_does_not_read_is_exit_2_naming_it(
-    workdir, capsys, verb, choice, flags, message
+    workdir, capsys, monkeypatch, verb, choice, flags, message
 ):
+    # each is refused before any file is read
+    for name in ("read_dataset", "read_maps"):
+        monkeypatch.setattr(f"soco.cli.{name}", mock.Mock(side_effect=AssertionError("read")))
     out = workdir / "out.soco"
     args = [verb, "--out", str(out), "--dataset", str(workdir / "data.soco"), *flags]
     if verb == "eval":
@@ -1055,6 +1059,7 @@ MISTYPED = [
     (("seed",), True, "seed"),
     (("workers",), 1.5, "workers"),
     (("workers",), True, "workers"),
+    (("workers",), 0, "workers must be at least 1, got 0"),
     (("dataset", "synthetic", "n_samples"), 1.5, "dataset.synthetic.n_samples"),
     (("dataset", "synthetic", "n_samples"), True, "dataset.synthetic.n_samples"),
     (("dataset", "synthetic", "n_features"), 1.5, "dataset.synthetic.n_features"),
@@ -1079,6 +1084,9 @@ MISTYPED = [
     (("model", "external", "timeout_s"), "30", "model.external.timeout_s"),
     (("model", "external", "batch_limit"), 1.5, "model.external.batch_limit"),
     (("model", "external", "batch_limit"), True, "model.external.batch_limit"),
+    (("model", "external", "timeout_s"), 0, "model.external.timeout_s must be positive"),
+    (("model", "external", "batch_limit"), 0,
+     "model.external.batch_limit must be at least 1, got 0"),
 ]
 
 
@@ -1139,6 +1147,7 @@ REFUSED_SCHEMES = [
      "direction must be one of ['introduce'], got 'remove'"),
     ({"kind": "constant", "magnitude": -0.3}, "magnitude must be non-negative"),
     ({"kind": "random", "magnitude": -0.3}, "magnitude must be non-negative"),
+    ({"kind": "synth_introduce", "magnitude": 0}, "magnitude must be positive"),
 ]
 
 
@@ -1147,8 +1156,12 @@ REFUSED_SCHEMES = [
     ids=["-".join(map(str, scheme.values())) for scheme, _ in REFUSED_SCHEMES],
 )
 def test_a_scheme_key_its_kind_refuses_is_exit_2_naming_the_variant(
-    tmp_path, capsys, scheme, message
+    tmp_path, capsys, monkeypatch, scheme, message
 ):
+    # each is refused with the config, before the dataset is built
+    monkeypatch.setattr(
+        "soco.experiment.generate_synthetic", mock.Mock(side_effect=AssertionError("built"))
+    )
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(mistyped(SCHEME, scheme)))
     assert main(["run", "--config", str(cfg_path)]) == 2

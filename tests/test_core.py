@@ -9,18 +9,18 @@ from soco import (
     MapSet,
     normalize_attribution,
 )
-from soco.core import accuracy_from_probs, batch_features, predicted_classes
+from soco.core import batch_features, hit_count, predicted_classes
 
 
 def test_accuracy_hand_checked_three_of_four():
     # labels 0,1,0,1; the model gets the first three right
     probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.7, 0.3]])
-    assert accuracy_from_probs(probs, np.array([0, 1, 0, 1])) == 0.75
+    assert hit_count(probs, np.array([0, 1, 0, 1])) == 3
 
 
 def test_accuracy_empty_set_rejected():
     with pytest.raises(DataError, match="empty evaluation set"):
-        accuracy_from_probs(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        hit_count(np.empty((0, 2)), np.empty(0, dtype=np.int64))
 
 
 def test_predicted_classes_tie_breaks_low():
@@ -28,10 +28,11 @@ def test_predicted_classes_tie_breaks_low():
 
 
 def test_accuracy_is_exact_counting():
-    # 1/3 cannot be represented exactly; counting must still give exactly 1/3
+    # 1/3 cannot be represented exactly; a metric's accuracy is the count
+    # over n, so it is exactly the nearest float to 1/3
     probs = np.array([[1.0, 0.0]] * 3)
     labels = np.array([0, 1, 1])
-    assert accuracy_from_probs(probs, labels) == pytest.approx(1 / 3, abs=0)
+    assert hit_count(probs, labels) == 1 and type(hit_count(probs, labels)) is int
 
 
 def test_sample_rejects_bad_shapes():
@@ -50,6 +51,31 @@ def test_sample_rejects_bad_shapes():
     for features, labels, n_classes, ids, message in cases:
         with pytest.raises(DataError, match=message):
             Dataset(features, labels, n_classes, ids)
+
+
+@pytest.mark.parametrize("labels, n_classes, ids, error, message", [
+    ([0.9, 1.2], 2, None, DataError, "labels must be integers"),
+    (["0", "1"], 2, None, DataError, "labels must be integers"),
+    ([False, True], 2, None, DataError, "labels must be integers"),
+    ([np.nan, 1.0], 2, None, DataError, "labels must be integers"),
+    ([0, 1], 2, [0.5, 7.9], DataError, "sample_ids must be integers"),
+    ([0, 1], 2, ["5", "9"], DataError, "sample_ids must be integers"),
+    ([0, 1], 3.7, None, ConfigError, "n_classes must be a non-negative integer, got 3.7"),
+    ([0, 1], "3", None, ConfigError, "n_classes must be a non-negative integer, got '3'"),
+])
+def test_dataset_refuses_what_it_would_have_to_convert(labels, n_classes, ids, error, message):
+    # nothing is truncated or parsed on the way in
+    with pytest.raises(error) as info:
+        Dataset(np.zeros((2, 3)), labels, n_classes, ids)
+    assert str(info.value) == message
+
+
+def test_dataset_takes_integer_valued_floats_and_numpy_integers():
+    ds = Dataset(np.zeros((2, 3)), [1.0, 0.0], np.int64(2), np.array([7.0, 3.0]))
+    assert ds.labels().tolist() == [1, 0] and ds.sample_ids.tolist() == [7, 3]
+    assert ds.n_classes == 2 and type(ds.n_classes) is int
+    ds = Dataset(np.zeros((2, 3)), np.array([0, 1], dtype="<u4"), 2, np.array([5, 9], "<u4"))
+    assert ds.labels().dtype == ds.sample_ids.dtype == np.int64
 
 
 def test_dataset_from_arrays_roundtrip():

@@ -347,6 +347,7 @@ def test_validation_with_fewer_than_two_trials_starts_no_job(monkeypatch, n_tria
     ("remove_fraction", 2.0, "fraction must lie in [0, 1]"),
     ("introduce_fraction", -0.5, "fraction must lie in [0, 1]"),
     ("introduce_magnitude", math.nan, "magnitude must be a finite real number, got nan"),
+    ("introduce_magnitude", 0.0, "magnitude must be positive"),
     ("noise_std", -1.0, "metrics.soundness.noise_std must be non-negative"),
     ("n_features", 50, "mask ratio 0.99 masks every feature of a 50-feature map"),
 ])

@@ -2,6 +2,8 @@ import importlib.util
 import multiprocessing
 import os
 import warnings
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +21,8 @@ from soco import (
     MlpWeights,
     WorkerError,
     completeness_curve,
+    generate_synthetic,
+    ground_truth_attribution,
     normalize_attribution,
     order_based_curve,
     road_curve,
@@ -26,7 +30,8 @@ from soco import (
     substream,
 )
 from soco import metrics, parallel
-from soco.core import accuracy_from_probs
+from soco.core import hit_count
+from soco.io import canonical_json, curve_to_dict
 from soco.metrics import (
     DEFAULT_FRACTIONS,
     DEFAULT_MASK_RATIOS,
@@ -38,7 +43,12 @@ from soco.metrics import (
 from soco.models import Layer
 from soco.perturb import impute_grid, round_half_away
 
-from per_sample import RecordingModel, applied_masks, mask_by_ratio, mask_by_threshold
+from per_sample import (
+    RecordingModel,
+    applied_masks,
+    mask_by_threshold,
+    soundness_per_sample,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -50,61 +60,22 @@ COARSE_RATIOS = tuple(round(0.95 - 0.1 * i, 2) for i in range(10))  # 0.95 .. 0.
 # -- reference implementations -------------------------------------------------
 
 
-def naive_soundness(model, dataset, maps, ratios, epsilon, weighting, noise_std, seed):
-    """Literal per-sample implementation with Python sets, no vectorization."""
-    n = len(dataset)
-    feats = dataset.feature_matrix()
-    noise = np.zeros((n, dataset.n_features))
-    if noise_std:
-        noise = noise_std * substream(seed, "noise").standard_normal(noise.shape)
-    included_prev = [set() for _ in range(n)]
-    false_sets = [set() for _ in range(n)]
-    s_prev = 0.0
-    sweep = []
-    for m in ratios:
-        filled = []
-        included = []
-        for i, attr in enumerate(maps.values):
-            mask = mask_by_ratio(attr, m)
-            x = np.where(mask, dataset.feature_means, feats[i])
-            filled.append(x + noise[i] * mask)
-            included.append(set(np.flatnonzero(~mask)))
-        s_m = accuracy_from_probs(
-            model.predict_probs(np.stack(filled)), dataset.labels()
-        )
-        if s_m - s_prev < epsilon:
-            for i in range(n):
-                false_sets[i] |= included[i] - included_prev[i]
-        qs = []
-        for i in range(n):
-            v = maps.values[i].reshape(-1)
-            if weighting == "attribution":
-                inc = sum(v[j] for j in included[i])
-                false = sum(v[j] for j in false_sets[i])
-            else:
-                inc = len(included[i])
-                false = len(false_sets[i])
-            qs.append((inc - false) / inc)
-        sweep.append((m, s_m, float(np.mean(qs))))
-        included_prev = included
-        s_prev = s_m
-    first = {}
-    for _, s, q in sweep:
-        first.setdefault(s, q)
-    return sorted(first.items())
+def accuracy(probs, labels) -> float:
+    """Top-1 accuracy as every metric scores it: the hit count over n."""
+    return hit_count(probs, labels) / len(labels)
 
 
 def naive_completeness(model, dataset, maps, thresholds):
     labels = dataset.labels()
     feats = dataset.feature_matrix()
-    s_0 = accuracy_from_probs(model.predict_probs(feats), labels)
+    s_0 = accuracy(model.predict_probs(feats), labels)
     points = []
     for t in thresholds:
         filled = []
         for i, attr in enumerate(maps.values):
             mask = mask_by_threshold(attr, t)
             filled.append(np.where(mask, dataset.feature_means, feats[i]))
-        s_t = accuracy_from_probs(model.predict_probs(np.stack(filled)), labels)
+        s_t = accuracy(model.predict_probs(np.stack(filled)), labels)
         points.append((t, s_0 - s_t))
     return sorted(points)
 
@@ -123,7 +94,7 @@ def test_soundness_matches_naive_oracle_noisy(step_model, small_dataset, gt_maps
         noise_std=1.0,
         seed=5,
     )
-    want = naive_soundness(
+    want, _ = soundness_per_sample(
         step_model, small_dataset, gt_maps, COARSE_RATIOS, 0.01, "attribution", 1.0, 5
     )
     assert len(curve.points) == len(want)
@@ -143,11 +114,73 @@ def test_soundness_cardinality_weighting_matches_naive(step_model, small_dataset
         weighting="cardinality",
         seed=2,
     )
-    want = naive_soundness(
+    want, _ = soundness_per_sample(
         step_model, small_dataset, gt_maps, COARSE_RATIOS, 0.01, "cardinality", 1.0, 2
     )
     for (gx, gy), (wx, wy) in zip(curve.points, want):
         assert (gx, gy) == (wx, pytest.approx(wy, abs=1e-12))
+
+
+class ScriptedModel:
+    """Predicts class 0 for the first ``hits[i]`` rows of its i-th batch and
+    class 1 for the others."""
+
+    def __init__(self, hits):
+        self.hits = iter(hits)
+
+    def predict_probs(self, batch):
+        probs = np.zeros((len(batch), 2))
+        h = next(self.hits)
+        probs[:h, 0] = 1.0
+        probs[h:, 1] = 1.0
+        return probs
+
+
+# a hit count h of 1000 where the float gain (h + 10) / 1000 - h / 1000 of
+# exactly 10 samples reads below epsilon = 0.01
+ROUNDING_LEVEL = next(h for h in range(10, 990) if (h + 10) / 1000 - h / 1000 < 0.01)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_a_gain_of_exactly_epsilon_n_samples_buys_epsilon_at_a_rounding_level(weighting):
+    # n = 1000 and epsilon = 0.01: the three steps gain the level (true),
+    # exactly 10 samples (true) and 9 samples, epsilon * n - 1 (false)
+    n = 1000
+    dataset = Dataset(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), 2)
+    maps = MapSet(np.tile([0.25, 0.5, 0.75, 1.0], (n, 1)), normalized=True)
+    script = [ROUNDING_LEVEL, ROUNDING_LEVEL + 10, ROUNDING_LEVEL + 19]
+    ratios = [0.75, 0.5, 0.25]
+    curve = soundness_curve(
+        ScriptedModel(script), dataset, maps, mask_ratios=ratios, weighting=weighting
+    )
+    # the third step books feature 1 (value 0.5) as false
+    last = 2 / 3 if weighting == "cardinality" else (2.25 - 0.5) / 2.25
+    assert [q for _, _, q in curve.meta["sweep"]] == [1.0, 1.0, pytest.approx(last, abs=1e-15)]
+    assert [s for _, s, _ in curve.meta["sweep"]] == [h / n for h in script]
+    _, want = soundness_per_sample(
+        ScriptedModel(script), dataset, maps, ratios, 0.01, weighting, 0.0, 0
+    )
+    assert curve.meta["sweep"] == [[m, s, pytest.approx(q, abs=1e-12)] for m, s, q in want]
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_soundness_matches_the_integer_oracle_where_a_float_gain_reads_below_epsilon(
+    step_model, weighting
+):
+    # in this world the step to mask ratio 0.94 gains exactly 1 of 100
+    # samples (93 to 94), and 0.94 - 0.93 reads below 0.01 in floats
+    dataset = generate_synthetic(100, 200, seed=3)
+    maps = ground_truth_attribution(dataset)
+    curve = soundness_curve(
+        step_model, dataset, maps, noise_std=1.0, weighting=weighting, seed=3
+    )
+    step = DEFAULT_MASK_RATIOS.index(0.94)
+    (_, before, _), (_, after, _) = curve.meta["sweep"][step - 1 : step + 1]
+    assert (before, after) == (0.93, 0.94) and after - before < 0.01
+    _, want = soundness_per_sample(
+        step_model, dataset, maps, DEFAULT_MASK_RATIOS, 0.01, weighting, 1.0, 3
+    )
+    assert curve.meta["sweep"] == [[m, s, pytest.approx(q, abs=1e-12)] for m, s, q in want]
 
 
 def test_gt_soundness_saturates_at_one(step_model, small_dataset, gt_maps):
@@ -203,8 +236,6 @@ def test_soundness_q_bounded(step_model, small_dataset, gt_maps):
 
 
 def test_soundness_ratio_grid_must_leave_features(step_model):
-    from soco import generate_synthetic, ground_truth_attribution
-
     tiny = generate_synthetic(8, 20, seed=0)
     maps = ground_truth_attribution(tiny)
     with pytest.raises(ConfigError, match="masks every feature"):
@@ -292,7 +323,7 @@ def test_deletion_full_mean_imputation_hits_constant_prediction(
     means = np.broadcast_to(
         small_dataset.feature_means, small_dataset.feature_matrix().shape
     )
-    expected = accuracy_from_probs(
+    expected = accuracy(
         step_model.predict_probs(np.array(means)), small_dataset.labels()
     )
     assert curve.points[1] == (1.0, expected)
@@ -392,6 +423,79 @@ def test_every_metric_checks_its_options_once(step_model, small_dataset, gt_maps
     assert curve.metric_kind == metric
 
 
+# -- renumbering the features ------------------------------------------------------
+
+
+def renumbering_curves(seed: int, n: int, d: int, tied: bool) -> tuple:
+    """Every metric's curve file bytes with the zero fill, on a world and on
+    the same world with its features renumbered.
+
+    The features and the first layer's weights are small integers, so every
+    sum of the MLP's first layer, and of every later layer, is exact in any
+    order: a renumbering changes no model output.  The maps are drawn from
+    four levels when ``tied``, and as distinct values otherwise; every map
+    has a positive entry.  The data, the maps and the first layer's weight
+    columns are permuted together.
+    """
+    rng = np.random.default_rng(seed)
+    features = rng.integers(-3, 4, (n, d)).astype(np.float64)
+    w1 = rng.integers(-2, 3, (8, d)).astype(np.float64)
+    head = Layer(rng.integers(-2, 3, (3, 8)).astype(np.float64), np.zeros(3))
+    if tied:
+        maps = rng.integers(0, 4, (n, d)) / 3
+        maps[np.arange(n), rng.integers(0, d, n)] = 1.0
+    else:
+        maps = np.argsort(rng.random((n, d)), axis=1) / (d - 1)
+    perm = rng.permutation(d)
+
+    def curves(features, maps, w1):
+        model = MlpModel(MlpWeights(layers=(Layer(w1, np.zeros(8), "relu"), head), n_classes=3))
+        labels = np.argmax(model.predict_probs(features), axis=1)
+        dataset = Dataset(features, labels, n_classes=3)
+        ms = MapSet(maps, normalized=True)
+        runs = {
+            "completeness": lambda: completeness_curve(model, dataset, ms, imputer="zero"),
+            **{
+                f"soundness {w}": partial(
+                    soundness_curve, model, dataset, ms,
+                    mask_ratios=COARSE_RATIOS, imputer="zero", weighting=w,
+                )
+                for w in WEIGHTINGS
+            },
+            **{
+                f"{mode} {order}": partial(
+                    order_based_curve, model, dataset, ms, mode, order=order
+                )
+                for mode in ORDER_MODES for order in RANK_ORDERS
+            },
+        }
+        return {name: run() for name, run in runs.items()}
+
+    return curves(features, maps, w1), curves(features[:, perm], maps[:, perm], w1[:, perm])
+
+
+def curve_bytes(curve) -> str:
+    return canonical_json(curve_to_dict(curve))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(11, 40))
+def test_renumbering_features_changes_no_curve_on_tie_free_maps(seed, n, d):
+    original, renumbered = renumbering_curves(seed, n, d, tied=False)
+    assert {k: curve_bytes(c) for k, c in original.items()} == {
+        k: curve_bytes(c) for k, c in renumbered.items()
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(11, 40))
+def test_renumbering_features_leaves_completeness_on_tied_maps(seed, n, d):
+    # the rank metrics break ties by feature index, so on tied maps only
+    # completeness, which thresholds values, is sure to stay the same
+    original, renumbered = renumbering_curves(seed, n, d, tied=True)
+    assert curve_bytes(original["completeness"]) == curve_bytes(renumbered["completeness"])
+
+
 # -- the incremental sweep against the literal per-step computation ----------------
 
 
@@ -413,7 +517,7 @@ def three_pass_fill(features, masks, kind, dataset, noise):
 def literal_accuracy(model, dataset, features, labels, masks, kind, noise):
     masks = masks.reshape(features.shape)
     filled = three_pass_fill(features, masks, kind, dataset, noise)
-    return accuracy_from_probs(model.predict_probs(filled), labels)
+    return accuracy(model.predict_probs(filled), labels)
 
 
 def literal_noise(dataset, noise_std, seed):
@@ -453,11 +557,12 @@ def literal_soundness(
     prefix = np.concatenate(
         [np.zeros((n, 1)), np.cumsum(np.sort(values, axis=1, kind="stable"), axis=1)], axis=1
     )
-    sweep, false_mass, false_card, s_prev, k_prev = [], np.zeros(n), 0, 0.0, d
+    sweep, false_mass, false_card, hits_prev, k_prev = [], np.zeros(n), 0, 0, d
     for m in mask_ratios:
         k = round_half_away(m * d)
         s_m = literal_accuracy(model, dataset, features, labels, ranks < k, imputer, noise)
-        if s_m - s_prev < epsilon:
+        hits = round(s_m * n)  # the accuracy is a hit count over n
+        if hits - hits_prev < Fraction(repr(epsilon)) * n:
             false_mass += prefix[:, k_prev] - prefix[:, k]
             false_card += k_prev - k
         if weighting == "attribution":
@@ -466,7 +571,7 @@ def literal_soundness(
         else:
             q = ((d - k) - false_card) / (d - k)
         sweep.append([float(m), s_m, q])
-        s_prev, k_prev = s_m, k
+        hits_prev, k_prev = hits, k
     first = {}
     for _, s, q in sweep:
         first.setdefault(s, q)
@@ -479,7 +584,7 @@ def literal_completeness(
     values = maps.values.reshape(len(maps), -1)
     features, labels = dataset.feature_matrix(), dataset.labels()
     noise = literal_noise(dataset, noise_std, seed)
-    s_0 = accuracy_from_probs(model.predict_probs(features), labels)
+    s_0 = accuracy(model.predict_probs(features), labels)
     return tuple(
         (t, s_0 - literal_accuracy(model, dataset, features, labels, values > t, imputer, noise))
         for t in sorted(thresholds)

@@ -563,6 +563,11 @@ def test_bridge_resends_request_lines_byte_for_byte_after_a_crash(tmp_path):
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ExternalModelSpec(command=())
+    for command in ("python3", ["x", 1]):
+        with pytest.raises(ConfigError) as info:
+            ExternalModelSpec(command=command)
+        assert str(info.value) == f"command must be a non-empty list of strings, got {command!r}"
+    assert ExternalModelSpec(command=["x", "y"]).command == ("x", "y")
     with pytest.raises(ConfigError):
         ExternalModelSpec(command=("x",), timeout_s=0.0)
     with pytest.raises(ConfigError):

@@ -327,6 +327,8 @@ def scheme_problems(draw):
     }
     # only the keys the kind reads, each left out (its default) or drawn
     kind = draw(st.sampled_from(SCHEME_KINDS))
+    if kind == "synth_introduce":  # which refuses a magnitude of 0 when built
+        values["magnitude"] = st.sampled_from((0.25, 1.0))
     options = {
         key: draw(values[key])
         for key in keyword_defaults(SCHEMES[kind])
